@@ -38,6 +38,7 @@ from .teleport import (
     SchemeKind,
     avg_fidelity,
     avg_fidelity_closed,
+    avg_fidelity_entanglement,
     channel_state,
     critical_values,
     fidelity_ghz_closed,
@@ -371,6 +372,14 @@ def _suite_fidelity() -> list[dict]:
         worst_avg = max(worst_avg, abs(avg_fidelity(ghz, p) - avg_fidelity_closed(SchemeKind.GHZ, p)))
         worst_avg = max(worst_avg, abs(avg_fidelity(w, p) - avg_fidelity_closed(SchemeKind.W, p)))
     checks.append(_check("avg_fidelity_quadrature", worst_avg <= 1e-9, f"max deviation {worst_avg:.3e}"))
+    worst_exact = 0.0
+    for p in ps:
+        for scheme in (ghz, w):
+            exact = avg_fidelity_entanglement(scheme, p)
+            worst_exact = max(worst_exact, abs(exact - avg_fidelity_closed(scheme.kind, p)))
+    checks.append(
+        _check("avg_fidelity_entanglement", worst_exact <= 1e-12, f"max |(2 F_e + 1)/3 - closed| {worst_exact:.3e}")
+    )
     return checks
 
 

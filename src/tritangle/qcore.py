@@ -342,23 +342,53 @@ def save_state_file(path, state: Union[PureState, DensityMatrix]) -> None:
         fh.write("\n")
 
 
+def _real(x) -> float:
+    # bool is an int subclass, but true/false are not numbers in a state file.
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"state file entries must be real numbers, got {type(x).__name__}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("state file entry is too large for a float") from None
+
+
+def _complex_entries(entries, what: str) -> list[complex]:
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} must be a list, got {type(entries).__name__}")
+    out = []
+    for e in entries:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"{what} entries must be [real, imag] pairs")
+        out.append(complex(_real(e[0]), _real(e[1])))
+    return out
+
+
 def load_state_file(path) -> Union[PureState, DensityMatrix]:
-    """Read a pure or mixed state from its JSON file form."""
+    """Read a pure or mixed state from its JSON file form.
+
+    Raises ValueError on any departure from the schema: a num_qubits that
+    is not an integer in 1..4, an entry that is not a [real, imag] pair of
+    numbers, or a matrix row that is not a list.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "num_qubits" not in payload:
         raise ValueError("state file must be an object with a num_qubits field")
     n = payload["num_qubits"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("num_qubits must be an integer")
+    if not (1 <= n <= _MAX_QUBITS):
+        raise ValueError(f"num_qubits must be in 1..{_MAX_QUBITS}, got {n}")
     if "amplitudes" in payload:
-        pairs = payload["amplitudes"]
-        amps = np.array([complex(re, im) for re, im in pairs])
+        amps = np.array(_complex_entries(payload["amplitudes"], "amplitudes"))
         return PureState(n, amps)
     if "matrix" in payload:
         rows = payload["matrix"]
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        if m.shape != (2**n, 2**n):
-            raise ValueError(f"matrix shape {m.shape} does not match num_qubits={n}")
-        return DensityMatrix(n, m)
+        if not isinstance(rows, list):
+            raise ValueError(f"matrix must be a list of rows, got {type(rows).__name__}")
+        entries = [_complex_entries(row, "matrix rows") for row in rows]
+        dim = 2**n
+        if len(entries) != dim or any(len(row) != dim for row in entries):
+            raise ValueError(f"matrix must be {dim}x{dim} for num_qubits={n}")
+        return DensityMatrix(n, np.array(entries))
     raise ValueError("state file needs either an amplitudes or a matrix field")

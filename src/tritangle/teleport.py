@@ -6,6 +6,15 @@ acting on (input, channel) with the input qubit as the most significant
 wire and the receiver as qubit 4; measurement corrections are already
 absorbed, so the output state is simply the receiver's reduction of
 U (rho_in x rho_channel) U^dag.
+
+That reduction is linear in rho_in, so at a fixed channel weight p the
+whole protocol is one single-qubit channel Lambda_p.  :func:`receiver_channel`
+builds it once as its Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|),
+from the same circuit unitary; :func:`avg_fidelity` reads every quadrature
+node's fidelity off J, and :func:`avg_fidelity_entanglement` gives the
+exact average (2 F_e + 1)/3 from the entanglement fidelity F_e of J.
+:func:`teleport_output` keeps the explicit circuit for single inputs and
+serves as the oracle for the channel form.
 """
 
 from __future__ import annotations
@@ -15,13 +24,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .entanglement import GhzwMixtureParams, channel_mixture_state
+from .entanglement import GhzwMixtureParams, _check_unit_interval, channel_mixture_state
 from .qcore import DensityMatrix, PureState, kron, partial_trace
 from .tolerances import get_default
 
 _RT2 = math.sqrt(2.0)
+# Fidelities may overshoot [0, 1] by this much from rounding.
+_FIDELITY_SLACK = 1e-12
 
 
 class SchemeKind(Enum):
@@ -108,8 +118,14 @@ class TeleportReport:
     fidelity: float
 
     def __post_init__(self):
-        if not (-1e-12 <= self.fidelity <= 1.0 + 1e-12):
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
+        _check_fidelities(self.fidelity)
+
+
+def _check_fidelities(fids) -> None:
+    f = np.asarray(fids, dtype=float)
+    bad = f[~((f >= -_FIDELITY_SLACK) & (f <= 1.0 + _FIDELITY_SLACK))]  # NaN is bad too
+    if bad.size:
+        raise ValueError(f"fidelity {float(bad[0])!r} outside [0, 1]")
 
 
 def _coerce_kind(kind) -> SchemeKind:
@@ -118,16 +134,8 @@ def _coerce_kind(kind) -> SchemeKind:
     return SchemeKind(str(kind).lower())
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"mixing weight p must lie in [0, 1], got {p!r}")
-    return p
-
-
-def channel_state(p: float) -> DensityMatrix:
-    """Channel density p |GHZ><GHZ| + (1-p) |W><W|, rank at most two."""
-    return channel_mixture_state(_check_p(p))
+# The channel density p |GHZ><GHZ| + (1-p) |W><W|, rank at most two.
+channel_state = channel_mixture_state
 
 
 def input_state(theta: float, phi: float) -> PureState:
@@ -150,7 +158,7 @@ def scheme_unitary(kind) -> TeleportScheme:
 
 def teleport_output(scheme: TeleportScheme, theta: float, phi: float, p: float) -> TeleportReport:
     """Receiver's state and fidelity after the protocol at mixing weight p."""
-    p = _check_p(p)
+    p = _check_unit_interval(p)
     psi = input_state(theta, phi)
     joint = kron(psi.density().matrix, channel_state(p).matrix)
     evolved = scheme.unitary @ joint @ scheme.unitary.conj().T
@@ -162,13 +170,13 @@ def teleport_output(scheme: TeleportScheme, theta: float, phi: float, p: float) 
 
 def fidelity_ghz_closed(theta: float, p: float) -> float:
     """((3 + 5p) - (1 - p) cos 2 theta)/8."""
-    p = _check_p(p)
+    p = _check_unit_interval(p)
     return ((3.0 + 5.0 * p) - (1.0 - p) * math.cos(2.0 * theta)) / 8.0
 
 
 def fidelity_w_closed(p: float) -> float:
     """1 - p/2, independent of the input angles."""
-    return 1.0 - _check_p(p) / 2.0
+    return 1.0 - _check_unit_interval(p) / 2.0
 
 
 @dataclass(frozen=True)
@@ -183,23 +191,68 @@ class QuadratureConfig:
             raise ValueError("quadrature needs at least 8 nodes per direction")
 
 
+def receiver_channel(scheme: TeleportScheme, p: float) -> DensityMatrix:
+    """Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocol.
+
+    Lambda_p maps the input qubit to the receiver's output at channel
+    weight p.  The four operators |i><j| x rho_channel(p) go through the
+    circuit unitary in one batch.  Building J as a DensityMatrix checks
+    that Lambda_p is completely positive; its input marginal must be I/2,
+    which checks that Lambda_p preserves the trace.
+    """
+    rho = channel_state(p).matrix
+    basis = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # basis[i, j] = |i><j|
+    joint = np.einsum("ijab,kl->ijakbl", basis, rho).reshape(2, 2, 16, 16)
+    evolved = scheme.unitary @ joint @ scheme.unitary.conj().T
+    # Trace out the input and the sender's two channel qubits.
+    out = np.einsum("ijmamb->ijab", evolved.reshape(2, 2, 8, 2, 8, 2))
+    choi = DensityMatrix(2, 0.5 * out.transpose(0, 2, 1, 3).reshape(4, 4))
+    marginal = np.einsum("iaja->ij", choi.matrix.reshape(2, 2, 2, 2))
+    dev = float(np.abs(marginal - 0.5 * np.eye(2)).max())
+    if dev > get_default().trace_atol:
+        raise ValueError(f"receiver map does not preserve the trace: deviation {dev:.3e}")
+    return choi
+
+
 def avg_fidelity(scheme: TeleportScheme, p: float, cfg: QuadratureConfig | None = None) -> float:
-    """(1/4pi) integral of the fidelity over all input directions."""
+    """(1/4pi) integral of the fidelity over all input directions.
+
+    A Gauss-Legendre rule in cos(theta) times a uniform rule in phi.  The
+    fidelity of input psi is F(psi) = 2 <conj(psi) x psi| J |conj(psi) x psi>
+    with J the Choi state of :func:`receiver_channel`, evaluated for all
+    nodes at once; every node's fidelity must lie in [0, 1].
+    """
     cfg = cfg or QuadratureConfig()
-    p = _check_p(p)
+    choi = receiver_channel(scheme, p).matrix
     nodes, weights = np.polynomial.legendre.leggauss(cfg.cos_theta_nodes)
     phis = 2.0 * math.pi * np.arange(cfg.phi_nodes) / cfg.phi_nodes
-    total = 0.0
-    for u, wu in zip(nodes, weights):
-        theta = math.acos(float(u))
-        for phi in phis:
-            total += wu * teleport_output(scheme, theta, float(phi), p).fidelity
-    return total / (2.0 * cfg.phi_nodes)
+    # input_state(theta, phi) on the grid, cos(theta) = node
+    half = 0.5 * np.arccos(nodes)[:, None]
+    psi = np.stack(
+        [np.cos(half) * np.exp(0.5j * phis), np.sin(half) * np.exp(-0.5j * phis)], axis=-1
+    )
+    vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(*psi.shape[:-1], 4)
+    fids = 2.0 * np.real(np.einsum("...r,rs,...s->...", vec.conj(), choi, vec))
+    _check_fidelities(fids)
+    return float(weights @ fids.sum(axis=1)) / (2.0 * cfg.phi_nodes)
+
+
+def avg_fidelity_entanglement(scheme: TeleportScheme, p: float) -> float:
+    """Exact average fidelity (2 F_e + 1)/3, F_e = <Phi+| J |Phi+>.
+
+    F_e is the entanglement fidelity of the receiver's channel, read off
+    its Choi state J (Horodecki et al., PRA 60, 1888 (1999); Nielsen,
+    PLA 303, 249 (2002)).
+    """
+    choi = receiver_channel(scheme, p).matrix
+    phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / _RT2
+    f_e = float(np.real(phi_plus @ choi @ phi_plus))
+    return (2.0 * f_e + 1.0) / 3.0
 
 
 def avg_fidelity_closed(kind, p: float) -> float:
     """GHZ channel: (5 + 7p)/12.  W channel: 1 - p/2."""
-    p = _check_p(p)
+    p = _check_unit_interval(p)
     if _coerce_kind(kind) is SchemeKind.GHZ:
         return (5.0 + 7.0 * p) / 12.0
     return 1.0 - p / 2.0
@@ -220,8 +273,9 @@ def critical_values() -> CriticalValues:
     f_ghz is the GHZ-channel average fidelity at the weight p0 where the
     mixture's tangle appears; f_w the W-channel value at weight 1/3 where
     the pairwise concurrences die; p_star the crossing of the two average
-    fidelities.  The crossing is re-derived by root finding as a guard
-    against transcription slips in the closed forms.
+    fidelities.  The crossing is re-derived as a guard against
+    transcription slips in the closed forms: their gap is linear in p, so
+    its root follows from the gap at p = 0 and p = 1.
     """
     params = GhzwMixtureParams.standard()
     f_ghz = avg_fidelity_closed(SchemeKind.GHZ, params.p0)
@@ -231,7 +285,7 @@ def critical_values() -> CriticalValues:
     def gap(p):
         return avg_fidelity_closed(SchemeKind.W, p) - avg_fidelity_closed(SchemeKind.GHZ, p)
 
-    root = brentq(gap, 0.0, 1.0, xtol=1e-14)
+    root = gap(0.0) / (gap(0.0) - gap(1.0))
     if abs(root - p_star) > get_default().weight_sum_atol:
         raise RuntimeError(f"fidelity crossing {root!r} disagrees with 7/13")
     return CriticalValues(f_ghz, f_w, p_star, params.p0, params.p1)

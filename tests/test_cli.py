@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tritangle
 from tritangle import cli
 from tritangle.entanglement import channel_mixture_state
 from tritangle.qcore import DensityMatrix, PureState, ghz_state, save_state_file
@@ -184,6 +188,32 @@ class TestMeasures:
         assert code == 2
         assert "cannot read state file" in err
 
+    @staticmethod
+    def _assert_one_line_rejection(tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(["measures", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read state file")
+
+    @pytest.mark.parametrize("part", ["0.5", True])
+    def test_rejects_non_real_part(self, tmp_path, capsys, part):
+        payload = {"num_qubits": 2, "amplitudes": [[part, 0], [0, 0], [0, 0], [0, 0]]}
+        self._assert_one_line_rejection(tmp_path, capsys, payload)
+
+    def test_rejects_entry_not_a_pair(self, tmp_path, capsys):
+        payload = {"num_qubits": 1, "amplitudes": [[1, 0, 0], [0, 0]]}
+        self._assert_one_line_rejection(tmp_path, capsys, payload)
+
+    def test_rejects_row_not_a_list(self, tmp_path, capsys):
+        payload = {"num_qubits": 1, "matrix": [0.5, 0, 0, 0.5]}
+        self._assert_one_line_rejection(tmp_path, capsys, payload)
+
+    def test_rejects_bool_num_qubits(self, tmp_path, capsys):
+        payload = {"num_qubits": True, "amplitudes": [[1, 0], [0, 0]]}
+        self._assert_one_line_rejection(tmp_path, capsys, payload)
+
 
 class TestTeleport:
     def test_ghz_perfect_channel(self, capsys):
@@ -259,11 +289,36 @@ class TestValidate:
         assert names == {"unitarity_ghz", "unitarity_w"}
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_fidelity_suite_passes(self, capsys):
+        code, out, _ = run(["validate", "fidelity"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        names = [c["name"] for c in payload["checks"]]
+        assert names == [
+            "fidelity_ghz_grid",
+            "fidelity_w_grid",
+            "avg_fidelity_quadrature",
+            "avg_fidelity_entanglement",
+        ]
+        assert all(c["passed"] for c in payload["checks"])
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["validate", "everything"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(tritangle.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        probe = "import sys, tritangle.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestSeedPlumbing:

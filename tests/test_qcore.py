@@ -1,5 +1,6 @@
 """Core linear algebra: products, traces, eigenvalues, state validation."""
 
+import json
 import math
 
 import numpy as np
@@ -251,4 +252,46 @@ class TestStateFiles:
             load_state_file(path)
         path.write_text('{"num_qubits": 2, "amplitudes": [[1, 0]]}')
         with pytest.raises(ValueError):
+            load_state_file(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"num_qubits": 1, "amplitudes": [["1", 0], [0, 0]]},
+            {"num_qubits": 1, "amplitudes": [[True, 0], [0, 0]]},
+            {"num_qubits": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, None]]]},
+        ],
+        ids=["str", "bool", "null"],
+    )
+    def test_rejects_non_real_part(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="real numbers"):
+            load_state_file(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"num_qubits": 1, "amplitudes": [1, 0]},
+            {"num_qubits": 1, "amplitudes": [[1, 0, 0], [0, 0]]},
+            {"num_qubits": 1, "matrix": [[[1, 0], [0]], [[0, 0], [0, 0]]]},
+        ],
+        ids=["scalar", "triple", "single"],
+    )
+    def test_rejects_entry_not_a_pair(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="pairs"):
+            load_state_file(path)
+
+    def test_rejects_row_not_a_list(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"num_qubits": 1, "matrix": [0.5, 0, 0, 0.5]}))
+        with pytest.raises(ValueError, match="must be a list"):
+            load_state_file(path)
+
+    def test_rejects_bool_num_qubits(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"num_qubits": True, "amplitudes": [[1, 0], [0, 0]]}))
+        with pytest.raises(ValueError, match="num_qubits"):
             load_state_file(path)

@@ -1,22 +1,28 @@
 """Teleportation circuits, output fidelities, and the scheme crossover."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tritangle.qcore import ghz_state, w_state
+from tritangle import teleport
+from tritangle.entanglement import GhzwMixtureParams
+from tritangle.qcore import DensityMatrix, ghz_state, w_state
 from tritangle.teleport import (
     CriticalValues,
     QuadratureConfig,
     SchemeKind,
+    TeleportReport,
     avg_fidelity,
     avg_fidelity_closed,
+    avg_fidelity_entanglement,
     channel_state,
     critical_values,
     fidelity_ghz_closed,
     fidelity_w_closed,
     input_state,
+    receiver_channel,
     scheme_unitary,
     teleport_output,
 )
@@ -155,6 +161,75 @@ class TestAverageFidelity:
     def test_closed_form_anchors(self):
         assert avg_fidelity_closed("ghz", 0.0) == pytest.approx(5 / 12, abs=1e-15)
         assert avg_fidelity_closed("w", 1.0) == pytest.approx(0.5, abs=1e-15)
+
+
+class TestReceiverChannel:
+    """The Choi-state form of the protocol against the explicit circuit."""
+
+    PARAMS = GhzwMixtureParams.standard()
+
+    @staticmethod
+    def _choi_fidelity(choi: DensityMatrix, theta: float, phi: float) -> float:
+        amps = input_state(theta, phi).amplitudes
+        vec = np.kron(amps.conj(), amps)
+        return 2.0 * float(np.real(np.vdot(vec, choi.matrix @ vec)))
+
+    @pytest.mark.parametrize("kind", ["ghz", "w"])
+    @pytest.mark.parametrize("p", [0.0, 0.3, PARAMS.p0, PARAMS.p1, 1.0])
+    def test_node_fidelities_match_circuit(self, kind, p):
+        scheme = scheme_unitary(kind)
+        choi = receiver_channel(scheme, p)
+        cfg = QuadratureConfig()
+        nodes, _ = np.polynomial.legendre.leggauss(cfg.cos_theta_nodes)
+        worst = 0.0
+        for u in nodes:
+            theta = math.acos(float(u))
+            for k in range(cfg.phi_nodes):
+                phi = 2.0 * math.pi * k / cfg.phi_nodes
+                circuit = teleport_output(scheme, theta, phi, p).fidelity
+                worst = max(worst, abs(self._choi_fidelity(choi, theta, phi) - circuit))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ghz", "w"])
+    def test_entanglement_fidelity_gives_average(self, kind):
+        scheme = scheme_unitary(kind)
+        phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / RT2
+        for p in np.linspace(0.0, 1.0, 11):
+            f_e = float(np.real(phi_plus @ receiver_channel(scheme, p).matrix @ phi_plus))
+            exact = (2.0 * f_e + 1.0) / 3.0
+            assert exact == avg_fidelity_entanglement(scheme, p)
+            assert abs(exact - avg_fidelity_closed(kind, p)) <= 1e-12
+            assert abs(exact - avg_fidelity(scheme, p)) <= 1e-9
+
+    def test_rejects_map_that_loses_trace(self):
+        # Weighting the input basis 3:1 keeps J Hermitian, PSD and of unit
+        # trace, but Lambda(|0><0|) then has trace 3/2.
+        u = scheme_unitary("ghz").unitary
+        skewed = SimpleNamespace(unitary=u @ np.kron(np.diag([math.sqrt(1.5), math.sqrt(0.5)]), np.eye(8)))
+        with pytest.raises(ValueError, match="preserve the trace"):
+            receiver_channel(skewed, 0.4)
+
+    def test_avg_fidelity_rejects_fidelity_out_of_range(self, monkeypatch):
+        choi = receiver_channel(scheme_unitary("w"), 0.0)
+        monkeypatch.setattr(teleport, "receiver_channel", lambda scheme, p: SimpleNamespace(matrix=1.5 * choi.matrix))
+        with pytest.raises(ValueError, match="outside"):
+            avg_fidelity(scheme_unitary("w"), 0.0)
+
+    def test_report_rejects_fidelity_out_of_range(self):
+        rho = DensityMatrix(1, np.eye(2) / 2)
+        for bad in (1.0 + 1e-9, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                TeleportReport(0.5, 0.0, 0.0, rho, bad)
+
+    def test_rejects_out_of_range(self):
+        scheme = scheme_unitary("ghz")
+        for p in (-0.01, 1.01, math.nan):
+            with pytest.raises(ValueError):
+                receiver_channel(scheme, p)
+            with pytest.raises(ValueError):
+                avg_fidelity(scheme, p)
+            with pytest.raises(ValueError):
+                avg_fidelity_entanglement(scheme, p)
 
 
 class TestCriticalValues:
