@@ -34,7 +34,6 @@ from .qcore import (
     random_pure_state,
 )
 from .teleport import (
-    QuadratureConfig,
     SchemeKind,
     avg_fidelity,
     avg_fidelity_closed,
@@ -72,8 +71,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -144,7 +146,6 @@ def cmd_fig4(args) -> int:
     grid = _grid(args, 0.0, 1.0)
     if grid is None:
         return _usage_error("need 0 <= start < stop <= 1 and steps >= 2")
-    quad = QuadratureConfig()
     schemes = {k: scheme_unitary(k) for k in SchemeKind}
     header = ["p", "fbar_ghz_closed", "fbar_ghz_numeric", "fbar_w_closed", "fbar_w_numeric", "c_abc"]
     rows = []
@@ -154,9 +155,9 @@ def cmd_fig4(args) -> int:
             [
                 p,
                 avg_fidelity_closed(SchemeKind.GHZ, p),
-                avg_fidelity(schemes[SchemeKind.GHZ], p, quad),
+                avg_fidelity(schemes[SchemeKind.GHZ], p),
                 avg_fidelity_closed(SchemeKind.W, p),
-                avg_fidelity(schemes[SchemeKind.W], p, quad),
+                avg_fidelity(schemes[SchemeKind.W], p),
                 float(c_abc_mixture(p)),
             ]
         )
@@ -471,6 +472,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and the infinities are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+class _Parser(argparse.ArgumentParser):
+    # Usage errors print one line and exit 2, like every other bad input.
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -478,8 +496,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps: int) -> None:
-    parser.add_argument("--start", type=float, default=start, help=f"sweep start (default {start})")
-    parser.add_argument("--stop", type=float, default=stop, help=f"sweep stop (default {stop})")
+    parser.add_argument("--start", type=_finite_float, default=start, help=f"sweep start (default {start})")
+    parser.add_argument("--stop", type=_finite_float, default=stop, help=f"sweep stop (default {stop})")
     parser.add_argument("--steps", type=int, default=steps, help=f"grid points (default {steps})")
 
 
@@ -490,7 +508,7 @@ def _add_roof(parser: argparse.ArgumentParser, restarts: int, max_iters: int) ->
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tritangle",
         description="Entanglement measures and teleportation fidelities for GHZ/W-mixture channels.",
     )
@@ -514,14 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("teleport", help="teleport one input state")
     p.add_argument("scheme", choices=("ghz", "w"), help="channel type")
-    p.add_argument("--p", type=float, required=True, help="GHZ weight of the channel mixture")
-    p.add_argument("--theta", type=float, default=math.pi / 2, help="input polar angle (default pi/2)")
-    p.add_argument("--phi", type=float, default=0.0, help="input azimuthal angle (default 0)")
+    p.add_argument("--p", type=_finite_float, required=True, help="GHZ weight of the channel mixture")
+    p.add_argument("--theta", type=_finite_float, default=math.pi / 2, help="input polar angle (default pi/2)")
+    p.add_argument("--phi", type=_finite_float, default=0.0, help="input azimuthal angle (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_teleport, default_format="json")
 
     p = sub.add_parser("noisy", help="report the decohered W state")
-    p.add_argument("--kappa-t", type=float, default=None, help="single kappa*t value (overrides the sweep)")
+    p.add_argument("--kappa-t", type=_finite_float, default=None, help="single kappa*t value (overrides the sweep)")
     _add_sweep(p, 0.0, 2.0, 11)
     _add_roof(p, 1, 30)
     _add_common(p)

@@ -183,33 +183,59 @@ def _generic_contrib(num_qubits: int, measure) -> Callable[[np.ndarray], np.ndar
     return contrib
 
 
-def _pair_minimize(wj, wk, contrib, squared: bool):
-    # Coarse-to-fine scan of the two-row rotation (theta, phi); the center
-    # point (0, 0) is always a candidate, so the move never loses ground.
-    def combine(cj, ck):
-        return cj * cj + ck * ck if squared else cj + ck
-
-    cur = float(combine(contrib(wj[None, :])[0], contrib(wk[None, :])[0]))
-    best = (cur, 0.0, 0.0)
-    th0, ph0 = 0.0, 0.0
+def _scan_levels() -> tuple:
+    # (theta, phi) offsets of the coarse-to-fine schedule: a 17 x 17 grid
+    # over the full rotation, then six 9 x 9 grids, each spanning one cell
+    # of the previous level around its best point.
+    levels = []
     span_t, span_p = math.pi / 2, math.pi
     points = 17
     for _ in range(7):
-        th = th0 + np.linspace(-span_t, span_t, points)
-        ph = ph0 + np.linspace(-span_p, span_p, points)
-        tg, pg = np.meshgrid(th, ph, indexing="ij")
-        tg, pg = tg.ravel(), pg.ravel()
-        c, s, e = np.cos(tg), np.sin(tg), np.exp(1j * pg)
-        rows_j = c[:, None] * wj + (s * e)[:, None] * wk
-        rows_k = -(s * np.conj(e))[:, None] * wj + c[:, None] * wk
-        vals = combine(contrib(rows_j), contrib(rows_k))
-        i = int(np.argmin(vals))
-        if vals[i] < best[0]:
-            best = (float(vals[i]), float(tg[i]), float(pg[i]))
-        th0, ph0 = best[1], best[2]
+        levels.append((np.linspace(-span_t, span_t, points), np.linspace(-span_p, span_p, points)))
         span_t /= points - 1
         span_p /= points - 1
         points = 9
+    return tuple(levels)
+
+
+_SCAN_LEVELS = _scan_levels()
+
+
+def _rotation_stack(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    # Coefficients of both rotated rows for every (theta, phi) on the grid
+    # th x ph (theta-major), stacked as a (2G, 2) array: row g maps the pair
+    # (wj, wk) to the new row j, row G + g to the new row k.
+    c = np.repeat(np.cos(th), ph.size)
+    se = np.outer(np.sin(th), np.exp(1j * ph)).ravel()
+    g = c.size
+    rot = np.empty((2 * g, 2), dtype=complex)
+    rot[:g, 0] = c
+    rot[:g, 1] = se
+    rot[g:, 0] = -se.conj()
+    rot[g:, 1] = c
+    return rot
+
+
+def _pair_minimize(wj, wk, contrib, squared: bool):
+    # Coarse-to-fine scan of the two-row rotation (theta, phi); the center
+    # point (0, 0) is always a candidate, so the move never loses ground.
+    # Each level rotates both rows at every grid point in one product and
+    # scores all of them in one kernel call.
+    def combine(cj, ck):
+        return cj * cj + ck * ck if squared else cj + ck
+
+    pair = np.stack([wj, wk])
+    cj, ck = contrib(pair)
+    best = (float(combine(cj, ck)), 0.0, 0.0)
+    for th_off, ph_off in _SCAN_LEVELS:
+        th = best[1] + th_off
+        ph = best[2] + ph_off
+        scores = contrib(_rotation_stack(th, ph) @ pair)
+        g = scores.size // 2
+        vals = combine(scores[:g], scores[g:])
+        i = int(np.argmin(vals))
+        if vals[i] < best[0]:
+            best = (float(vals[i]), float(th[i // ph.size]), float(ph[i % ph.size]))
     return best
 
 

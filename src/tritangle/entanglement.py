@@ -125,24 +125,17 @@ def groverian_from_concurrence(c) -> MeasureValue:
 
 def _tangle_raw(w: np.ndarray) -> np.ndarray:
     # Hyperdeterminant combination on raw (not necessarily normalized) rows.
-    # Homogeneous of degree 4 in the amplitudes.
+    # Homogeneous of degree 4 in the amplitudes.  With the complementary
+    # pair products P, Q, S, T, d1 is their sum of squares and d2 the sum
+    # of their six cross products, so d1 - 2 d2 = (P + Q - S - T)^2 - 4 (PQ + ST).
     a000, a001, a010, a011, a100, a101, a110, a111 = (w[:, k] for k in range(8))
-    d1 = (
-        a000**2 * a111**2
-        + a001**2 * a110**2
-        + a010**2 * a101**2
-        + a100**2 * a011**2
-    )
-    d2 = (
-        a000 * a111 * a011 * a100
-        + a000 * a111 * a101 * a010
-        + a000 * a111 * a110 * a001
-        + a011 * a100 * a101 * a010
-        + a011 * a100 * a110 * a001
-        + a101 * a010 * a110 * a001
-    )
-    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
+    p = a000 * a111
+    q = a011 * a100
+    s = a101 * a010
+    t = a110 * a001
+    u = p + q - s - t
+    d3 = (a000 * a011) * (a110 * a101) + (a111 * a100) * (a001 * a010)
+    return 4.0 * np.abs(u * u - 4.0 * (p * q + s * t) + 4.0 * d3)
 
 
 def three_tangle_pure(psi: PureState) -> MeasureValue:
@@ -150,8 +143,9 @@ def three_tangle_pure(psi: PureState) -> MeasureValue:
 
     4|d1 - 2 d2 + 4 d3| where d1 sums the squared products of amplitudes
     on complementary index pairs, d2 the six cross products of those
-    pairs, and d3 the two "diagonal-free" quartic products.  Zero on
-    product and W-type states, one on the balanced GHZ state.
+    pairs, and d3 the two "diagonal-free" quartic products (evaluated in
+    the factored form of :func:`_tangle_raw`).  Zero on product and
+    W-type states, one on the balanced GHZ state.
     """
     if psi.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
@@ -366,12 +360,8 @@ def _concurrence_contrib(w: np.ndarray) -> np.ndarray:
 
 
 def _tangle_contrib(w: np.ndarray) -> np.ndarray:
-    weights = np.sum(np.abs(w) ** 2, axis=1)
-    raw = _tangle_raw(w)
-    out = np.zeros_like(weights)
-    nz = weights > 1e-12
-    out[nz] = raw[nz] / weights[nz]
-    return out
+    weights = np.sum(w.real**2 + w.imag**2, axis=1)
+    return np.divide(_tangle_raw(w), weights, out=np.zeros_like(weights), where=weights > 1e-12)
 
 
 concurrence_pure2.roof_contrib = _concurrence_contrib

@@ -47,10 +47,11 @@ class NoiseParams:
     beta_minus: float
 
     def __post_init__(self):
-        if self.kappa_t < 0.0:
+        # Written as not (x >= 0) so that NaN fails too.
+        if not (self.kappa_t >= 0.0):
             raise ValueError(f"kappa_t must be >= 0, got {self.kappa_t!r}")
         alphas = (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
-        if any(a < 0.0 for a in alphas) or self.beta_plus < 0.0 or self.beta_minus < 0.0:
+        if not all(x >= 0.0 for x in (*alphas, self.beta_plus, self.beta_minus)):
             raise ValueError("alpha and beta coefficients must be non-negative")
         if abs(sum(alphas) - 4.0) > 1e-12:
             raise ValueError(f"alpha sum {sum(alphas)!r} differs from 4")
@@ -61,7 +62,7 @@ class NoiseParams:
 def noise_params(kappa_t: float) -> NoiseParams:
     """Evaluate the alpha/beta coefficients at kappa*t >= 0."""
     kt = float(kappa_t)
-    if kt < 0.0:
+    if not (kt >= 0.0):
         raise ValueError(f"kappa_t must be >= 0, got {kt!r}")
     e2 = math.exp(-2.0 * kt)
     e4 = math.exp(-4.0 * kt)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -190,6 +191,23 @@ class QuadratureConfig:
         if self.cos_theta_nodes < 8 or self.phi_nodes < 8:
             raise ValueError("quadrature needs at least 8 nodes per direction")
 
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, weights, phis): the Gauss-Legendre rule in cos(theta) and
+        the uniform phi grid, read-only.
+
+        Built on first use, once per config, so that importing the package
+        does not import numpy.polynomial.
+        """
+        nodes, weights = np.polynomial.legendre.leggauss(self.cos_theta_nodes)
+        phis = 2.0 * math.pi * np.arange(self.phi_nodes) / self.phi_nodes
+        for a in (nodes, weights, phis):
+            a.flags.writeable = False
+        return nodes, weights, phis
+
+
+_DEFAULT_QUADRATURE = QuadratureConfig()
+
 
 def receiver_channel(scheme: TeleportScheme, p: float) -> DensityMatrix:
     """Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocol.
@@ -222,10 +240,9 @@ def avg_fidelity(scheme: TeleportScheme, p: float, cfg: QuadratureConfig | None 
     with J the Choi state of :func:`receiver_channel`, evaluated for all
     nodes at once; every node's fidelity must lie in [0, 1].
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = _DEFAULT_QUADRATURE if cfg is None else cfg
     choi = receiver_channel(scheme, p).matrix
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.cos_theta_nodes)
-    phis = 2.0 * math.pi * np.arange(cfg.phi_nodes) / cfg.phi_nodes
+    nodes, weights, phis = cfg.grid
     # input_state(theta, phi) on the grid, cos(theta) = node
     half = 0.5 * np.arccos(nodes)[:, None]
     psi = np.stack(

@@ -279,6 +279,62 @@ class TestNoisy:
         assert "error:" in err
 
 
+def run_expecting_exit(argv, capsys):
+    # Flag parsing reports through SystemExit, the commands through main's return.
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "ghz", "--p", "nan"],
+            ["teleport", "ghz", "--p", "0.5", "--theta", "inf"],
+            ["teleport", "ghz", "--p", "0.5", "--phi=-inf"],
+            ["noisy", "--kappa-t", "nan"],
+            ["fig1", "--start=-inf", "--steps", "3"],
+            ["fig4", "--stop", "nan", "--steps", "3"],
+            ["noisy", "--start", "0", "--stop", "1e400", "--steps", "3"],
+        ],
+        ids=["p", "theta", "phi", "kappa-t", "start", "stop", "stop-overflow"],
+    )
+    def test_non_finite_float_flag(self, argv, capsys):
+        code, out, err = run_expecting_exit(argv, capsys)
+        assert_one_line_usage_error(code, out, err)
+        assert "finite" in err
+
+    def test_non_numeric_float_flag(self, capsys):
+        code, out, err = run_expecting_exit(["teleport", "w", "--p", "half"], capsys)
+        assert_one_line_usage_error(code, out, err)
+        assert "not a number" in err
+
+    def test_unknown_choice_is_one_line(self, capsys):
+        code, out, err = run_expecting_exit(["teleport", "bell", "--p", "0.5"], capsys)
+        assert_one_line_usage_error(code, out, err)
+
+    def test_missing_out_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(["fig1", "--steps", "3", "--out", str(target)], capsys)
+        assert_one_line_usage_error(code, out, err)
+        assert "cannot write output file" in err
+        assert not target.exists()
+
+    def test_out_path_is_a_directory(self, tmp_path, capsys):
+        code, out, err = run(["teleport", "ghz", "--p", "0.5", "--out", str(tmp_path)], capsys)
+        assert_one_line_usage_error(code, out, err)
+
+
 class TestValidate:
     def test_unitarity_suite_passes(self, capsys):
         code, out, _ = run(["validate", "unitarity"], capsys)

@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritangle.convexroof import (
+    _SCAN_LEVELS,
     Ensemble,
     RoofConfig,
+    _apply_pair,
+    _pair_minimize,
+    _rotation_stack,
     ensemble_from_mixing,
     minimize_roof,
     optimal_ghzw_ensemble,
@@ -232,3 +236,61 @@ class TestOptimalGhzwEnsemble:
     def test_rejects_p_above_onset(self):
         with pytest.raises(ValueError, match="p0"):
             optimal_ghzw_ensemble(0.7)
+
+
+class TestPairScan:
+    """The two-row scan: fixed grid offsets, stacked rotations, monotone moves."""
+
+    @staticmethod
+    def linspace_schedule(th0, ph0):
+        # The schedule as a loop of linspace calls around a fixed center.
+        span_t, span_p, points = math.pi / 2, math.pi, 17
+        for _ in range(7):
+            yield th0 + np.linspace(-span_t, span_t, points), ph0 + np.linspace(-span_p, span_p, points)
+            span_t /= points - 1
+            span_p /= points - 1
+            points = 9
+
+    @staticmethod
+    def random_pair(rng, dim):
+        return rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+
+    def test_level_sizes(self):
+        assert [(t.size, p.size) for t, p in _SCAN_LEVELS] == [(17, 17)] + [(9, 9)] * 6
+
+    @pytest.mark.parametrize("th0,ph0", [(0.0, 0.0), (0.3712, -2.9), (-1.2, 1.0e-3)])
+    def test_offsets_reproduce_linspace_bitwise(self, th0, ph0):
+        for (th_off, ph_off), (th, ph) in zip(_SCAN_LEVELS, self.linspace_schedule(th0, ph0)):
+            assert np.array_equal(th0 + th_off, th)
+            assert np.array_equal(ph0 + ph_off, ph)
+
+    def test_stacked_rotation_matches_apply_pair(self):
+        rng = np.random.default_rng(5)
+        pair = self.random_pair(rng, 8)
+        for th_off, ph_off in _SCAN_LEVELS:
+            th, ph = 0.41 + th_off, -1.3 + ph_off
+            rows = _rotation_stack(th, ph) @ pair
+            g = th.size * ph.size
+            assert rows.shape == (2 * g, 8)
+            for i in rng.choice(g, size=10, replace=False):
+                moved = pair.copy()
+                _apply_pair(moved, 0, 1, float(th[i // ph.size]), float(ph[i % ph.size]))
+                assert np.abs(rows[i] - moved[0]).max() <= 1e-15
+                assert np.abs(rows[g + i] - moved[1]).max() <= 1e-15
+
+    @given(seeds, st.booleans(), st.sampled_from([concurrence_pure2, three_tangle_pure]))
+    @settings(max_examples=30, deadline=None)
+    def test_never_worse_than_start(self, seed, squared, measure):
+        contrib = measure.roof_contrib
+        pair = self.random_pair(np.random.default_rng(seed), measure.roof_contrib_dim)
+
+        def objective(rows):
+            c = contrib(rows)
+            return float(np.sum(c * c) if squared else np.sum(c))
+
+        start = objective(pair)
+        val, th, ph = _pair_minimize(pair[0], pair[1], contrib, squared)
+        assert val <= start
+        moved = pair.copy()
+        _apply_pair(moved, 0, 1, th, ph)
+        assert objective(moved) == pytest.approx(val, rel=1e-9, abs=1e-12)

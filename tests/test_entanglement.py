@@ -26,6 +26,8 @@ from tritangle.entanglement import (
     reduced_concurrences_qc,
     three_tangle_ghzw,
     three_tangle_pure,
+    _tangle_contrib,
+    _tangle_raw,
 )
 from tritangle.qcore import (
     DensityMatrix,
@@ -185,6 +187,54 @@ class TestThreeTangle:
             assert float(cut_concurrence_pure(w_state(), cut)) == pytest.approx(
                 math.sqrt(3) / 2, abs=1e-12
             )
+
+
+def expanded_tangle_raw(w):
+    # The hyperdeterminant written out term by term: 4|d1 - 2 d2 + 4 d3|.
+    a000, a001, a010, a011, a100, a101, a110, a111 = (w[:, k] for k in range(8))
+    d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
+    d2 = (
+        a000 * a111 * a011 * a100
+        + a000 * a111 * a101 * a010
+        + a000 * a111 * a110 * a001
+        + a011 * a100 * a101 * a010
+        + a011 * a100 * a110 * a001
+        + a101 * a010 * a110 * a001
+    )
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
+
+
+class TestTangleKernel:
+    def random_rows(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))
+        return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+    def test_matches_expanded_hyperdeterminant(self):
+        w = self.random_rows(1000, 11)
+        assert np.abs(_tangle_raw(w) - expanded_tangle_raw(w)).max() <= 1e-14
+
+    def test_ghz_and_w_rows(self):
+        rows = np.stack([ghz_state().amplitudes, w_state().amplitudes])
+        assert _tangle_raw(rows)[0] == pytest.approx(1.0, abs=1e-14)
+        assert _tangle_raw(rows)[1] <= 1e-15
+
+    def test_homogeneous_of_degree_four(self):
+        w = self.random_rows(200, 12)
+        lam = 0.7 * np.exp(0.3j)
+        assert np.allclose(_tangle_raw(lam * w), abs(lam) ** 4 * _tangle_raw(w), rtol=1e-13, atol=0.0)
+
+    def test_contrib_is_weight_times_tangle(self):
+        w = self.random_rows(50, 13) * np.linspace(0.1, 2.0, 50)[:, None]
+        weights = np.sum(np.abs(w) ** 2, axis=1)
+        expected = [wt * float(three_tangle_pure(PureState(3, row / math.sqrt(wt)))) for wt, row in zip(weights, w)]
+        assert np.allclose(_tangle_contrib(w), expected, rtol=1e-12, atol=0.0)
+
+    def test_contrib_of_negligible_row_is_zero(self):
+        w = np.zeros((2, 8), dtype=complex)
+        w[1, 0] = 1e-7
+        assert np.array_equal(_tangle_contrib(w), [0.0, 0.0])
 
 
 class TestMixtureFamily:

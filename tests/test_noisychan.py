@@ -7,7 +7,7 @@ import pytest
 
 from tritangle.convexroof import RoofConfig
 from tritangle.entanglement import concurrence_wootters
-from tritangle.noisychan import channel_report, epsilon_x_w, noise_params
+from tritangle.noisychan import NoiseParams, channel_report, epsilon_x_w, noise_params
 from tritangle.qcore import partial_trace, w_state
 
 LIGHT_ROOF = RoofConfig(restarts=1, max_iters=30)
@@ -39,6 +39,17 @@ class TestNoiseParams:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             noise_params(-0.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="kappa_t"):
+            noise_params(math.nan)
+        good = noise_params(0.5)
+        fields = dict(vars(good))
+        with pytest.raises(ValueError, match="kappa_t"):
+            NoiseParams(**{**fields, "kappa_t": math.nan})
+        for name in ("alpha1", "alpha4", "beta_plus", "beta_minus"):
+            with pytest.raises(ValueError, match="non-negative"):
+                NoiseParams(**{**fields, name: math.nan})
 
     def test_sum_rules(self, rng):
         for kt in rng.uniform(0.0, 5.0, size=20):

@@ -150,6 +150,25 @@ class TestAverageFidelity:
         with pytest.raises(ValueError):
             QuadratureConfig(phi_nodes=7)
 
+    def test_quadrature_grid_built_once_per_config(self):
+        cfg = QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert cfg.grid is cfg.grid
+        assert np.array_equal(cfg.grid[0], nodes)
+        assert np.array_equal(cfg.grid[1], weights)
+        assert np.array_equal(cfg.grid[2], 2.0 * math.pi * np.arange(10) / 10)
+        for arr in cfg.grid:
+            assert not arr.flags.writeable
+        assert cfg == QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)
+        assert hash(cfg) == hash(QuadratureConfig(cos_theta_nodes=12, phi_nodes=10))
+        assert repr(cfg) == "QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)"
+
+    @pytest.mark.parametrize("kind", ["ghz", "w"])
+    def test_default_quadrature_is_the_32_by_16_rule(self, kind):
+        scheme = scheme_unitary(kind)
+        for p in (0.0, 0.4, 1.0):
+            assert avg_fidelity(scheme, p) == avg_fidelity(scheme, p, QuadratureConfig(32, 16))
+
     def test_ghz_average_numeric(self):
         scheme = scheme_unitary("ghz")
         assert abs(avg_fidelity(scheme, 1.0) - 1.0) <= 1e-9
