@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -483,8 +484,39 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _capped_int(cap: int):
+    """argparse type for integer flags with an upper cap."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n > cap:
+            raise argparse.ArgumentTypeError(f"{n} is above the cap of {cap}")
+        return n
+
+    return parse
+
+
+# argparse reads "-1e-3" as an option unless it matches the parser's
+# negative-number pattern, which by default has no exponent form.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+# Caps on the size flags, so that no value can reach an allocation or a
+# loop far beyond any use (each cap is stated in the flag's help).
+_MAX_STEPS = 100_000
+_MAX_ROOF_RESTARTS = 1_000
+_MAX_ROOF_ITERS = 10_000
+_MAX_ROOF_ENSEMBLE = 64
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage errors print one line and exit 2, like every other bad input.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
 
@@ -498,13 +530,36 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps: int) -> None:
     parser.add_argument("--start", type=_finite_float, default=start, help=f"sweep start (default {start})")
     parser.add_argument("--stop", type=_finite_float, default=stop, help=f"sweep stop (default {stop})")
-    parser.add_argument("--steps", type=int, default=steps, help=f"grid points (default {steps})")
+    parser.add_argument(
+        "--steps",
+        type=_capped_int(_MAX_STEPS),
+        default=steps,
+        help=f"grid points (default {steps}; at most {_MAX_STEPS}, each point is a full evaluation)",
+    )
 
 
 def _add_roof(parser: argparse.ArgumentParser, restarts: int, max_iters: int) -> None:
-    parser.add_argument("--roof-restarts", type=int, default=restarts, help=f"decomposition-search restarts (default {restarts})")
-    parser.add_argument("--roof-max-iters", type=int, default=max_iters, help=f"decomposition-search sweep cap (default {max_iters})")
-    parser.add_argument("--roof-ensemble-size", type=int, default=None, help="decomposition size (default: rank + 2)")
+    parser.add_argument(
+        "--roof-restarts",
+        type=_capped_int(_MAX_ROOF_RESTARTS),
+        default=restarts,
+        help=f"decomposition-search restarts (default {restarts}; at most {_MAX_ROOF_RESTARTS}, "
+        "since every restart's seed is drawn before the search starts)",
+    )
+    parser.add_argument(
+        "--roof-max-iters",
+        type=_capped_int(_MAX_ROOF_ITERS),
+        default=max_iters,
+        help=f"decomposition-search sweep cap (default {max_iters}; at most {_MAX_ROOF_ITERS}, "
+        "far above the tens of sweeps a search takes to converge)",
+    )
+    parser.add_argument(
+        "--roof-ensemble-size",
+        type=_capped_int(_MAX_ROOF_ENSEMBLE),
+        default=None,
+        help=f"decomposition size (default: rank + 2; at most {_MAX_ROOF_ENSEMBLE}: a rank-r roof needs "
+        "at most r^2 members, and a sweep visits every pair of members)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

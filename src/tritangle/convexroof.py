@@ -6,7 +6,9 @@ search space is the isometry manifold.  The optimizer walks it with
 incremental two-row rotations: for a pair of decomposition members it
 scans a rotation angle and relative phase on a coarse-to-fine grid,
 keeps the best move, and sweeps over all pairs in random order until a
-full sweep stops paying.
+full sweep stops paying.  For measures given as a signed polynomial
+(the tangle, the two-qubit concurrence) the scan scores its grid from the
+pair's polynomial coefficients and 2 x 2 Gram matrix, without rotating rows.
 
 Measures whose pure-state value vanishes on curved families (the
 three-party tangle above all) produce a landscape where the summed
@@ -22,6 +24,7 @@ with a closed form, never the search alone, is the validation signal.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -201,6 +204,24 @@ def _scan_levels() -> tuple:
 _SCAN_LEVELS = _scan_levels()
 
 
+def _form_levels(d: int) -> tuple:
+    # Tables that score a binary form of even degree d on every scan level.
+    # The monomials x^(d-n) y^n are products of d/2 entries of (x^2, x y, y^2):
+    # factor f of monomial n is entry min(2, max(0, n - 2 f)).  Per level:
+    # the theta offsets times i, e^{i n phi} at the phi offsets (d+1, Gp),
+    # and e^{i phi} (Gp,) for the row weights.
+    n = np.arange(d + 1)
+    factors = tuple(np.minimum(2, np.maximum(0, n - 2 * f)) for f in range(d // 2))
+    levels = tuple(
+        (th_off, ph_off, 1j * th_off, np.exp(1j * np.outer(n, ph_off)), np.exp(1j * ph_off))
+        for th_off, ph_off in _SCAN_LEVELS
+    )
+    return n, factors, levels
+
+
+_FORM_LEVELS = {d: _form_levels(d) for d in (2, 4)}
+
+
 def _rotation_stack(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
     # Coefficients of both rotated rows for every (theta, phi) on the grid
     # th x ph (theta-major), stacked as a (2G, 2) array: row g maps the pair
@@ -220,7 +241,8 @@ def _pair_minimize(wj, wk, contrib, squared: bool):
     # Coarse-to-fine scan of the two-row rotation (theta, phi); the center
     # point (0, 0) is always a candidate, so the move never loses ground.
     # Each level rotates both rows at every grid point in one product and
-    # scores all of them in one kernel call.
+    # scores all of them in one kernel call.  Used for measures without a
+    # form, and as the reference for _pair_minimize_form.
     def combine(cj, ck):
         return cj * cj + ck * ck if squared else cj + ck
 
@@ -239,6 +261,64 @@ def _pair_minimize(wj, wk, contrib, squared: bool):
     return best
 
 
+def _form_scorer(form, h, gaa: float, gbb: float, gab: complex):
+    # Scores both rows of a pair, rotated to every (theta, phi) of a scan
+    # level around (th0, ph0), from the pair's form coefficients h and its
+    # Gram matrix [[gaa, gab], [conj(gab), gbb]]; rows are never rotated.
+    # score(level, th0, ph0) returns a (2 Gt, Gp) array: row j's
+    # contributions, then row k's.  Row j is c wj + s e^{i phi} wk and row k
+    # is -s e^{-i phi} wj + c wk, so their forms are sum_n h_n e^{i n phi}
+    # x^(d-n) y^n at (x, y) = (c, s) and (-s, c), up to a unit phase, and
+    # their weights are x^2 gaa + 2 x y Re(gab e^{i phi}) + y^2 gbb.  The
+    # monomials are products of cos and sin of theta themselves, so a row of
+    # small weight keeps its relative precision (sums of e^{i k theta} would not).
+    n, factors, _ = _FORM_LEVELS[form.degree]
+    gab2 = 2.0 * gab
+
+    def score(level, th0: float, ph0: float) -> np.ndarray:
+        _, _, i_th, phases, turn_p = level
+        e = np.exp(1j * th0 + i_th)
+        xy = np.concatenate((e, 1j * e)).view(np.float64).reshape(-1, 2)
+        quad = xy.take((0, 0, 1), axis=1) * xy.take((0, 1, 1), axis=1)
+        mono = quad.take(factors[0], axis=1)
+        for f in factors[1:]:
+            mono = mono * quad.take(f, axis=1)
+        values = mono @ ((h * np.exp(1j * ph0 * n))[:, np.newaxis] * phases)
+        if not form.per_weight:
+            return form.score(values, None)
+        gram = np.empty((3, phases.shape[1]))
+        gram[0] = gaa
+        gram[1] = (gab2 * cmath.exp(1j * ph0) * turn_p).real
+        gram[2] = gbb
+        return form.score(values, quad @ gram)
+
+    return score
+
+
+def _pair_minimize_form(wj, wk, form, squared: bool):
+    # The scan of _pair_minimize on the same grid, scored by _form_scorer.
+    pair = np.stack([wj, wk])
+    weights = np.sum(pair.real**2 + pair.imag**2, axis=1)
+    h = form.pair_coefficients(wj, wk)
+    # h_0 and h_d are form(wj) and form(wk), so this is form.contrib(pair).
+    cj, ck = form.score(h[[0, -1]], weights)
+    best = (float(cj * cj + ck * ck if squared else cj + ck), 0.0, 0.0)
+    score = _form_scorer(form, h, float(weights[0]), float(weights[1]), complex(np.vdot(wj, wk)))
+    for level in _FORM_LEVELS[form.degree][2]:
+        th_off, ph_off = level[0], level[1]
+        th0, ph0 = best[1], best[2]
+        scores = score(level, th0, ph0)
+        if squared:
+            scores = scores * scores
+        g = th_off.size
+        vals = scores[:g] + scores[g:]
+        i = int(vals.argmin())
+        v = float(vals.flat[i])
+        if v < best[0]:
+            best = (v, th0 + float(th_off[i // ph_off.size]), ph0 + float(ph_off[i % ph_off.size]))
+    return best
+
+
 def _apply_pair(rows: np.ndarray, j: int, k: int, th: float, ph: float) -> None:
     c, s, e = math.cos(th), math.sin(th), np.exp(1j * ph)
     new_j = c * rows[j] + s * e * rows[k]
@@ -246,7 +326,14 @@ def _apply_pair(rows: np.ndarray, j: int, k: int, th: float, ph: float) -> None:
     rows[j] = new_j
 
 
-def _descend(rows, pairs, contrib, rng, squared, max_iters, improve_tol):
+def _descend(rows, pairs, contrib, form, rng, squared, max_iters, improve_tol):
+    # Pair scans run on the measure's form when it has one; the per-sweep
+    # totals always go through contrib.
+    def scan(wj, wk):
+        if form is not None:
+            return _pair_minimize_form(wj, wk, form, squared)
+        return _pair_minimize(wj, wk, contrib, squared)
+
     def total() -> float:
         c = contrib(rows)
         return float(np.sum(c * c) if squared else np.sum(c))
@@ -258,7 +345,7 @@ def _descend(rows, pairs, contrib, rng, squared, max_iters, improve_tol):
         prev = val
         rng.shuffle(order)
         for j, k in order:
-            _, th, ph = _pair_minimize(rows[j], rows[k], contrib, squared)
+            _, th, ph = scan(rows[j], rows[k])
             if th != 0.0 or ph != 0.0:
                 _apply_pair(rows, j, k, th, ph)
         val = total()
@@ -281,8 +368,9 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
 
     measure maps a PureState to a value (float or float-convertible); a
     vectorized fast path is used when the callable carries roof_contrib /
-    roof_contrib_dim attributes matching the state dimension.
-    Deterministic for a fixed config.
+    roof_contrib_dim attributes matching the state dimension, and its pair
+    scans are scored from the measure's polynomial when it also carries a
+    roof_form (an entanglement.RoofForm).  Deterministic for a fixed config.
     """
     cfg = cfg or RoofConfig()
     if not isinstance(rho, DensityMatrix):
@@ -293,8 +381,10 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
         raise ValueError(f"ensemble_size {m} is below the state rank {r}")
 
     fast = getattr(measure, "roof_contrib", None)
+    form = None
     if fast is not None and getattr(measure, "roof_contrib_dim", None) == rho.dim:
         contrib = fast
+        form = getattr(measure, "roof_form", None)
     else:
         contrib = _generic_contrib(rho.num_qubits, measure)
 
@@ -311,8 +401,8 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
         else:
             mix = _haar_isometry(m, r, rng)
         rows = mix @ factor
-        _descend(rows, pairs, contrib, rng, True, cfg.max_iters, cfg.improve_tol)
-        obj, converged = _descend(rows, pairs, contrib, rng, False, cfg.max_iters, cfg.improve_tol)
+        _descend(rows, pairs, contrib, form, rng, True, cfg.max_iters, cfg.improve_tol)
+        obj, converged = _descend(rows, pairs, contrib, form, rng, False, cfg.max_iters, cfg.improve_tol)
         if obj < best_obj:
             best_obj, best_rows, best_converged = obj, rows, converged
 

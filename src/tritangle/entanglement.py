@@ -9,8 +9,9 @@ state, together with the reduced concurrences of the standard mixture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -123,11 +124,11 @@ def groverian_from_concurrence(c) -> MeasureValue:
     return MeasureValue(math.sqrt(max(0.0, inner) / 2.0), MeasureKind.GROVERIAN)
 
 
-def _tangle_raw(w: np.ndarray) -> np.ndarray:
-    # Hyperdeterminant combination on raw (not necessarily normalized) rows.
-    # Homogeneous of degree 4 in the amplitudes.  With the complementary
-    # pair products P, Q, S, T, d1 is their sum of squares and d2 the sum
-    # of their six cross products, so d1 - 2 d2 = (P + Q - S - T)^2 - 4 (PQ + ST).
+def _tangle_form(w: np.ndarray) -> np.ndarray:
+    # Signed hyperdeterminant d1 - 2 d2 + 4 d3 on raw (not necessarily
+    # normalized) rows; homogeneous of degree 4 in the amplitudes.  With the
+    # complementary pair products P, Q, S, T, d1 is their sum of squares and
+    # d2 the sum of their six cross products, so d1 - 2 d2 = (P + Q - S - T)^2 - 4 (PQ + ST).
     a000, a001, a010, a011, a100, a101, a110, a111 = (w[:, k] for k in range(8))
     p = a000 * a111
     q = a011 * a100
@@ -135,7 +136,11 @@ def _tangle_raw(w: np.ndarray) -> np.ndarray:
     t = a110 * a001
     u = p + q - s - t
     d3 = (a000 * a011) * (a110 * a101) + (a111 * a100) * (a001 * a010)
-    return 4.0 * np.abs(u * u - 4.0 * (p * q + s * t) + 4.0 * d3)
+    return u * u - 4.0 * (p * q + s * t) + 4.0 * d3
+
+
+def _tangle_raw(w: np.ndarray) -> np.ndarray:
+    return 4.0 * np.abs(_tangle_form(w))
 
 
 def three_tangle_pure(psi: PureState) -> MeasureValue:
@@ -355,16 +360,79 @@ def channel_mixture_state(p: float, params: GhzwMixtureParams | None = None) -> 
 # quartic tangle is weight^2 * tau(normalized).
 
 
-def _concurrence_contrib(w: np.ndarray) -> np.ndarray:
-    return 2.0 * np.abs(w[:, 0] * w[:, 3] - w[:, 1] * w[:, 2])
+def _concurrence_form(w: np.ndarray) -> np.ndarray:
+    return w[:, 0] * w[:, 3] - w[:, 1] * w[:, 2]
 
 
-def _tangle_contrib(w: np.ndarray) -> np.ndarray:
-    weights = np.sum(w.real**2 + w.imag**2, axis=1)
-    return np.divide(_tangle_raw(w), weights, out=np.zeros_like(weights), where=weights > 1e-12)
+@dataclass(frozen=True)
+class RoofForm:
+    """The signed polynomial behind a pure-state measure, for the roof search.
+
+    form maps rows of unnormalized amplitudes to complex values and is
+    homogeneous of the given degree.  A row w with weight |w|^2 contributes
+    scale * |form(w)| to the roof objective, divided by the weight when
+    per_weight is set; either way that is weight * measure(w / |w|).
+
+    Along two rows the form is a binary form of the same degree,
+    form(x wj + y wk) = sum_n h_n x^(d-n) y^n (:meth:`pair_coefficients`).
+    """
+
+    form: Callable[[np.ndarray], np.ndarray]
+    degree: int
+    scale: float
+    per_weight: bool
+    # Roots of unity w^k, k = 0..d, and the inverse of their Vandermonde
+    # matrix V[k, n] = w^(k n), which is conj(V) / (d + 1).
+    _roots: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverse_dft: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = np.arange(self.degree + 1)
+        angle = 2.0 * np.pi / (self.degree + 1)
+        object.__setattr__(self, "_roots", np.exp(1j * angle * k))
+        object.__setattr__(self, "_inverse_dft", np.exp(-1j * angle * np.outer(k, k)) / (self.degree + 1))
+
+    def contrib(self, rows: np.ndarray) -> np.ndarray:
+        """Contribution of each row to the roof objective: weight * measure."""
+        return self.score(self.form(rows), np.sum(rows.real**2 + rows.imag**2, axis=1))
+
+    def score(self, values: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        """Contributions of rows with these form values and weights.
+
+        A row whose weight is at most 1e-12 contributes zero when the
+        contribution divides by the weight.
+        """
+        raw = self.scale * np.abs(values)
+        if not self.per_weight:
+            return raw
+        return np.divide(raw, weights, out=np.zeros_like(raw), where=weights > 1e-12)
+
+    def pair_coefficients(self, wj: np.ndarray, wk: np.ndarray) -> np.ndarray:
+        """Coefficients h_0..h_d of form(x wj + y wk) = sum_n h_n x^(d-n) y^n.
+
+        h_0 = form(wj) and h_d = form(wk) exactly.  The middle ones come
+        from the form at y = t w^k (an inverse DFT), less the two end terms,
+        with t = |wj| / |wk| so that each carries an error relative to its
+        own scale |wj|^(d-n) |wk|^n; a zero row gives exact zeros.
+        """
+        d = self.degree
+        nj, nk = math.sqrt(np.vdot(wj, wj).real), math.sqrt(np.vdot(wk, wk).real)
+        t = nj / nk if nj > 0.0 and nk > 0.0 else 1.0
+        y = t * self._roots
+        values = self.form(np.vstack((wj, wk, wj + y[:, np.newaxis] * wk)))
+        h = self._inverse_dft @ (values[2:] - values[0] - values[1] * y**d)
+        h /= t ** np.arange(d + 1)
+        h[0], h[d] = values[0], values[1]
+        return h
 
 
-concurrence_pure2.roof_contrib = _concurrence_contrib
+_CONCURRENCE_FORM = RoofForm(_concurrence_form, degree=2, scale=2.0, per_weight=False)
+_TANGLE_FORM = RoofForm(_tangle_form, degree=4, scale=4.0, per_weight=True)
+_tangle_contrib = _TANGLE_FORM.contrib
+
+concurrence_pure2.roof_form = _CONCURRENCE_FORM
+concurrence_pure2.roof_contrib = _CONCURRENCE_FORM.contrib
 concurrence_pure2.roof_contrib_dim = 4
+three_tangle_pure.roof_form = _TANGLE_FORM
 three_tangle_pure.roof_contrib = _tangle_contrib
 three_tangle_pure.roof_contrib_dim = 8

@@ -323,6 +323,87 @@ class TestUsageErrors:
         code, out, err = run_expecting_exit(["teleport", "bell", "--p", "0.5"], capsys)
         assert_one_line_usage_error(code, out, err)
 
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["teleport", "ghz", "--p", "0.5", "--theta", "-1e-3"], 0, None),
+            (["teleport", "ghz", "--p", "0.5", "--phi", "-1E+2"], 0, None),
+            (["teleport", "w", "--p", "-1e-3"], 2, "p must lie in [0, 1]"),
+            (["noisy", "--kappa-t", "-2.5e-1"], 2, "kappa_t must be >= 0"),
+            (["fig1", "--start", "-1e-3", "--steps", "3"], 2, "need 0 <= start < stop <= 1"),
+            (["fig4", "--start", "0", "--stop", "-1e-3", "--steps", "3"], 2, "need 0 <= start < stop <= 1"),
+            (["noisy", "--start", "-.5e1", "--stop", "1", "--steps", "3"], 2, "need 0 <= start < stop"),
+        ],
+        ids=["theta", "phi", "p", "kappa-t", "start", "stop", "noisy-start"],
+    )
+    def test_negative_exponent_after_a_space_is_a_value(self, argv, code, message, capsys):
+        got, out, err = run_expecting_exit(argv, capsys)
+        assert "expected one argument" not in err
+        assert got == code
+        if code == 0:
+            flag = argv[-2].lstrip("-")
+            assert json.loads(out)[flag] == float(argv[-1])
+        else:
+            assert_one_line_usage_error(got, out, err)
+            assert message in err
+
+    def test_negative_exponent_with_equals_sign(self, capsys):
+        code, out, _ = run_expecting_exit(["teleport", "ghz", "--p", "0.5", "--theta=-1e-3"], capsys)
+        assert code == 0
+        assert json.loads(out)["theta"] == -1e-3
+
+    @pytest.mark.parametrize("flag", ["-x", "-e3", "-1e"])
+    def test_unknown_dash_option_is_still_an_error(self, flag, capsys):
+        code, out, err = run_expecting_exit(["teleport", "ghz", "--p", "0.5", flag], capsys)
+        assert_one_line_usage_error(code, out, err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--steps", "100001"],
+            ["fig4", "--steps", "100001"],
+            ["noisy", "--steps", "100001"],
+            ["measures", "state.json", "--roof-restarts", "1001"],
+            ["noisy", "--roof-restarts", "1000000000000"],
+            ["measures", "state.json", "--roof-max-iters", "10001"],
+            ["noisy", "--roof-max-iters", "10001"],
+            ["measures", "state.json", "--roof-ensemble-size", "65"],
+            ["noisy", "--roof-ensemble-size", "65"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_size_flag_over_its_cap(self, argv, capsys):
+        # Parsing alone: an over-cap value never reaches a command.
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        out, err = capsys.readouterr()
+        assert_one_line_usage_error(exc.value.code, out, err)
+        assert "above the cap" in err
+
+    def test_size_flags_at_their_caps_parse(self):
+        args = cli.build_parser().parse_args(
+            ["noisy", "--steps", "100000", "--roof-restarts", "1000", "--roof-max-iters", "10000", "--roof-ensemble-size", "64"]
+        )
+        assert (args.steps, args.roof_restarts, args.roof_max_iters, args.roof_ensemble_size) == (100000, 1000, 10000, 64)
+
+    def test_size_flag_not_an_integer(self, capsys):
+        code, out, err = run_expecting_exit(["fig1", "--steps", "1.5"], capsys)
+        assert_one_line_usage_error(code, out, err)
+        assert "not an integer" in err
+
+    @pytest.mark.parametrize("command", ["fig1", "noisy", "measures"])
+    def test_help_states_each_cap_and_its_reason(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        if command != "measures":
+            assert "at most 100000, each point is a full evaluation" in text
+        if command != "fig1":
+            assert "at most 1000, since every restart's seed is drawn" in text
+            assert "at most 10000, far above" in text
+            assert "at most 64: a rank-r roof needs at most r^2 members" in text
+
     def test_missing_out_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(["fig1", "--steps", "3", "--out", str(target)], capsys)

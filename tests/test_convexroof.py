@@ -11,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tritangle.convexroof as convexroof
 from tritangle.convexroof import (
+    _FORM_LEVELS,
     _SCAN_LEVELS,
     Ensemble,
     RoofConfig,
     _apply_pair,
+    _form_scorer,
     _pair_minimize,
+    _pair_minimize_form,
     _rotation_stack,
     ensemble_from_mixing,
     minimize_roof,
@@ -26,6 +30,7 @@ from tritangle.entanglement import (
     GhzwMixtureParams,
     channel_mixture_state,
     concurrence_pure2,
+    concurrence_wootters,
     three_tangle_pure,
 )
 from tritangle.qcore import DensityMatrix, PureState, random_density_matrix
@@ -278,9 +283,9 @@ class TestPairScan:
                 assert np.abs(rows[i] - moved[0]).max() <= 1e-15
                 assert np.abs(rows[g + i] - moved[1]).max() <= 1e-15
 
-    @given(seeds, st.booleans(), st.sampled_from([concurrence_pure2, three_tangle_pure]))
-    @settings(max_examples=30, deadline=None)
-    def test_never_worse_than_start(self, seed, squared, measure):
+    @given(seeds, st.booleans(), st.sampled_from([concurrence_pure2, three_tangle_pure]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_never_worse_than_start(self, seed, squared, measure, use_form):
         contrib = measure.roof_contrib
         pair = self.random_pair(np.random.default_rng(seed), measure.roof_contrib_dim)
 
@@ -289,8 +294,139 @@ class TestPairScan:
             return float(np.sum(c * c) if squared else np.sum(c))
 
         start = objective(pair)
-        val, th, ph = _pair_minimize(pair[0], pair[1], contrib, squared)
+        if use_form:
+            val, th, ph = _pair_minimize_form(pair[0], pair[1], measure.roof_form, squared)
+        else:
+            val, th, ph = _pair_minimize(pair[0], pair[1], contrib, squared)
         assert val <= start
         moved = pair.copy()
         _apply_pair(moved, 0, 1, th, ph)
         assert objective(moved) == pytest.approx(val, rel=1e-9, abs=1e-12)
+
+
+class TestFormScan:
+    """The pair scan scored from form coefficients, against rotated rows."""
+
+    MEASURES = [three_tangle_pure, concurrence_pure2]
+
+    @staticmethod
+    def pair_with_unit_weight(rng, dim):
+        pair = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        return pair / np.linalg.norm(pair)
+
+    @staticmethod
+    def rotated_scores(pair, contrib, th, ph):
+        scores = contrib(_rotation_stack(th, ph) @ pair)
+        g = th.size * ph.size
+        return np.concatenate((scores[:g].reshape(th.size, ph.size), scores[g:].reshape(th.size, ph.size)))
+
+    def assert_scores_match(self, pair, measure, centers):
+        form = measure.roof_form
+        gaa, gbb = np.sum(np.abs(pair) ** 2, axis=1)
+        score = _form_scorer(form, form.pair_coefficients(pair[0], pair[1]), gaa, gbb, np.vdot(pair[0], pair[1]))
+        for level in _FORM_LEVELS[measure.roof_form.degree][2]:
+            th_off, ph_off = level[0], level[1]
+            for th0, ph0 in centers:
+                got = score(level, th0, ph0)
+                want = self.rotated_scores(pair, measure.roof_contrib, th0 + th_off, ph0 + ph_off)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-15)
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    def test_every_grid_score_matches_rotated_rows(self, measure):
+        rng = np.random.default_rng(31)
+        centers = [(0.0, 0.0), (0.41, -1.3), (-1.2, 2.9), (1.5707963267948966, 0.5)]
+        for _ in range(20):
+            self.assert_scores_match(self.pair_with_unit_weight(rng, measure.roof_contrib_dim), measure, centers)
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    def test_zero_weight_row(self, measure):
+        # Row k is zero: at theta = 0 it contributes nothing, and the scan
+        # can only move weight into it.
+        pair = self.pair_with_unit_weight(np.random.default_rng(32), measure.roof_contrib_dim)
+        pair[1] = 0.0
+        self.assert_scores_match(pair, measure, [(0.0, 0.0), (0.41, -1.3)])
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    @pytest.mark.parametrize("squared", [True, False], ids=["squared", "linear"])
+    def test_scan_matches_rotation_scan(self, measure, squared):
+        # Ties between grid points may split the two scans into different
+        # basins; on random pairs nearly all land on the same value.
+        rng = np.random.default_rng(33)
+        same = 0
+        for _ in range(100):
+            pair = self.pair_with_unit_weight(rng, measure.roof_contrib_dim)
+            ref = _pair_minimize(pair[0], pair[1], measure.roof_contrib, squared)
+            got = _pair_minimize_form(pair[0], pair[1], measure.roof_form, squared)
+            same += abs(got[0] - ref[0]) <= 1e-12 * max(ref[0], 1e-300)
+        assert same >= 95
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    @pytest.mark.parametrize("squared", [True, False], ids=["squared", "linear"])
+    def test_start_is_the_pair_objective(self, measure, squared, monkeypatch):
+        # With no grid levels the scan returns its start: the objective of
+        # the unrotated pair, bitwise as the per-sweep totals compute it.
+        d = measure.roof_form.degree
+        n, factors, _ = _FORM_LEVELS[d]
+        monkeypatch.setitem(_FORM_LEVELS, d, (n, factors, ()))
+        rng = np.random.default_rng(34)
+        for scale in (1.0, 0.3, 1e-3, 0.0):
+            pair = self.pair_with_unit_weight(rng, measure.roof_contrib_dim)
+            pair[1] *= scale
+            c = measure.roof_contrib(pair)
+            start = float(np.sum(c * c) if squared else np.sum(c))
+            assert _pair_minimize_form(pair[0], pair[1], measure.roof_form, squared) == (start, 0.0, 0.0)
+
+    def test_rows_are_never_rotated(self, monkeypatch):
+        # The form scan builds no rotation stack and calls the measure's
+        # kernel only for the per-sweep totals, on whole ensembles.
+        def fail(*args):
+            raise AssertionError("rotation stack built")
+
+        monkeypatch.setattr(convexroof, "_rotation_stack", fail)
+        sizes = []
+        kernel = concurrence_pure2.roof_contrib
+
+        def measure(psi):
+            return concurrence_pure2(psi)
+
+        def counted(rows):
+            sizes.append(rows.shape[0])
+            return kernel(rows)
+
+        measure.roof_form = concurrence_pure2.roof_form
+        measure.roof_contrib = counted
+        measure.roof_contrib_dim = 4
+        res = minimize_roof(werner(0.8), measure, RoofConfig(restarts=2, ensemble_size=5))
+        assert sizes and set(sizes) == {5}
+        assert -1e-9 <= res.upper_bound - 0.7 < 5e-3
+
+    def test_measure_without_form_takes_the_generic_path(self, monkeypatch):
+        calls = {"form": 0, "rows": 0}
+        real_form_scan, real_row_scan = convexroof._pair_minimize_form, convexroof._pair_minimize
+
+        def form_scan(*args):
+            calls["form"] += 1
+            return real_form_scan(*args)
+
+        def row_scan(*args):
+            calls["rows"] += 1
+            return real_row_scan(*args)
+
+        monkeypatch.setattr(convexroof, "_pair_minimize_form", form_scan)
+        monkeypatch.setattr(convexroof, "_pair_minimize", row_scan)
+        # A rank-2 state and one sweep per phase keep the generic path (one
+        # measure call per rotated row) short.
+        bell = bell_density().matrix
+        up_down = np.zeros((4, 4))
+        up_down[1, 1] = 1.0
+        rho = DensityMatrix(2, 0.6 * bell + 0.4 * up_down)
+        closed = float(concurrence_wootters(rho))
+        cfg = RoofConfig(restarts=1, max_iters=1, ensemble_size=3)
+        plain = minimize_roof(rho, lambda psi: float(concurrence_pure2(psi)), cfg)
+        assert calls["form"] == 0 and calls["rows"] > 0
+        assert plain.upper_bound >= closed - 1e-9
+        calls["rows"] = 0
+        fast = minimize_roof(rho, concurrence_pure2, cfg)
+        assert calls["rows"] == 0 and calls["form"] > 0
+        assert fast.upper_bound >= closed - 1e-9

@@ -27,6 +27,7 @@ from tritangle.entanglement import (
     three_tangle_ghzw,
     three_tangle_pure,
     _tangle_contrib,
+    _tangle_form,
     _tangle_raw,
 )
 from tritangle.qcore import (
@@ -235,6 +236,64 @@ class TestTangleKernel:
         w = np.zeros((2, 8), dtype=complex)
         w[1, 0] = 1e-7
         assert np.array_equal(_tangle_contrib(w), [0.0, 0.0])
+
+
+class TestRoofForm:
+    """The signed form behind each roof measure and its pair coefficients."""
+
+    MEASURES = [three_tangle_pure, concurrence_pure2]
+
+    @staticmethod
+    def random_pair(measure, rng):
+        dim = measure.roof_contrib_dim
+        return rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+
+    def test_attributes(self):
+        assert (three_tangle_pure.roof_form.degree, three_tangle_pure.roof_form.scale) == (4, 4.0)
+        assert three_tangle_pure.roof_form.per_weight
+        assert (concurrence_pure2.roof_form.degree, concurrence_pure2.roof_form.scale) == (2, 2.0)
+        assert not concurrence_pure2.roof_form.per_weight
+
+    def test_raw_tangle_is_scaled_form(self):
+        w = TestTangleKernel().random_rows(100, 14)
+        assert np.array_equal(_tangle_raw(w), 4.0 * np.abs(_tangle_form(w)))
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    def test_roof_contrib_is_weight_times_measure(self, measure):
+        rng = np.random.default_rng(15)
+        rows = rng.normal(size=(30, measure.roof_contrib_dim)) + 1j * rng.normal(size=(30, measure.roof_contrib_dim))
+        n = measure.roof_contrib_dim.bit_length() - 1
+        weights = np.sum(np.abs(rows) ** 2, axis=1)
+        expected = [wt * float(measure(PureState(n, row / math.sqrt(wt)))) for wt, row in zip(weights, rows)]
+        assert np.allclose(measure.roof_contrib(rows), expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(measure.roof_contrib(rows), measure.roof_form.contrib(rows))
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    def test_pair_coefficients_reproduce_the_form(self, measure):
+        form = measure.roof_form
+        d = form.degree
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            wj, wk = self.random_pair(measure, rng)
+            x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+            h = form.pair_coefficients(wj, wk)
+            assert h.shape == (d + 1,)
+            direct = form.form((x * wj + y * wk)[np.newaxis, :])[0]
+            poly = sum(h[n] * x ** (d - n) * y**n for n in range(d + 1))
+            assert abs(poly - direct) <= 1e-12 * abs(direct)
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    def test_pair_coefficients_end_terms(self, measure):
+        # h_0 = form(wj) and h_d = form(wk); a zero row leaves one term.
+        form = measure.roof_form
+        wj, wk = self.random_pair(measure, np.random.default_rng(17))
+        h = form.pair_coefficients(wj, wk)
+        ends = form.form(np.stack([wj, wk]))
+        assert abs(h[0] - ends[0]) <= 1e-13 * abs(ends[0])
+        assert abs(h[-1] - ends[1]) <= 1e-13 * abs(ends[1])
+        h = form.pair_coefficients(wj, np.zeros_like(wk))
+        assert abs(h[0] - ends[0]) <= 1e-13 * abs(ends[0])
+        assert np.abs(h[1:]).max() <= 1e-13 * abs(ends[0])
 
 
 class TestMixtureFamily:
