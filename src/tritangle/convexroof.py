@@ -4,11 +4,14 @@ Any size-m decomposition of a rank-r density matrix arises from an m x r
 matrix with orthonormal columns applied to the scaled eigenvectors, so the
 search space is the isometry manifold.  The optimizer walks it with
 incremental two-row rotations: for a pair of decomposition members it
-scans a rotation angle and relative phase on a coarse-to-fine grid,
-keeps the best move, and sweeps over all pairs in random order until a
-full sweep stops paying.  For measures given as a signed polynomial
-(the tangle, the two-qubit concurrence) the scan scores its grid from the
-pair's polynomial coefficients and 2 x 2 Gram matrix, without rotating rows.
+scans a rotation angle and relative phase on a coarse-to-fine grid and
+keeps the best move.  A sweep visits every pair once, in the rounds of a
+random round-robin schedule (the circle method on a random relabelling
+of the members, its rounds in random order), so the pairs of one round
+share no member and move independently; sweeps repeat until one stops
+paying.  For measures given as a signed polynomial (the tangle, the
+two-qubit concurrence) the scan scores its grid from the pair's
+polynomial coefficients and 2 x 2 Gram matrix, without rotating rows.
 
 Measures whose pure-state value vanishes on curved families (the
 three-party tangle above all) produce a landscape where the summed
@@ -16,7 +19,11 @@ objective has spurious valleys.  Each restart therefore descends twice:
 first on the sum of squared member contributions, whose smooth minimum
 sits on the same zero set, then on the true weighted sum.  Multiple
 restarts (one seeded from the eigendecomposition itself, the rest from
-Haar-random isometries) guard against the remaining local minima.
+Haar-random isometries) guard against the remaining local minima.  The
+restarts run in lockstep: round k of every restart still descending is
+scored in one stacked scan, all restarts finish the squared phase before
+any starts the plain one, and a restart that has converged waits, so
+each restart's sequence depends only on its own seed.
 
 Everything here is an upper bound on the true convex roof; agreement
 with a closed form, never the search alone, is the validation signal.
@@ -24,7 +31,6 @@ with a closed form, never the search alone, is the validation signal.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -124,6 +130,10 @@ class RoofResult:
     best_ensemble: Ensemble
     restarts_used: int
     converged: bool
+    # Each restart's final objective and convergence flag, in restart
+    # order; best_ensemble comes from the first restart of least objective.
+    restart_objectives: tuple
+    restart_converged: tuple
 
 
 def _rank_factor(rho: DensityMatrix):
@@ -208,18 +218,32 @@ def _form_levels(d: int) -> tuple:
     # Tables that score a binary form of even degree d on every scan level.
     # The monomials x^(d-n) y^n are products of d/2 entries of (x^2, x y, y^2):
     # factor f of monomial n is entry min(2, max(0, n - 2 f)).  Per level:
-    # the theta offsets times i, e^{i n phi} at the phi offsets (d+1, Gp),
-    # and e^{i phi} (Gp,) for the row weights.
+    # the theta and phi offsets, the theta offsets times i, e^{i n phi} at
+    # the phi offsets (d+1, Gp), e^{i phi} (Gp,) for the row weights, and
+    # the (theta, phi) offsets of each flat (theta-major) grid index (2, G).
     n = np.arange(d + 1)
     factors = tuple(np.minimum(2, np.maximum(0, n - 2 * f)) for f in range(d // 2))
     levels = tuple(
-        (th_off, ph_off, 1j * th_off, np.exp(1j * np.outer(n, ph_off)), np.exp(1j * ph_off))
+        (
+            th_off,
+            ph_off,
+            1j * th_off,
+            np.exp(1j * np.outer(n, ph_off)),
+            np.exp(1j * ph_off),
+            np.stack((np.repeat(th_off, ph_off.size), np.tile(ph_off, th_off.size))),
+        )
         for th_off, ph_off in _SCAN_LEVELS
     )
-    return n, factors, levels
+    return 1j * n, factors, levels
 
 
 _FORM_LEVELS = {d: _form_levels(d) for d in (2, 4)}
+
+# Pairs per stacked scan call.  A grid level's temporaries take about 10 KB
+# per pair on the 17 x 17 level, so a chunk of 64 keeps each below 1 MB
+# whatever the budget (1000 restarts of 64 members would stack 32000 pairs
+# in one round); the default budgets stack at most a few pairs per round.
+_SCAN_CHUNK = 64
 
 
 def _rotation_stack(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -242,7 +266,7 @@ def _pair_minimize(wj, wk, contrib, squared: bool):
     # point (0, 0) is always a candidate, so the move never loses ground.
     # Each level rotates both rows at every grid point in one product and
     # scores all of them in one kernel call.  Used for measures without a
-    # form, and as the reference for _pair_minimize_form.
+    # form, and as the reference for _form_scan.
     def combine(cj, ck):
         return cj * cj + ck * ck if squared else cj + ck
 
@@ -261,98 +285,135 @@ def _pair_minimize(wj, wk, contrib, squared: bool):
     return best
 
 
-def _form_scorer(form, h, gaa: float, gbb: float, gab: complex):
-    # Scores both rows of a pair, rotated to every (theta, phi) of a scan
-    # level around (th0, ph0), from the pair's form coefficients h and its
-    # Gram matrix [[gaa, gab], [conj(gab), gbb]]; rows are never rotated.
-    # score(level, th0, ph0) returns a (2 Gt, Gp) array: row j's
-    # contributions, then row k's.  Row j is c wj + s e^{i phi} wk and row k
-    # is -s e^{-i phi} wj + c wk, so their forms are sum_n h_n e^{i n phi}
-    # x^(d-n) y^n at (x, y) = (c, s) and (-s, c), up to a unit phase, and
-    # their weights are x^2 gaa + 2 x y Re(gab e^{i phi}) + y^2 gbb.  The
-    # monomials are products of cos and sin of theta themselves, so a row of
-    # small weight keeps its relative precision (sums of e^{i k theta} would not).
-    n, factors, _ = _FORM_LEVELS[form.degree]
-    gab2 = 2.0 * gab
-
-    def score(level, th0: float, ph0: float) -> np.ndarray:
-        _, _, i_th, phases, turn_p = level
-        e = np.exp(1j * th0 + i_th)
-        xy = np.concatenate((e, 1j * e)).view(np.float64).reshape(-1, 2)
-        quad = xy.take((0, 0, 1), axis=1) * xy.take((0, 1, 1), axis=1)
-        mono = quad.take(factors[0], axis=1)
-        for f in factors[1:]:
-            mono = mono * quad.take(f, axis=1)
-        values = mono @ ((h * np.exp(1j * ph0 * n))[:, np.newaxis] * phases)
-        if not form.per_weight:
-            return form.score(values, None)
-        gram = np.empty((3, phases.shape[1]))
-        gram[0] = gaa
-        gram[1] = (gab2 * cmath.exp(1j * ph0) * turn_p).real
-        gram[2] = gbb
-        return form.score(values, quad @ gram)
-
-    return score
+def _pair_terms(form, wj, wk):
+    # What the form scan needs of B pairs, stacked (B, dim): the form
+    # coefficients h (B, d+1), the row weights |wj|^2 and |wk|^2 (B, 2, 1),
+    # and twice the overlap <wj|wk> (B,).
+    # The weights are summed as form.contrib sums them, row by row.
+    ends = np.stack((wj, wk), axis=1)
+    weights = np.sum(ends.real**2 + ends.imag**2, axis=2)
+    gab2 = 2.0 * np.einsum("bi,bi->b", wj.conj(), wk)
+    return form.pair_coefficients(wj, wk), weights[:, :, np.newaxis], gab2
 
 
-def _pair_minimize_form(wj, wk, form, squared: bool):
-    # The scan of _pair_minimize on the same grid, scored by _form_scorer.
-    pair = np.stack([wj, wk])
-    weights = np.sum(pair.real**2 + pair.imag**2, axis=1)
-    h = form.pair_coefficients(wj, wk)
-    # h_0 and h_d are form(wj) and form(wk), so this is form.contrib(pair).
-    cj, ck = form.score(h[[0, -1]], weights)
-    best = (float(cj * cj + ck * ck if squared else cj + ck), 0.0, 0.0)
-    score = _form_scorer(form, h, float(weights[0]), float(weights[1]), complex(np.vdot(wj, wk)))
+# (x, y) of row j is (c, s), the parts of e^{i theta}; of row k it is
+# (-s, c), the parts of i e^{i theta}.
+_ROW_TURNS = np.array([1.0, 1.0j])[:, np.newaxis, np.newaxis]
+
+
+def _level_scores(form, level, terms, th0: np.ndarray, ph0: np.ndarray) -> np.ndarray:
+    # Scores both rows of B pairs, each rotated to every (theta, phi) of a
+    # scan level around its own center (th0[b], ph0[b]), from the pairs'
+    # form coefficients and Gram terms; rows are never rotated.  Returns a
+    # (2, B, Gt, Gp) array: row j's contributions, then row k's.  Row j is
+    # c wj + s e^{i phi} wk and row k is -s e^{-i phi} wj + c wk, so their
+    # forms are sum_n h_n e^{i n phi} x^(d-n) y^n at (x, y) = (c, s) and
+    # (-s, c), up to a unit phase, and their weights are
+    # x^2 gaa + 2 x y Re(gab e^{i phi}) + y^2 gbb.  The monomials are
+    # products of cos and sin of theta themselves, so a row of small weight
+    # keeps its relative precision (sums of e^{i k theta} would not).
+    i_n, factors, _ = _FORM_LEVELS[form.degree]
+    i_th, phases, turn_p = level[2:5]
+    h, weights, gab2 = terms
+    e = np.exp((1j * th0)[:, np.newaxis] + i_th)
+    xy = (e * _ROW_TURNS).view(np.float64).reshape(2, e.shape[0], -1, 2)
+    quad = xy.take((0, 0, 1), axis=3) * xy.take((0, 1, 1), axis=3)
+    mono = quad.take(factors[0], axis=3)
+    for f in factors[1:]:
+        mono = mono * quad.take(f, axis=3)
+    # mono is real, so its product with the coefficients' (re, im) pairs is
+    # the complex product, read back as complex values.
+    turn = np.exp(ph0[:, np.newaxis] * i_n)
+    coef = (h * turn)[:, :, np.newaxis] * phases
+    values = (mono @ coef.view(np.float64)).view(np.complex128)
+    if not form.per_weight:
+        return form.score(values, None)
+    gram = np.empty((e.shape[0], 3, turn_p.size))
+    gram[:, ::2] = weights
+    gram[:, 1] = ((gab2 * turn[:, 1])[:, np.newaxis] * turn_p).real
+    return form.score(values, quad @ gram)
+
+
+def _form_scan(wj, wk, form, squared: bool):
+    # The scan of _pair_minimize on the same grid for B pairs at once,
+    # stacked (B, dim), each level scored by _level_scores.  Returns the
+    # best objective and its (theta, phi) per pair, each of shape (B,).
+    terms = _pair_terms(form, wj, wk)
+    h, weights, _ = terms
+    # h_0 and h_d are form(wj) and form(wk), so this is form.contrib of the pair.
+    start = form.score(h[:, ::form.degree], weights[:, :, 0])
+    if squared:
+        start = start * start
+    best = start[:, 0] + start[:, 1]
+    pick = np.arange(best.size)
+    center = np.zeros((2, best.size))
     for level in _FORM_LEVELS[form.degree][2]:
-        th_off, ph_off = level[0], level[1]
-        th0, ph0 = best[1], best[2]
-        scores = score(level, th0, ph0)
+        scores = _level_scores(form, level, terms, center[0], center[1])
         if squared:
-            scores = scores * scores
-        g = th_off.size
-        vals = scores[:g] + scores[g:]
-        i = int(vals.argmin())
-        v = float(vals.flat[i])
-        if v < best[0]:
-            best = (v, th0 + float(th_off[i // ph_off.size]), ph0 + float(ph_off[i % ph_off.size]))
-    return best
+            scores *= scores
+        vals = (scores[0] + scores[1]).reshape(best.size, -1)
+        i = vals.argmin(axis=1)
+        v = vals[pick, i]
+        better = v < best
+        best = np.where(better, v, best)
+        center = np.where(better, center + level[5][:, i], center)
+    return best, center[0], center[1]
 
 
-def _apply_pair(rows: np.ndarray, j: int, k: int, th: float, ph: float) -> None:
-    c, s, e = math.cos(th), math.sin(th), np.exp(1j * ph)
-    new_j = c * rows[j] + s * e * rows[k]
-    rows[k] = -s * np.conj(e) * rows[j] + c * rows[k]
-    rows[j] = new_j
+def _apply_pairs(rows: np.ndarray, t, j, k, th, ph) -> None:
+    # Rotates the pairs (rows[t, j], rows[t, k]) by their (theta, phi) moves,
+    # all at once; the pairs must be disjoint.
+    c = np.cos(th)[:, np.newaxis]
+    se = (np.sin(th) * np.exp(1j * ph))[:, np.newaxis]
+    wj, wk = rows[t, j], rows[t, k]
+    rows[t, j] = c * wj + se * wk
+    rows[t, k] = c * wk - se.conj() * wj
 
 
-def _descend(rows, pairs, contrib, form, rng, squared, max_iters, improve_tol):
-    # Pair scans run on the measure's form when it has one; the per-sweep
-    # totals always go through contrib.
-    def scan(wj, wk):
-        if form is not None:
-            return _pair_minimize_form(wj, wk, form, squared)
-        return _pair_minimize(wj, wk, contrib, squared)
+def _round_robin(m: int) -> np.ndarray:
+    # Circle method: every pair of m members exactly once, in rounds of
+    # disjoint pairs; m - 1 rounds of m/2 pairs for even m, and for odd m a
+    # phantom member gives m rounds in which one member sits out.
+    n = m + m % 2
+    rounds = []
+    for r in range(n - 1):
+        pairs = [(r, n - 1)] + [((r + i) % (n - 1), (r - i) % (n - 1)) for i in range(1, n // 2)]
+        rounds.append([pair for pair in pairs if max(pair) < m])
+    return np.array(rounds, dtype=np.intp).reshape(max(n - 1, 1), m // 2, 2)
 
-    def total() -> float:
-        c = contrib(rows)
-        return float(np.sum(c * c) if squared else np.sum(c))
 
-    order = list(pairs)
-    val = total()
-    converged = False
+def _lockstep(rows, rngs, table, scan, total, squared, max_iters, improve_tol):
+    # Descends every restart at once.  A sweep of a restart runs its rng's
+    # round-robin schedule: the table's rounds in a random order, on a
+    # random relabelling of the members.  Round k of every active restart
+    # is scored in one stacked scan and moved in one update; a restart
+    # whose sweep stopped paying waits, so its own sequence does not depend
+    # on the others.  Returns each restart's objective and convergence.
+    restarts, m = rows.shape[:2]
+    vals = np.array([total(rows[t], squared) for t in range(restarts)])
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
     for _ in range(max_iters):
-        prev = val
-        rng.shuffle(order)
-        for j, k in order:
-            _, th, ph = scan(rows[j], rows[k])
-            if th != 0.0 or ph != 0.0:
-                _apply_pair(rows, j, k, th, ph)
-        val = total()
-        if prev - val < improve_tol:
-            converged = True
+        draws = [(rngs[t].permutation(m), rngs[t].permutation(len(table))) for t in active]
+        labels = np.array([perm for perm, _ in draws])
+        orders = np.array([order for _, order in draws])
+        owner = np.repeat(active, table.shape[1])
+        relabel = np.arange(active.size)[:, np.newaxis, np.newaxis]
+        for rnd in orders.T:
+            j, k = labels[relabel, table[rnd]].reshape(-1, 2).T
+            for lo in range(0, owner.size, _SCAN_CHUNK):
+                c = slice(lo, lo + _SCAN_CHUNK)
+                t = owner[c]
+                _, th, ph = scan(rows[t, j[c]], rows[t, k[c]], squared)
+                _apply_pairs(rows, t, j[c], k[c], th, ph)
+        prev = vals[active]
+        vals[active] = [total(rows[t], squared) for t in active]
+        stopped = prev - vals[active] < improve_tol
+        converged[active[stopped]] = True
+        active = active[~stopped]
+        if active.size == 0:
             break
-    return val, converged
+    return vals, converged
 
 
 def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -388,27 +449,43 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
     else:
         contrib = _generic_contrib(rho.num_qubits, measure)
 
-    pairs = [(j, k) for j in range(m - 1) for k in range(j + 1, m)]
+    # Pair scans run on the measure's form when it has one; the per-sweep
+    # totals always go through contrib, one restart at a time.
+    def scan(wj, wk, squared):
+        if form is not None:
+            return _form_scan(wj, wk, form, squared)
+        moves = np.array([_pair_minimize(a, b, contrib, squared) for a, b in zip(wj, wk)])
+        return moves.T
+
+    def total(rows, squared) -> float:
+        c = contrib(rows)
+        return float(np.sum(c * c) if squared else np.sum(c))
+
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best_obj = math.inf
-    best_rows = None
-    best_converged = False
-    for t in range(cfg.restarts):
-        rng = np.random.default_rng(children[t])
+    rngs = [np.random.default_rng(child) for child in children]
+    rows = np.empty((cfg.restarts, m, factor.shape[1]), dtype=complex)
+    for t, rng in enumerate(rngs):
         if t == 0:
             mix = np.zeros((m, r), dtype=complex)
             mix[:r, :r] = np.eye(r)
         else:
             mix = _haar_isometry(m, r, rng)
-        rows = mix @ factor
-        _descend(rows, pairs, contrib, form, rng, True, cfg.max_iters, cfg.improve_tol)
-        obj, converged = _descend(rows, pairs, contrib, form, rng, False, cfg.max_iters, cfg.improve_tol)
-        if obj < best_obj:
-            best_obj, best_rows, best_converged = obj, rows, converged
+        rows[t] = mix @ factor
+    table = _round_robin(m)
+    _lockstep(rows, rngs, table, scan, total, True, cfg.max_iters, cfg.improve_tol)
+    objs, converged = _lockstep(rows, rngs, table, scan, total, False, cfg.max_iters, cfg.improve_tol)
 
-    ensemble = _ensemble_from_rows(rho, best_rows)
+    best = int(np.argmin(objs))
+    ensemble = _ensemble_from_rows(rho, rows[best])
     upper = ensemble.average(measure)
-    return RoofResult(upper, ensemble, cfg.restarts, best_converged)
+    return RoofResult(
+        upper,
+        ensemble,
+        cfg.restarts,
+        bool(converged[best]),
+        tuple(float(v) for v in objs),
+        tuple(bool(c) for c in converged),
+    )
 
 
 def optimal_ghzw_ensemble(p: float, params: GhzwMixtureParams | None = None) -> Ensemble:

@@ -402,10 +402,11 @@ class RoofForm:
         A row whose weight is at most 1e-12 contributes zero when the
         contribution divides by the weight.
         """
-        raw = self.scale * np.abs(values)
+        raw = np.abs(values)
+        raw *= self.scale
         if not self.per_weight:
             return raw
-        return np.divide(raw, weights, out=np.zeros_like(raw), where=weights > 1e-12)
+        return np.divide(raw, weights, out=np.zeros(raw.shape), where=weights > 1e-12)
 
     def pair_coefficients(self, wj: np.ndarray, wk: np.ndarray) -> np.ndarray:
         """Coefficients h_0..h_d of form(x wj + y wk) = sum_n h_n x^(d-n) y^n.
@@ -414,16 +415,26 @@ class RoofForm:
         from the form at y = t w^k (an inverse DFT), less the two end terms,
         with t = |wj| / |wk| so that each carries an error relative to its
         own scale |wj|^(d-n) |wk|^n; a zero row gives exact zeros.
+
+        Rows of shape (dim,) give shape (d + 1,); (B, dim) stacks of B pairs
+        give (B, d + 1), with all B (d + 3) form values in one call.
         """
         d = self.degree
-        nj, nk = math.sqrt(np.vdot(wj, wj).real), math.sqrt(np.vdot(wk, wk).real)
-        t = nj / nk if nj > 0.0 and nk > 0.0 else 1.0
-        y = t * self._roots
-        values = self.form(np.vstack((wj, wk, wj + y[:, np.newaxis] * wk)))
-        h = self._inverse_dft @ (values[2:] - values[0] - values[1] * y**d)
-        h /= t ** np.arange(d + 1)
-        h[0], h[d] = values[0], values[1]
-        return h
+        single = np.ndim(wj) == 1
+        ends = np.stack((np.atleast_2d(wj), np.atleast_2d(wk)), axis=1)
+        parts = ends.view(np.float64)
+        sq = np.sum(parts * parts, axis=2)
+        t = np.sqrt(np.divide(sq[:, 0], sq[:, 1], out=np.ones(sq.shape[0]), where=sq.all(axis=1)))
+        y = t[:, np.newaxis] * self._roots
+        rows = np.concatenate((ends, ends[:, :1] + y[:, :, np.newaxis] * ends[:, 1:]), axis=1)
+        values = self.form(rows.reshape(-1, rows.shape[2])).reshape(-1, d + 3)
+        # One (d+1) x (d+1) product per pair, so each pair's coefficients
+        # do not depend on how many pairs are stacked with it.
+        samples = values[:, 2:] - values[:, :1] - values[:, 1:2] * y**d
+        h = (self._inverse_dft @ samples[:, :, np.newaxis])[:, :, 0]
+        h /= t[:, np.newaxis] ** np.arange(d + 1)
+        h[:, 0], h[:, d] = values[:, 0], values[:, 1]
+        return h[0] if single else h
 
 
 _CONCURRENCE_FORM = RoofForm(_concurrence_form, degree=2, scale=2.0, per_weight=False)

@@ -10,8 +10,8 @@ with complex128 entries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import InitVar, dataclass
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .tolerances import Tolerances, get_default
 ComplexMatrix = np.ndarray
 
 _MAX_QUBITS = 4
+_DIMS = tuple(2**n for n in range(1, _MAX_QUBITS + 1))
 _EIG_MAX_DIM = 16
 
 
@@ -82,14 +83,19 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density operator: Hermitian, unit trace, positive semidefinite."""
+    """Validated density operator: Hermitian, unit trace, positive semidefinite.
+
+    ``tols`` (init only) sets the tolerances of the check; without it the
+    module default applies.
+    """
 
     num_qubits: int
     matrix: np.ndarray
+    tols: InitVar[Optional[Tolerances]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, tols):
         m = np.asarray(self.matrix, dtype=complex).copy()
-        _check_density(m, self.num_qubits, get_default())
+        _check_density(m, self.num_qubits, tols or get_default())
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -116,19 +122,19 @@ class DensityReport:
 
 
 def density_report(matrix, tols: Tolerances | None = None) -> DensityReport:
-    """Check the density-matrix invariants without raising."""
+    """Check the density-matrix invariants without raising.
+
+    A matrix that is not square with a side of 2**n (n in 1..4), or that has
+    a non-finite entry, fails ``shape_ok`` and every other check.
+    """
     tols = tols or get_default()
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS or not np.isfinite(m).all():
         return DensityReport(False, np.inf, np.inf, -np.inf, False, False, False)
-    try:
-        _num_qubits_for_dim(m.shape[0])
-    except ValueError:
-        return DensityReport(False, np.inf, np.inf, -np.inf, False, False, False)
-    herm = float(np.abs(m - m.conj().T).max())
-    trace = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
-    sym = 0.5 * (m + m.conj().T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    mh = m.conj().T
+    herm = float(np.abs(m - mh).max())
+    trace = abs(complex(m.trace()) - 1.0)
+    min_eig = float(np.linalg.eigvalsh(0.5 * (m + mh))[0])
     return DensityReport(
         shape_ok=True,
         hermiticity_error=herm,
@@ -141,22 +147,26 @@ def density_report(matrix, tols: Tolerances | None = None) -> DensityReport:
 
 
 def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances) -> None:
+    # Raises on the first invariant that density_report finds violated;
+    # with the qubit count and the side checked here, a failed shape in the
+    # report means a non-finite entry.
+    if not (1 <= num_qubits <= _MAX_QUBITS):
+        raise DensityValidationError("shape", np.inf, f"num_qubits must be in 1..{_MAX_QUBITS}, got {num_qubits}")
     if m.ndim != 2 or m.shape != (2**num_qubits, 2**num_qubits):
         raise DensityValidationError(
             "shape", np.inf, f"expected {2**num_qubits}x{2**num_qubits} matrix, got {m.shape}"
         )
-    if not np.all(np.isfinite(m.view(float))):
+    rep = density_report(m, tols)
+    if not rep.shape_ok:
         raise DensityValidationError("shape", np.inf, "matrix entries must be finite")
-    herm = float(np.abs(m - m.conj().T).max())
-    if herm > tols.hermitian_atol:
-        raise DensityValidationError(
-            "hermiticity", herm, f"not Hermitian: max |m - m^dag| = {herm:.3e}"
-        )
-    tr_err = abs(complex(np.trace(m)) - 1.0)
-    if tr_err > tols.trace_atol:
+    if not rep.hermitian_ok:
+        herm = rep.hermiticity_error
+        raise DensityValidationError("hermiticity", herm, f"not Hermitian: max |m - m^dag| = {herm:.3e}")
+    if not rep.trace_ok:
+        tr_err = rep.trace_error
         raise DensityValidationError("trace", tr_err, f"trace differs from 1 by {tr_err:.3e}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-    if min_eig < tols.psd_floor:
+    if not rep.positive_ok:
+        min_eig = rep.min_eigenvalue
         raise DensityValidationError(
             "positivity", min_eig, f"smallest eigenvalue {min_eig:.3e} below {tols.psd_floor:g}"
         )
@@ -183,18 +193,7 @@ def validate_density(matrix, tols: Tolerances | None = None) -> DensityMatrix:
         n = _num_qubits_for_dim(m.shape[0])
     except ValueError as exc:
         raise DensityValidationError("shape", np.inf, str(exc)) from None
-    if tols is None:
-        return DensityMatrix(n, m)
-    # DensityMatrix always re-checks against the module default, so swap it
-    # in for the duration of construction.
-    from . import tolerances as _tolmod
-
-    previous = _tolmod.get_default()
-    _tolmod.set_default(tols)
-    try:
-        return DensityMatrix(n, m)
-    finally:
-        _tolmod.set_default(previous)
+    return DensityMatrix(n, m, tols)
 
 
 def kron(a, b) -> ComplexMatrix:

@@ -17,11 +17,13 @@ from tritangle.convexroof import (
     _SCAN_LEVELS,
     Ensemble,
     RoofConfig,
-    _apply_pair,
-    _form_scorer,
+    _apply_pairs,
+    _form_scan,
+    _level_scores,
     _pair_minimize,
-    _pair_minimize_form,
+    _pair_terms,
     _rotation_stack,
+    _round_robin,
     ensemble_from_mixing,
     minimize_roof,
     optimal_ghzw_ensemble,
@@ -243,6 +245,13 @@ class TestOptimalGhzwEnsemble:
             optimal_ghzw_ensemble(0.7)
 
 
+def apply_move(pair, th, ph):
+    # The pair after one move, through the search's own update.
+    rows = pair[np.newaxis].copy()
+    _apply_pairs(rows, np.array([0]), np.array([0]), np.array([1]), np.array([th]), np.array([ph]))
+    return rows[0]
+
+
 class TestPairScan:
     """The two-row scan: fixed grid offsets, stacked rotations, monotone moves."""
 
@@ -269,6 +278,14 @@ class TestPairScan:
             assert np.array_equal(th0 + th_off, th)
             assert np.array_equal(ph0 + ph_off, ph)
 
+    def test_flat_offsets_follow_the_grid(self):
+        # Flat index i of a level is theta offset i // Gp and phi offset i % Gp.
+        for d in (2, 4):
+            for level in _FORM_LEVELS[d][2]:
+                th_off, ph_off = level[0], level[1]
+                i = np.arange(th_off.size * ph_off.size)
+                assert np.array_equal(level[5], [th_off[i // ph_off.size], ph_off[i % ph_off.size]])
+
     def test_stacked_rotation_matches_apply_pair(self):
         rng = np.random.default_rng(5)
         pair = self.random_pair(rng, 8)
@@ -278,10 +295,25 @@ class TestPairScan:
             g = th.size * ph.size
             assert rows.shape == (2 * g, 8)
             for i in rng.choice(g, size=10, replace=False):
-                moved = pair.copy()
-                _apply_pair(moved, 0, 1, float(th[i // ph.size]), float(ph[i % ph.size]))
+                moved = apply_move(pair, float(th[i // ph.size]), float(ph[i % ph.size]))
                 assert np.abs(rows[i] - moved[0]).max() <= 1e-15
                 assert np.abs(rows[g + i] - moved[1]).max() <= 1e-15
+
+    def test_apply_pairs_moves_disjoint_pairs_of_every_restart(self):
+        # One update moves each listed pair as a lone move would, and
+        # leaves every other row untouched.
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+        t, j, k = np.array([0, 0, 2]), np.array([1, 4, 3]), np.array([3, 0, 2])
+        th, ph = rng.uniform(-1.5, 1.5, 3), rng.uniform(-3, 3, 3)
+        moved = rows.copy()
+        _apply_pairs(moved, t, j, k, th, ph)
+        touched = np.zeros(rows.shape[:2], dtype=bool)
+        for b in range(3):
+            want = apply_move(rows[t[b], [j[b], k[b]]], th[b], ph[b])
+            assert np.array_equal(moved[t[b], [j[b], k[b]]], want)
+            touched[t[b], [j[b], k[b]]] = True
+        assert np.array_equal(moved[~touched], rows[~touched])
 
     @given(seeds, st.booleans(), st.sampled_from([concurrence_pure2, three_tangle_pure]), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -295,13 +327,29 @@ class TestPairScan:
 
         start = objective(pair)
         if use_form:
-            val, th, ph = _pair_minimize_form(pair[0], pair[1], measure.roof_form, squared)
+            vals, ths, phs = _form_scan(pair[:1], pair[1:], measure.roof_form, squared)
+            val, th, ph = float(vals[0]), float(ths[0]), float(phs[0])
         else:
             val, th, ph = _pair_minimize(pair[0], pair[1], contrib, squared)
         assert val <= start
-        moved = pair.copy()
-        _apply_pair(moved, 0, 1, th, ph)
-        assert objective(moved) == pytest.approx(val, rel=1e-9, abs=1e-12)
+        assert objective(apply_move(pair, th, ph)) == pytest.approx(val, rel=1e-9, abs=1e-12)
+
+
+class TestRoundRobin:
+    """Sweep schedules: every pair once, in rounds of disjoint pairs."""
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_every_pair_once_in_disjoint_rounds(self, m):
+        table = _round_robin(m)
+        rounds = m - 1 if m % 2 == 0 else m
+        assert table.shape == (max(rounds, 1), m // 2, 2)
+        seen = set()
+        for rnd in table:
+            members = rnd.ravel().tolist()
+            assert len(set(members)) == len(members)
+            seen.update(frozenset(pair) for pair in rnd.tolist())
+        assert len(seen) == m * (m - 1) // 2 == table.shape[0] * table.shape[1]
+        assert all(len(pair) == 2 and max(pair) < m for pair in seen)
 
 
 class TestFormScan:
@@ -316,28 +364,28 @@ class TestFormScan:
 
     @staticmethod
     def rotated_scores(pair, contrib, th, ph):
-        scores = contrib(_rotation_stack(th, ph) @ pair)
-        g = th.size * ph.size
-        return np.concatenate((scores[:g].reshape(th.size, ph.size), scores[g:].reshape(th.size, ph.size)))
+        return contrib(_rotation_stack(th, ph) @ pair).reshape(2, th.size, ph.size)
 
-    def assert_scores_match(self, pair, measure, centers):
+    def assert_scores_match(self, pairs, measure, centers):
+        # All pairs are scored in one stack, each at its own center.
         form = measure.roof_form
-        gaa, gbb = np.sum(np.abs(pair) ** 2, axis=1)
-        score = _form_scorer(form, form.pair_coefficients(pair[0], pair[1]), gaa, gbb, np.vdot(pair[0], pair[1]))
-        for level in _FORM_LEVELS[measure.roof_form.degree][2]:
+        terms = _pair_terms(form, pairs[:, 0], pairs[:, 1])
+        for level in _FORM_LEVELS[form.degree][2]:
             th_off, ph_off = level[0], level[1]
-            for th0, ph0 in centers:
-                got = score(level, th0, ph0)
-                want = self.rotated_scores(pair, measure.roof_contrib, th0 + th_off, ph0 + ph_off)
-                assert got.shape == want.shape
-                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-15)
+            for shift in range(len(centers)):
+                th0, ph0 = np.array([centers[(b + shift) % len(centers)] for b in range(len(pairs))]).T
+                got = _level_scores(form, level, terms, th0, ph0)
+                assert got.shape == (2, len(pairs), th_off.size, ph_off.size)
+                for b, pair in enumerate(pairs):
+                    want = self.rotated_scores(pair, measure.roof_contrib, th0[b] + th_off, ph0[b] + ph_off)
+                    assert np.all(np.abs(got[:, b] - want) <= 1e-12 * np.abs(want) + 1e-15)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
     def test_every_grid_score_matches_rotated_rows(self, measure):
         rng = np.random.default_rng(31)
         centers = [(0.0, 0.0), (0.41, -1.3), (-1.2, 2.9), (1.5707963267948966, 0.5)]
-        for _ in range(20):
-            self.assert_scores_match(self.pair_with_unit_weight(rng, measure.roof_contrib_dim), measure, centers)
+        pairs = np.stack([self.pair_with_unit_weight(rng, measure.roof_contrib_dim) for _ in range(20)])
+        self.assert_scores_match(pairs, measure, centers)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
     def test_zero_weight_row(self, measure):
@@ -345,7 +393,11 @@ class TestFormScan:
         # can only move weight into it.
         pair = self.pair_with_unit_weight(np.random.default_rng(32), measure.roof_contrib_dim)
         pair[1] = 0.0
-        self.assert_scores_match(pair, measure, [(0.0, 0.0), (0.41, -1.3)])
+        self.assert_scores_match(pair[np.newaxis], measure, [(0.0, 0.0), (0.41, -1.3)])
+        form = measure.roof_form
+        start = _level_scores(form, _FORM_LEVELS[form.degree][2][0], _pair_terms(form, pair[:1], pair[1:]),
+                              np.zeros(1), np.zeros(1))
+        assert np.all(start[1, 0, 8] == 0.0)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
     @pytest.mark.parametrize("squared", [True, False], ids=["squared", "linear"])
@@ -353,13 +405,27 @@ class TestFormScan:
         # Ties between grid points may split the two scans into different
         # basins; on random pairs nearly all land on the same value.
         rng = np.random.default_rng(33)
+        pairs = np.stack([self.pair_with_unit_weight(rng, measure.roof_contrib_dim) for _ in range(100)])
+        got, _, _ = _form_scan(pairs[:, 0], pairs[:, 1], measure.roof_form, squared)
         same = 0
-        for _ in range(100):
-            pair = self.pair_with_unit_weight(rng, measure.roof_contrib_dim)
+        for pair, val in zip(pairs, got):
             ref = _pair_minimize(pair[0], pair[1], measure.roof_contrib, squared)
-            got = _pair_minimize_form(pair[0], pair[1], measure.roof_form, squared)
-            same += abs(got[0] - ref[0]) <= 1e-12 * max(ref[0], 1e-300)
+            same += abs(val - ref[0]) <= 1e-12 * max(ref[0], 1e-300)
         assert same >= 95
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    @pytest.mark.parametrize("squared", [True, False], ids=["squared", "linear"])
+    def test_stacked_slices_match_lone_scans(self, measure, squared):
+        # Each pair of a stack scans as it would alone: coefficients, Gram
+        # terms and grid scores are per pair, so the batch shares nothing.
+        rng = np.random.default_rng(35)
+        pairs = np.stack([self.pair_with_unit_weight(rng, measure.roof_contrib_dim) for _ in range(9)])
+        pairs[4, 1] = 0.0
+        stacked = _form_scan(pairs[:, 0], pairs[:, 1], measure.roof_form, squared)
+        for b, pair in enumerate(pairs):
+            lone = _form_scan(pair[:1], pair[1:], measure.roof_form, squared)
+            assert stacked[0][b] == pytest.approx(lone[0][0], rel=1e-12, abs=0.0)
+            assert (stacked[1][b], stacked[2][b]) == pytest.approx((lone[1][0], lone[2][0]), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
     @pytest.mark.parametrize("squared", [True, False], ids=["squared", "linear"])
@@ -367,15 +433,20 @@ class TestFormScan:
         # With no grid levels the scan returns its start: the objective of
         # the unrotated pair, bitwise as the per-sweep totals compute it.
         d = measure.roof_form.degree
-        n, factors, _ = _FORM_LEVELS[d]
-        monkeypatch.setitem(_FORM_LEVELS, d, (n, factors, ()))
+        i_n, factors, _ = _FORM_LEVELS[d]
+        monkeypatch.setitem(_FORM_LEVELS, d, (i_n, factors, ()))
         rng = np.random.default_rng(34)
+        pairs, starts = [], []
         for scale in (1.0, 0.3, 1e-3, 0.0):
             pair = self.pair_with_unit_weight(rng, measure.roof_contrib_dim)
             pair[1] *= scale
             c = measure.roof_contrib(pair)
-            start = float(np.sum(c * c) if squared else np.sum(c))
-            assert _pair_minimize_form(pair[0], pair[1], measure.roof_form, squared) == (start, 0.0, 0.0)
+            pairs.append(pair)
+            starts.append(float(np.sum(c * c) if squared else np.sum(c)))
+        pairs = np.stack(pairs)
+        vals, th, ph = _form_scan(pairs[:, 0], pairs[:, 1], measure.roof_form, squared)
+        assert vals.tolist() == starts
+        assert not th.any() and not ph.any()
 
     def test_rows_are_never_rotated(self, monkeypatch):
         # The form scan builds no rotation stack and calls the measure's
@@ -403,7 +474,7 @@ class TestFormScan:
 
     def test_measure_without_form_takes_the_generic_path(self, monkeypatch):
         calls = {"form": 0, "rows": 0}
-        real_form_scan, real_row_scan = convexroof._pair_minimize_form, convexroof._pair_minimize
+        real_form_scan, real_row_scan = convexroof._form_scan, convexroof._pair_minimize
 
         def form_scan(*args):
             calls["form"] += 1
@@ -413,7 +484,7 @@ class TestFormScan:
             calls["rows"] += 1
             return real_row_scan(*args)
 
-        monkeypatch.setattr(convexroof, "_pair_minimize_form", form_scan)
+        monkeypatch.setattr(convexroof, "_form_scan", form_scan)
         monkeypatch.setattr(convexroof, "_pair_minimize", row_scan)
         # A rank-2 state and one sweep per phase keep the generic path (one
         # measure call per rotated row) short.
@@ -424,9 +495,53 @@ class TestFormScan:
         closed = float(concurrence_wootters(rho))
         cfg = RoofConfig(restarts=1, max_iters=1, ensemble_size=3)
         plain = minimize_roof(rho, lambda psi: float(concurrence_pure2(psi)), cfg)
-        assert calls["form"] == 0 and calls["rows"] > 0
+        # Three members make three rounds of one pair per sweep.
+        assert calls["form"] == 0 and calls["rows"] == 6
         assert plain.upper_bound >= closed - 1e-9
         calls["rows"] = 0
         fast = minimize_roof(rho, concurrence_pure2, cfg)
-        assert calls["rows"] == 0 and calls["form"] > 0
+        assert calls["rows"] == 0 and calls["form"] == 6
         assert fast.upper_bound >= closed - 1e-9
+
+
+class TestLockstep:
+    """Restarts descend together; each keeps its own sequence."""
+
+    def test_restart_sequence_does_not_depend_on_the_others(self):
+        rho = channel_mixture_state(0.75)
+        two = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=2, max_iters=200))
+        three = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=3, max_iters=200))
+        assert three.restart_objectives[:2] == two.restart_objectives
+        assert three.restart_converged[:2] == two.restart_converged
+
+    @pytest.mark.parametrize(
+        "rho,measure", [(werner(0.7), concurrence_pure2), (channel_mixture_state(0.8), three_tangle_pure)]
+    )
+    def test_result_reports_every_restart(self, rho, measure):
+        cfg = RoofConfig(restarts=3, max_iters=100)
+        res = minimize_roof(rho, measure, cfg)
+        assert len(res.restart_objectives) == len(res.restart_converged) == 3
+        best = int(np.argmin(res.restart_objectives))
+        assert res.converged == res.restart_converged[best]
+        assert res.upper_bound == pytest.approx(min(res.restart_objectives), rel=1e-12, abs=0.0)
+        assert res.upper_bound == pytest.approx(res.best_ensemble.average(measure), rel=1e-12, abs=0.0)
+
+    def test_stacked_calls_are_chunked(self, monkeypatch):
+        # However many pairs a round holds (restarts x members / 2), one
+        # stacked scan takes at most _SCAN_CHUNK of them; a small chunk
+        # stands in for the cap on a budget far past it.
+        sizes = []
+        real_form_scan = convexroof._form_scan
+
+        def form_scan(wj, wk, form, squared):
+            sizes.append(wj.shape[0])
+            return real_form_scan(wj, wk, form, squared)
+
+        rho = channel_mixture_state(0.8)
+        cfg = RoofConfig(restarts=4, ensemble_size=6, max_iters=2)
+        whole = minimize_roof(rho, three_tangle_pure, cfg)
+        monkeypatch.setattr(convexroof, "_form_scan", form_scan)
+        monkeypatch.setattr(convexroof, "_SCAN_CHUNK", 5)
+        chunked = minimize_roof(rho, three_tangle_pure, cfg)
+        assert sizes and max(sizes) == 5 and min(sizes) >= 1
+        assert chunked.restart_objectives == whole.restart_objectives

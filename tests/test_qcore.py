@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tritangle import qcore, tolerances
 from tritangle.qcore import (
     DensityMatrix,
     DensityValidationError,
@@ -26,6 +27,7 @@ from tritangle.qcore import (
     validate_density,
     w_state,
 )
+from tritangle.tolerances import Tolerances
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -178,6 +180,12 @@ class TestDensityValidation:
             validate_density(np.eye(3) / 3)
         assert err.value.invariant == "shape"
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_qubit_count_outside_range(self, n):
+        with pytest.raises(DensityValidationError, match="num_qubits") as err:
+            DensityMatrix(n, np.eye(2**n) / 2**n)
+        assert err.value.invariant == "shape"
+
     def test_accepts_valid(self):
         dm = validate_density(np.eye(4) / 4)
         assert dm.num_qubits == 2
@@ -187,6 +195,88 @@ class TestDensityValidation:
         assert rep.shape_ok and rep.hermitian_ok and not rep.trace_ok
         assert not rep.ok
         assert density_report(np.eye(2) / 2).ok
+
+    def test_report_trace_error_is_the_modulus(self):
+        rep = density_report(np.diag([0.5 + 3e-13j, 0.5 + 4e-13j]))
+        assert rep.trace_error == pytest.approx(5e-13, rel=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_report_fails_shape_on_non_finite_entries(self, bad):
+        m = (np.eye(2) / 2).astype(complex)
+        m[0, 1] = bad
+        rep = density_report(m)
+        assert not rep.shape_ok and not rep.ok
+        with pytest.raises(DensityValidationError, match="finite") as err:
+            validate_density(m)
+        assert err.value.invariant == "shape"
+
+    def test_loose_tolerances_leave_the_default_alone(self, monkeypatch):
+        # A slightly negative eigenvalue passes only under loose tolerances.
+        # The module default is read from inside the check on every call,
+        # and it never changes.
+        default = tolerances.get_default()
+        seen = []
+        real_report = qcore.density_report
+
+        def recording(m, tols=None):
+            seen.append((tolerances.get_default(), tols))
+            return real_report(m, tols)
+
+        monkeypatch.setattr(qcore, "density_report", recording)
+        m = np.diag([1.0 + 1e-8, -1e-8])
+        with pytest.raises(DensityValidationError) as err:
+            validate_density(m)
+        assert err.value.invariant == "positivity"
+        loose = Tolerances(psd_floor=-1e-6)
+        assert validate_density(m, loose).num_qubits == 1
+        assert np.array_equal(DensityMatrix(1, m, loose).matrix, m)
+        assert [t for _, t in seen] == [default, loose, loose]
+        assert all(d is default for d, _ in seen)
+        assert tolerances.get_default() is default
+
+
+INVARIANTS = ("shape", "hermiticity", "trace", "positivity")
+
+
+@st.composite
+def candidate_matrices(draw):
+    # A random density matrix, then at most one perturbation placed on
+    # either side of its tolerance.
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(seeds))
+    m = random_density_matrix(n, draw(st.integers(1, 2**n)), rng).matrix.copy()
+    kind = draw(st.sampled_from(["none", "non-finite", "hermiticity", "trace", "negative", "shape"]))
+    if kind == "non-finite":
+        m[draw(st.integers(0, 2**n - 1)), draw(st.integers(0, 2**n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, complex(1.0, np.nan)]))
+    elif kind == "hermiticity":
+        m[0, -1] += draw(st.floats(0.0, 3e-12))
+    elif kind == "trace":
+        m = m * (1.0 + draw(st.floats(-3e-12, 3e-12)))
+    elif kind == "negative":
+        vals, vecs = np.linalg.eigh(m)
+        vals[0] = draw(st.floats(-3e-10, 1e-10))
+        vals[1:] *= (1.0 - vals[0]) / vals[1:].sum()
+        m = (vecs * vals) @ vecs.conj().T
+    elif kind == "shape":
+        m = m[:, 1:] if draw(st.booleans()) else np.eye(3) / 3
+    return m
+
+
+@given(candidate_matrices())
+@settings(max_examples=200, deadline=None)
+def test_report_ok_exactly_when_accepted(m):
+    rep = density_report(m)
+    try:
+        validate_density(m)
+    except DensityValidationError as exc:
+        raised = exc.invariant
+    else:
+        raised = None
+    assert rep.ok == (raised is None)
+    flags = (rep.shape_ok, rep.hermitian_ok, rep.trace_ok, rep.positive_ok)
+    first_failed = next((name for name, ok in zip(INVARIANTS, flags) if not ok), None)
+    assert raised == first_failed
 
 
 class TestStates:
