@@ -493,10 +493,11 @@ class TestFormScan:
         up_down[1, 1] = 1.0
         rho = DensityMatrix(2, 0.6 * bell + 0.4 * up_down)
         closed = float(concurrence_wootters(rho))
-        cfg = RoofConfig(restarts=1, max_iters=1, ensemble_size=3)
+        cfg = RoofConfig(restarts=2, max_iters=1, ensemble_size=3)
         plain = minimize_roof(rho, lambda psi: float(concurrence_pure2(psi)), cfg)
-        # Three members make three rounds of one pair per sweep.
-        assert calls["form"] == 0 and calls["rows"] == 6
+        # Three members make three rounds of one pair per sweep; each round
+        # stacks one pair of each restart.
+        assert calls["form"] == 0 and calls["rows"] == 12
         assert plain.upper_bound >= closed - 1e-9
         calls["rows"] = 0
         fast = minimize_roof(rho, concurrence_pure2, cfg)
