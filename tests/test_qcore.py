@@ -197,8 +197,10 @@ class TestDensityValidation:
         assert density_report(np.eye(2) / 2).ok
 
     def test_report_trace_error_is_the_modulus(self):
-        rep = density_report(np.diag([0.5 + 3e-13j, 0.5 + 4e-13j]))
-        assert rep.trace_error == pytest.approx(5e-13, rel=1e-3)
+        # tr - 1 = 3e-13 + 4e-13 i: the modulus is 5e-13, the sum of the
+        # parts' sizes would be 7e-13.
+        rep = density_report(np.diag([0.5 + 3e-13 + 4e-13j, 0.5]))
+        assert rep.trace_error == pytest.approx(5e-13, rel=1e-3, abs=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_report_fails_shape_on_non_finite_entries(self, bad):
