@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .convexroof import RoofConfig, minimize_roof, optimal_ghzw_ensemble
+from .convexroof import RoofConfig, minimize_roof, numerical_rank, optimal_ghzw_ensemble, roof_rank2
 from .entanglement import (
     Cut,
     GhzwMixtureParams,
@@ -208,7 +208,12 @@ def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
             "monogamy_residual": monogamy_residual(state),
         }
     if isinstance(state, DensityMatrix) and state.num_qubits == 3:
-        roof = minimize_roof(state, three_tangle_pure, roof_cfg)
+        # Rank <= 2 (the GHZ/W channel among them) is solved as an LP; the
+        # decomposition search, with its seed and budget, runs above that.
+        if numerical_rank(state) <= 2:
+            roof = roof_rank2(state, three_tangle_pure)
+        else:
+            roof = minimize_roof(state, three_tangle_pure, roof_cfg)
         return {
             "num_qubits": 3,
             "pure": False,
@@ -435,6 +440,26 @@ def _suite_roof(seed: int) -> list[dict]:
         _check("roof_mixture_zero_region", res.upper_bound <= 1e-4, f"bound {res.upper_bound:.3e}")
     )
 
+    # The LP against the closed forms: the mixture tangle at criterion 7's
+    # points, and Wootters on the Werner state's rank-2 analogue (its noise
+    # one product state instead of I/4, since the LP needs rank <= 2).
+    gaps = []
+    for p in (0.3, 0.65, 0.7, 0.9):
+        lp = roof_rank2(channel_state(p), three_tangle_pure)
+        gaps.append((f"p={p}", lp.upper_bound - float(three_tangle_ghzw(p))))
+    product = np.zeros((4, 4))
+    product[1, 1] = 1.0
+    rank2 = DensityMatrix(2, w_mix * bell_proj + (1.0 - w_mix) * product)
+    lp = roof_rank2(rank2, concurrence_pure2)
+    gaps.append(("two-qubit", lp.upper_bound - float(concurrence_wootters(rank2))))
+    checks.append(
+        _check(
+            "roof_rank2_lp",
+            all(-1e-10 <= gap <= 1e-8 for _, gap in gaps),
+            "LP - closed: " + ", ".join(f"{name} {gap:+.3e}" for name, gap in gaps),
+        )
+    )
+
     params = GhzwMixtureParams.standard()
     worst_member = 0.0
     for p in (0.0, 0.2, 0.4, params.p0):
@@ -521,8 +546,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
+def _add_common(parser: argparse.ArgumentParser, seed_use: str = "RNG seed") -> None:
+    parser.add_argument("--seed", type=int, default=None, help=f"{seed_use} (default: ${SEED_ENV} or {DEFAULT_SEED})")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
 
@@ -538,27 +563,28 @@ def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps
     )
 
 
-def _add_roof(parser: argparse.ArgumentParser, restarts: int, max_iters: int) -> None:
+def _add_roof(parser: argparse.ArgumentParser, restarts: int, max_iters: int, scope: str = "") -> None:
+    # scope ends each help text: where the search runs, if not on every input.
     parser.add_argument(
         "--roof-restarts",
         type=_capped_int(_MAX_ROOF_RESTARTS),
         default=restarts,
         help=f"decomposition-search restarts (default {restarts}; at most {_MAX_ROOF_RESTARTS}, "
-        "since every restart's seed is drawn before the search starts)",
+        f"since every restart's seed is drawn before the search starts){scope}",
     )
     parser.add_argument(
         "--roof-max-iters",
         type=_capped_int(_MAX_ROOF_ITERS),
         default=max_iters,
         help=f"decomposition-search sweep cap (default {max_iters}; at most {_MAX_ROOF_ITERS}, "
-        "far above the tens of sweeps a search takes to converge)",
+        f"far above the tens of sweeps a search takes to converge){scope}",
     )
     parser.add_argument(
         "--roof-ensemble-size",
         type=_capped_int(_MAX_ROOF_ENSEMBLE),
         default=None,
         help=f"decomposition size (default: rank + 2; at most {_MAX_ROOF_ENSEMBLE}: a rank-r roof needs "
-        "at most r^2 members, and a sweep visits every pair of members)",
+        f"at most r^2 members, and a sweep visits every pair of members){scope}",
     )
 
 
@@ -579,10 +605,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_fig4, default_format="csv")
 
-    p = sub.add_parser("measures", help="evaluate measures for a JSON state file")
+    p = sub.add_parser(
+        "measures",
+        help="evaluate measures for a JSON state file",
+        description="Evaluate every applicable measure for a state file.  The tangle of a three-qubit "
+        "mixed state of rank <= 2 is the convex roof solved as a linear program on the Bloch sphere of "
+        "its range; at rank >= 3 it is an upper bound from the seeded decomposition search.",
+    )
     p.add_argument("state_file", help="path to a pure or mixed state file")
-    _add_roof(p, 2, 200)
-    _add_common(p)
+    search_runs = "runs only on three-qubit mixed states of rank >= 3"
+    _add_roof(p, 2, 200, f"; the search {search_runs}")
+    _add_common(p, f"seed of the decomposition search, which {search_runs}")
     p.set_defaults(func=cmd_measures, default_format="json")
 
     p = sub.add_parser("teleport", help="teleport one input state")

@@ -1,4 +1,6 @@
-"""Direct numerical search over pure-state decompositions of a mixed state.
+"""Convex roofs: a decomposition search, and a linear program at rank 2.
+
+The search (:func:`minimize_roof`) works at any rank.
 
 Any size-m decomposition of a rank-r density matrix arises from an m x r
 matrix with orthonormal columns applied to the scaled eigenvectors, so the
@@ -25,8 +27,19 @@ scored in one stacked scan, all restarts finish the squared phase before
 any starts the plain one, and a restart that has converged waits, so
 each restart's sequence depends only on its own seed.
 
-Everything here is an upper bound on the true convex roof; agreement
-with a closed form, never the search alone, is the validation signal.
+At rank <= 2 the roof is solved instead by :func:`roof_rank2`.  The pure
+states in the range form a Bloch sphere, and the roof at the state is the
+convex envelope of the measure there (Lohmayer et al., PRL 97, 260502
+(2006); Osterloh, Siewert and Uhlmann, PRA 77, 032310 (2008)): a linear
+program with 4 equality rows over points of the sphere, solved by a dense
+revised simplex on a grid seeded with the measure's zeros, with cutting
+planes at the local minima of the measure less the dual plane.  Its basic
+solution is a decomposition of at most 4 members.
+
+Everything here is an upper bound on the true convex roof, the average of
+the measure over an explicit decomposition; agreement with a closed form,
+never one method alone, is the validation signal.  The search stays the
+tests' independent oracle for the LP.
 """
 
 from __future__ import annotations
@@ -486,6 +499,276 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
         tuple(float(v) for v in objs),
         tuple(bool(c) for c in converged),
     )
+
+
+# --- rank 2: the roof as a linear program on the Bloch sphere ---------------
+
+# Polar angles 0..pi (both poles included) by azimuths 0..2 pi (periodic):
+# the columns that every LP starts from.  Temporaries stay near 1 MB.
+_LP_GRID = (61, 120)
+# Cutting-plane rounds, and grid minima of tau - l refined in each round.
+_LP_ROUNDS = 10
+_LP_CUTS = 8
+# Simplex pivots per solve, and the reduced cost (and violation of the dual
+# plane) that counts as negative.
+_LP_PIVOTS = 200
+_LP_TOL = 1e-12
+# Local refinement of a cut: 9 x 9 offsets spanning one grid cell around the
+# best point so far, shrinking fourfold per level, to steps of about 5e-11 rad.
+_LP_REFINE = tuple(np.linspace(-1.0, 1.0, 9) / 4.0**k for k in range(15))
+# Offsets, in patch widths, of the columns added around a cut.  A patch
+# spans the cut's distance to the nearest member, so it straddles the contact
+# point of the dual plane between them at a quarter of that distance (one
+# column per cut would only halve the distance per round).
+_LP_PATCH = np.linspace(-1.0, 1.0, 9)
+
+
+@dataclass(frozen=True)
+class Rank2Roof:
+    """Convex roof of a state of rank <= 2, from :func:`roof_rank2`.
+
+    upper_bound is ensemble.average(measure).  converged is True when the
+    last cutting round found no point of the sphere below the dual plane,
+    False when the rounds (or a solve's pivots) ran out first.
+    """
+
+    upper_bound: float
+    ensemble: Ensemble
+    converged: bool
+    rounds: int
+    pivots: int
+
+
+def numerical_rank(rho) -> int:
+    """Rank as the roof routines count it: eigenvalues above rank_cutoff."""
+    if not isinstance(rho, DensityMatrix):
+        rho = validate_density(rho)
+    return _rank_factor(rho)[0]
+
+
+def _sphere_values(form, h: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    # The measure at Bloch angles (th, ph), broadcast together: the unit
+    # vector cos(th/2) e1 + e^{i ph} sin(th/2) e2 has form value
+    # sum_n h_n cos^(d-n)(th/2) sin^n(th/2) e^{i n ph}.
+    n = np.arange(form.degree + 1)
+    c = np.cos(0.5 * th)[..., np.newaxis]
+    s = np.sin(0.5 * th)[..., np.newaxis]
+    mono = c ** (form.degree - n) * s**n
+    values = np.einsum("...n,...n->...", mono * h, np.exp(1j * ph[..., np.newaxis] * n))
+    return form.score(values, np.ones(values.shape))
+
+
+def _bloch_columns(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    # LP columns (1, n) for the Bloch vectors n at angles (th, ph): (4, N).
+    st = np.sin(th)
+    return np.stack((np.ones(th.shape), st * np.cos(ph), st * np.sin(ph), np.cos(th)))
+
+
+def _simplex(a, c, b, basis):
+    # Dense revised simplex for min c.x subject to a x = b, x >= 0, from the
+    # feasible basis given (updated in place); Dantzig's entering rule.
+    # Returns the basic solution, the dual solution, the pivots taken and
+    # whether optimality was reached within _LP_PIVOTS.
+    for pivots in range(_LP_PIVOTS + 1):
+        ab = a[:, basis]
+        x = np.linalg.solve(ab, b)
+        y = np.linalg.solve(ab.T, c[basis])
+        reduced = c - y @ a
+        j = int(np.argmin(reduced))
+        if reduced[j] >= -_LP_TOL or pivots == _LP_PIVOTS:
+            return x, y, pivots, bool(reduced[j] >= -_LP_TOL)
+        # a's first row is all ones, so the direction sums to one and has a
+        # positive entry: the feasible set is bounded.
+        u = np.linalg.solve(ab, a[:, j])
+        ratios = np.full(u.shape, np.inf)
+        pos = u > _LP_TOL
+        ratios[pos] = np.maximum(x[pos], 0.0) / u[pos]
+        basis[int(np.argmin(ratios))] = j
+
+
+def _basic_weights(ab: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # The basic solution x with no negative weight.  In a nearly singular
+    # basis (columns a hair apart) rounding can split a weight into a
+    # negative and a positive part; such columns leave, and the rest are
+    # refitted to ab w = b by least squares, until no weight is negative.
+    w = x
+    while (w < 0.0).any():
+        keep = w > 0.0
+        w = np.zeros(x.shape)
+        w[keep] = np.linalg.lstsq(ab[:, keep], b, rcond=None)[0]
+    return w
+
+
+def _grid_minima(f: np.ndarray) -> np.ndarray:
+    # Flat indices of the points of the (theta, phi) grid that are no larger
+    # than their eight neighbours (phi periodic), smallest first; a pole row
+    # is one point, so only its first entry counts.
+    padded = np.pad(f, ((1, 1), (0, 0)), constant_values=np.inf)
+    low = np.ones(f.shape, dtype=bool)
+    for dt in (-1, 0, 1):
+        rows = padded[1 + dt : padded.shape[0] - 1 + dt]
+        for dp in (-1, 0, 1):
+            if dt or dp:
+                low &= f <= np.roll(rows, dp, axis=1)
+    low[0, 1:] = low[-1, 1:] = False
+    idx = np.flatnonzero(low)
+    return idx[np.argsort(f.ravel()[idx], kind="stable")]
+
+
+def _stencil(th: np.ndarray, ph: np.ndarray, width, offsets: np.ndarray):
+    # The points (th + width o, ph + width o') for every pair of offsets
+    # (o, o'), around each of K centers, width a scalar or one per center:
+    # two (K, offsets.size^2) arrays.
+    w = np.broadcast_to(width, th.shape)[:, np.newaxis, np.newaxis]
+    t, p = np.broadcast_arrays(
+        th[:, np.newaxis, np.newaxis] + w * offsets[:, np.newaxis],
+        ph[:, np.newaxis, np.newaxis] + w * offsets,
+    )
+    return t.reshape(th.size, -1), p.reshape(th.size, -1)
+
+
+def _refine(f, th: np.ndarray, ph: np.ndarray, cell: float):
+    # Coarse-to-fine search for a local minimum of f(th, ph) around each
+    # start point; the center is always a candidate, so f never rises.
+    best = f(th, ph)
+    pick = np.arange(th.size)
+    for offsets in _LP_REFINE:
+        t, p = _stencil(th, ph, cell, offsets)
+        vals = f(t, p)
+        i = vals.argmin(axis=1)
+        better = vals[pick, i] < best
+        best = np.where(better, vals[pick, i], best)
+        th = np.where(better, t[pick, i], th)
+        ph = np.where(better, p[pick, i], ph)
+    return th, ph, best
+
+
+def roof_rank2(rho, measure) -> Rank2Roof:
+    """Convex roof of a pure-state measure at a state of rank <= 2, by LP.
+
+    The pure states in the range of rho = l1 |e1><e1| + l2 |e2><e2| are the
+    points n of a Bloch sphere, and a decomposition is a set of points with
+    weights x_i >= 0 and sum_i x_i (1, n_i) = (1, 0, 0, (l1 - l2)/(l1 + l2)).
+    So the roof is the linear program min sum_i x_i tau(n_i) over such
+    points; its basic solution is a decomposition of at most 4 members.
+    The measure must carry a roof_form (an entanglement.RoofForm) for the
+    state dimension; tau is read off the form's pair coefficients of
+    (e1, e2).  The columns are a 61 x 120 grid plus the zeros of tau (the
+    roots of the pair polynomial, which a grid misses).  With the dual
+    plane l(n) = y.(1, n), each cutting round refines the lowest local
+    minima of tau - l on the grid and adds those below l as columns, until
+    none is (converged) or 10 rounds have run.
+
+    The returned ensemble is checked to reconstruct rho, and its average
+    of measure is the upper bound, as for :func:`minimize_roof`.  Rank 1
+    returns the state itself.  Raises ValueError above rank 2.
+    """
+    if not isinstance(rho, DensityMatrix):
+        rho = validate_density(rho)
+    form = getattr(measure, "roof_form", None)
+    if form is None or getattr(measure, "roof_contrib_dim", None) != rho.dim:
+        raise ValueError(f"roof_rank2 needs a measure with a roof form on dimension {rho.dim}")
+    r, factor = _rank_factor(rho)
+    if r > 2:
+        raise ValueError(f"roof_rank2 needs a state of rank <= 2, got rank {r}")
+    if r == 1:
+        ensemble = _ensemble_from_rows(rho, factor)
+        return Rank2Roof(ensemble.average(measure), ensemble, True, 0, 0)
+
+    lam = np.sum(np.abs(factor) ** 2, axis=1)
+    e1, e2 = factor / np.sqrt(lam)[:, np.newaxis]
+    h = form.pair_coefficients(e1, e2)
+
+    def tau(th, ph):
+        return _sphere_values(form, h, th, ph)
+
+    gt, gp = _LP_GRID
+    grid_th = np.linspace(0.0, math.pi, gt)
+    grid_ph = np.linspace(0.0, 2.0 * math.pi, gp, endpoint=False)
+    # Zeros of tau: the roots z = y/x of sum_n h_n z^n at the angles
+    # (2 atan|z|, arg z); a missing root (h_d = 0) is the south pole, a grid
+    # point.  Coefficients below eps of the largest count as zero, which
+    # moves tau by at most d eps of its scale and keeps the roots finite.
+    coef = h[::-1] / max(float(np.abs(h).max()), np.finfo(float).tiny)
+    coef[np.abs(coef) < np.finfo(float).eps] = 0.0
+    z = np.roots(coef)
+    root_th, root_ph = 2.0 * np.arctan(np.abs(z)), np.angle(z)
+    th = np.concatenate((np.repeat(grid_th, gp), root_th))
+    ph = np.concatenate((np.tile(grid_ph, gt), root_ph))
+    a = _bloch_columns(th, ph)
+    # The grid is scored as a product of a theta table and a phi table.
+    c = np.concatenate((tau(grid_th[:, np.newaxis], grid_ph).ravel(), tau(root_th, root_ph)))
+    b = np.array([1.0, 0.0, 0.0, (lam[0] - lam[1]) / (lam[0] + lam[1])])
+    # North pole, south pole and the equator at phi = 0 and pi/2: the
+    # eigendecomposition, plus two members of zero weight.
+    basis = np.array([0, (gt - 1) * gp, (gt // 2) * gp, (gt // 2) * gp + gp // 4])
+
+    # The grid is square: pi/60 in both angles.
+    cell = grid_th[1]
+
+    def cuts(y, support):
+        # Points below the plane l(n) = y.(1, n): the lowest local minima of
+        # tau - l on the grid, refined, each with the width of its patch,
+        # its distance to the nearest member (support columns), at most one
+        # cell; a cut within the patch of a lower one is dropped.  None if
+        # a column is below the plane (y is then no dual solution).
+        reduced = c - y @ a
+        if reduced.min() < -_LP_TOL:
+            return None
+        start = _grid_minima(reduced[: gt * gp].reshape(gt, gp))[:_LP_CUTS]
+
+        def below_plane(t, p):
+            return tau(t, p) - np.tensordot(y, _bloch_columns(t, p), axes=1)
+
+        cut_th, cut_ph, f = _refine(below_plane, th[start], ph[start], cell)
+        n = _bloch_columns(cut_th, cut_ph)[1:]
+        near = np.linalg.norm(n[:, :, np.newaxis] - a[1:, support][:, np.newaxis], axis=0).min(axis=1)
+        width = np.minimum(near, cell)
+        keep = []
+        for i in np.argsort(f):
+            if f[i] < -_LP_TOL and all(np.linalg.norm(n[:, i] - n[:, k]) > width[k] for k in keep):
+                keep.append(i)
+        return cut_th[keep], cut_ph[keep], width[keep]
+
+    pivots = 0
+    converged = False
+    for rounds in range(1, _LP_ROUNDS + 1):
+        x, y, steps, optimal = _simplex(a, c, b, basis)
+        pivots += steps
+        if not optimal:
+            break
+        support = basis[x > _LP_TOL]
+        new = cuts(y, support)
+        if new[0].size and support.size < basis.size:
+            # A degenerate basis leaves the dual free along its zero-weight
+            # columns, and the simplex's plane is tilted to touch tau there;
+            # the least-norm plane through the members alone may be below
+            # tau everywhere (a separable range, say).
+            # Least norm: y = A g^-1 c over the member columns A, with
+            # g = A^T A lifted by eps of its trace so that it is never singular.
+            at = a[:, support]
+            g = at.T @ at
+            g[np.diag_indices_from(g)] += np.finfo(float).eps * np.trace(g)
+            flat = cuts(at @ np.linalg.solve(g, c[support]), support)
+            if flat is not None and not flat[0].size:
+                new = flat
+        if not new[0].size:
+            converged = True
+            break
+        new_th, new_ph = (v.ravel() for v in _stencil(*new, _LP_PATCH))
+        th = np.concatenate((th, new_th))
+        ph = np.concatenate((ph, new_ph))
+        a = np.concatenate((a, _bloch_columns(new_th, new_ph)), axis=1)
+        c = np.concatenate((c, tau(new_th, new_ph)))
+    else:
+        x, _, steps, _ = _simplex(a, c, b, basis)
+        pivots += steps
+
+    half = 0.5 * th[basis]
+    members = np.cos(half)[:, np.newaxis] * e1 + (np.exp(1j * ph[basis]) * np.sin(half))[:, np.newaxis] * e2
+    rows = np.sqrt(_basic_weights(a[:, basis], b, x))[:, np.newaxis] * members
+    ensemble = _ensemble_from_rows(rho, rows)
+    return Rank2Roof(ensemble.average(measure), ensemble, converged, rounds, pivots)
 
 
 def optimal_ghzw_ensemble(p: float, params: GhzwMixtureParams | None = None) -> Ensemble:

@@ -11,8 +11,8 @@ import pytest
 
 import tritangle
 from tritangle import cli
-from tritangle.entanglement import channel_mixture_state
-from tritangle.qcore import DensityMatrix, PureState, ghz_state, save_state_file
+from tritangle.entanglement import channel_mixture_state, three_tangle_ghzw
+from tritangle.qcore import DensityMatrix, PureState, ghz_state, random_density_matrix, save_state_file
 
 
 def run(argv, capsys):
@@ -159,6 +159,39 @@ class TestMeasures:
         assert payload["concurrence_ac"] == pytest.approx(payload["concurrence_bc"], abs=1e-9)
         assert payload["tangle_upper_bound"] <= 1e-3
         assert payload["tangle_bound_converged"] is True
+
+    def test_rank_two_takes_the_lp_and_rank_three_the_search(self, mixture_file, tmp_path, capsys, monkeypatch):
+        calls = []
+        search = cli.minimize_roof
+        monkeypatch.setattr(cli, "minimize_roof", lambda *args: calls.append(args) or search(*args))
+        code, out, _ = run(["measures", mixture_file], capsys)
+        assert code == 0 and calls == []
+        keys = list(json.loads(out))
+        assert keys == [
+            "num_qubits",
+            "pure",
+            "concurrence_ab",
+            "concurrence_ac",
+            "concurrence_bc",
+            "tangle_upper_bound",
+            "tangle_bound_converged",
+        ]
+        rank3 = tmp_path / "rank3.json"
+        save_state_file(rank3, random_density_matrix(3, 3, np.random.default_rng(3)))
+        code, out, _ = run(["measures", str(rank3), "--roof-max-iters", "5"], capsys)
+        assert code == 0 and len(calls) == 1
+        assert list(json.loads(out)) == keys
+
+    def test_rank_two_tangle_is_the_closed_form(self, tmp_path, capsys):
+        for p in (0.2, 0.7, 0.9):
+            path = tmp_path / f"mix{p}.json"
+            save_state_file(path, channel_mixture_state(p))
+            code, out, _ = run(["measures", str(path)], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            gap = payload["tangle_upper_bound"] - float(three_tangle_ghzw(p))
+            assert -1e-10 <= gap <= 1e-8
+            assert payload["tangle_bound_converged"] is True
 
     def test_csv_format(self, bell_file, capsys):
         code, out, _ = run(["measures", bell_file, "--format", "csv"], capsys)
@@ -399,6 +432,9 @@ class TestUsageErrors:
         text = " ".join(capsys.readouterr().out.split())
         if command != "measures":
             assert "at most 100000, each point is a full evaluation" in text
+        if command == "measures":
+            assert text.count("the search runs only on three-qubit mixed states of rank >= 3") == 3
+            assert "seed of the decomposition search, which runs only on three-qubit mixed states of rank >= 3" in text
         if command != "fig1":
             assert "at most 1000, since every restart's seed is drawn" in text
             assert "at most 10000, far above" in text
@@ -439,6 +475,15 @@ class TestValidate:
         ]
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_roof_suite_checks_the_lp(self, capsys):
+        code, out, _ = run(["validate", "roof"], capsys)
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        lp = checks["roof_rank2_lp"]
+        assert lp["passed"] is True
+        for label in ("p=0.3", "p=0.65", "p=0.7", "p=0.9", "two-qubit"):
+            assert f"{label} " in lp["detail"]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["validate", "everything"])
@@ -459,24 +504,35 @@ class TestImport:
 
 
 class TestSeedPlumbing:
+    # The seed reaches the decomposition search, which `measures` runs on
+    # three-qubit states of rank 3 and above (rank <= 2 is an LP).
     ARGS = ["measures", None, "--roof-restarts", "1", "--roof-max-iters", "20"]
 
-    def _run_measures(self, mixture_file, extra, capsys, monkeypatch, env=None):
+    @pytest.fixture
+    def rank3_file(self, tmp_path):
+        path = tmp_path / "rank3.json"
+        save_state_file(path, random_density_matrix(3, 3, np.random.default_rng(11)))
+        return str(path)
+
+    def _run_measures(self, state_file, extra, capsys, monkeypatch, env=None):
         if env is None:
             monkeypatch.delenv(cli.SEED_ENV, raising=False)
         else:
             monkeypatch.setenv(cli.SEED_ENV, env)
-        argv = [a if a is not None else mixture_file for a in self.ARGS] + extra
+        argv = [a if a is not None else state_file for a in self.ARGS] + extra
         code, out, _ = run(argv, capsys)
         assert code == 0
         return out
 
-    def test_same_seed_same_bytes(self, mixture_file, capsys, monkeypatch):
-        a = self._run_measures(mixture_file, ["--seed", "7"], capsys, monkeypatch)
-        b = self._run_measures(mixture_file, ["--seed", "7"], capsys, monkeypatch)
+    def test_same_seed_same_bytes(self, rank3_file, capsys, monkeypatch):
+        a = self._run_measures(rank3_file, ["--seed", "7"], capsys, monkeypatch)
+        b = self._run_measures(rank3_file, ["--seed", "7"], capsys, monkeypatch)
         assert a == b
+        other = self._run_measures(rank3_file, ["--seed", "8"], capsys, monkeypatch)
+        assert other != a
 
-    def test_env_seed_matches_flag_seed(self, mixture_file, capsys, monkeypatch):
-        via_flag = self._run_measures(mixture_file, ["--seed", "7"], capsys, monkeypatch)
-        via_env = self._run_measures(mixture_file, [], capsys, monkeypatch, env="7")
+    def test_env_seed_matches_flag_seed(self, rank3_file, capsys, monkeypatch):
+        via_flag = self._run_measures(rank3_file, ["--seed", "7"], capsys, monkeypatch)
+        via_env = self._run_measures(rank3_file, [], capsys, monkeypatch, env="7")
         assert via_flag == via_env
+        assert via_env != self._run_measures(rank3_file, [], capsys, monkeypatch, env="8")

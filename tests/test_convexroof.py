@@ -26,16 +26,20 @@ from tritangle.convexroof import (
     _round_robin,
     ensemble_from_mixing,
     minimize_roof,
+    numerical_rank,
     optimal_ghzw_ensemble,
+    roof_rank2,
 )
 from tritangle.entanglement import (
     GhzwMixtureParams,
     channel_mixture_state,
     concurrence_pure2,
     concurrence_wootters,
+    three_tangle_ghzw,
     three_tangle_pure,
 )
-from tritangle.qcore import DensityMatrix, PureState, random_density_matrix
+from tritangle.qcore import DensityMatrix, PureState, ghz_state, random_density_matrix
+from tritangle.tolerances import get_default
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -549,3 +553,124 @@ class TestLockstep:
         chunked = minimize_roof(rho, three_tangle_pure, cfg)
         assert sizes and max(sizes) == 5 and min(sizes) >= 1
         assert chunked.restart_objectives == whole.restart_objectives
+
+
+def basis_mixture(num_qubits, weights):
+    # Diagonal state sum_k weights[k] |k><k|: its eigenvectors are exact
+    # basis vectors, so the pair coefficients are exact.
+    m = np.zeros((2**num_qubits, 2**num_qubits))
+    for k, w in weights.items():
+        m[k, k] = w
+    return DensityMatrix(num_qubits, m)
+
+
+MEASURES = {2: concurrence_pure2, 3: three_tangle_pure}
+
+
+class TestRoofRank2:
+    """The rank-2 roof as an LP: a real ensemble, checked against closed forms."""
+
+    def assert_valid(self, rho, res, measure):
+        assert res.ensemble.size <= 4
+        err = np.abs(res.ensemble.reconstruct() - rho.matrix).max()
+        assert err <= get_default().reconstruction_atol
+        assert res.upper_bound == res.ensemble.average(measure)
+
+    def test_mixture_matches_closed_form_on_every_branch(self):
+        g = GhzwMixtureParams.standard()
+        ps = np.linspace(0.02, 0.95, 50)
+        assert (ps < g.p0).sum() >= 10 and ((ps > g.p0) & (ps < g.p1)).sum() >= 5 and (ps > g.p1).sum() >= 10
+        for p in ps:
+            rho = channel_mixture_state(p)
+            res = roof_rank2(rho, three_tangle_pure)
+            self.assert_valid(rho, res, three_tangle_pure)
+            gap = res.upper_bound - float(three_tangle_ghzw(p))
+            assert -1e-10 <= gap <= 1e-8, (p, gap)
+            if p < g.p0:
+                assert gap <= 1e-12, (p, gap)
+            assert res.converged, p
+
+    def test_rank_one_is_the_state_itself(self):
+        psi = PureState(3, (ghz_state().amplitudes + np.eye(8)[1]) / math.sqrt(2.0))
+        rho = psi.density()
+        res = roof_rank2(rho, three_tangle_pure)
+        self.assert_valid(rho, res, three_tangle_pure)
+        assert res.ensemble.size == 1 and res.converged and res.rounds == 0
+        assert res.upper_bound == pytest.approx(float(three_tangle_pure(psi)), abs=1e-14)
+
+    def test_equal_eigenvalues(self):
+        rho = channel_mixture_state(0.5)
+        res = roof_rank2(rho, three_tangle_pure)
+        self.assert_valid(rho, res, three_tangle_pure)
+        assert 0.0 <= res.upper_bound <= 1e-12
+        bell = bell_density().matrix
+        flip = np.zeros((4, 4))
+        flip[1, 2] = flip[2, 1] = flip[1, 1] = flip[2, 2] = 0.5
+        rho2 = DensityMatrix(2, 0.5 * bell + 0.5 * flip)
+        res = roof_rank2(rho2, concurrence_pure2)
+        self.assert_valid(rho2, res, concurrence_pure2)
+        assert res.upper_bound == pytest.approx(float(concurrence_wootters(rho2)), abs=1e-12)
+
+    @pytest.mark.parametrize("num_qubits,weights", [(3, {0: 0.7, 7: 0.3}), (2, {0: 0.7, 3: 0.3})])
+    def test_root_at_the_pole(self, num_qubits, weights):
+        # Range |0..0>, |1..1>: the pair polynomial's end coefficients are
+        # form(|0..0>) = form(|1..1>) = 0, so its leading coefficient vanishes
+        # and one root is at the pole; the roof is 0.
+        rho = basis_mixture(num_qubits, weights)
+        measure = MEASURES[num_qubits]
+        h = measure.roof_form.pair_coefficients(np.eye(2**num_qubits)[0], np.eye(2**num_qubits)[-1])
+        assert h[-1] == 0.0 and h[0] == 0.0 and np.abs(h).max() > 0.0
+        res = roof_rank2(rho, measure)
+        self.assert_valid(rho, res, measure)
+        assert res.upper_bound <= 1e-15 and res.converged
+
+    def test_form_identically_zero_on_the_range(self):
+        rho = basis_mixture(3, {0: 0.6, 1: 0.4})
+        e = np.eye(8)
+        assert not np.any(three_tangle_pure.roof_form.pair_coefficients(e[0], e[1]))
+        res = roof_rank2(rho, three_tangle_pure)
+        self.assert_valid(rho, res, three_tangle_pure)
+        assert res.upper_bound == 0.0 and res.converged and res.rounds == 1
+
+    @pytest.mark.parametrize("w", [0.8, 0.2])
+    def test_rejects_rank_above_two(self, w):
+        with pytest.raises(ValueError, match="rank <= 2, got rank 4"):
+            roof_rank2(werner(w), concurrence_pure2)
+        assert numerical_rank(werner(w)) == 4
+
+    def test_rejects_measure_without_form(self):
+        with pytest.raises(ValueError, match="roof form on dimension 8"):
+            roof_rank2(channel_mixture_state(0.7), lambda psi: 0.0)
+        with pytest.raises(ValueError, match="roof form on dimension 8"):
+            roof_rank2(channel_mixture_state(0.7), concurrence_pure2)
+
+    def test_round_cap_is_not_convergence(self, monkeypatch):
+        monkeypatch.setattr(convexroof, "_LP_ROUNDS", 1)
+        rho = channel_mixture_state(0.7)
+        res = roof_rank2(rho, three_tangle_pure)
+        self.assert_valid(rho, res, three_tangle_pure)
+        assert not res.converged and res.rounds == 1
+        assert res.upper_bound >= float(three_tangle_ghzw(0.7)) - 1e-10
+
+    def test_pivot_cap_is_not_convergence(self, monkeypatch):
+        monkeypatch.setattr(convexroof, "_LP_PIVOTS", 1)
+        rho = channel_mixture_state(0.7)
+        res = roof_rank2(rho, three_tangle_pure)
+        self.assert_valid(rho, res, three_tangle_pure)
+        assert not res.converged and res.pivots == 1
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=seeds, num_qubits=st.sampled_from([2, 3]), rank=st.sampled_from([1, 2]))
+    def test_random_states_against_the_oracles(self, seed, num_qubits, rank):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(num_qubits, rank, rng)
+        measure = MEASURES[num_qubits]
+        res = roof_rank2(rho, measure)
+        self.assert_valid(rho, res, measure)
+        if num_qubits == 2:
+            gap = res.upper_bound - float(concurrence_wootters(rho))
+            assert -1e-12 <= gap <= 1e-8
+        else:
+            # The search at the budget of `measures`.
+            search = minimize_roof(rho, measure, RoofConfig(restarts=2, max_iters=200, seed=seed % 1000))
+            assert res.upper_bound <= search.upper_bound + 1e-8

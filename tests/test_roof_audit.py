@@ -1,4 +1,4 @@
-"""scripts/roof_audit.py: the exit code follows the criterion-7 band."""
+"""scripts/roof_audit.py: the exit code follows the criterion-7 band, for the search and the LP."""
 
 import importlib.util
 import pathlib
@@ -18,38 +18,65 @@ def load_audit():
     return module
 
 
+def patched(monkeypatch, search_offset=0.0, lp_offset=0.0, seen=None):
+    # Both methods are replaced by bounds at fixed offsets from the closed form.
+    audit = load_audit()
+    monkeypatch.setattr(audit, "channel_mixture_state", lambda p: p)
+
+    def search(p, measure, cfg):
+        if seen is not None:
+            seen.append(p)
+        return types.SimpleNamespace(upper_bound=float(three_tangle_ghzw(p)) + search_offset)
+
+    monkeypatch.setattr(audit, "minimize_roof", search)
+    monkeypatch.setattr(
+        audit,
+        "roof_rank2",
+        lambda p, measure: types.SimpleNamespace(upper_bound=float(three_tangle_ghzw(p)) + lp_offset),
+    )
+    return audit
+
+
 @pytest.mark.parametrize(
     "offset,code",
     [(-1e-3, 1), (-2e-6, 1), (6e-3, 1), (-5e-7, 0), (0.0, 0), (4e-3, 0)],
 )
 def test_exit_code_follows_the_band(offset, code, monkeypatch, capsys):
-    # The search is replaced by a bound at a fixed offset from the closed form.
-    audit = load_audit()
-    monkeypatch.setattr(audit, "channel_mixture_state", lambda p: p)
-    monkeypatch.setattr(
-        audit,
-        "minimize_roof",
-        lambda p, measure, cfg: types.SimpleNamespace(upper_bound=float(three_tangle_ghzw(p)) + offset),
-    )
+    audit = patched(monkeypatch, search_offset=offset)
     assert audit.main(["--points", "3"]) == code
     out = capsys.readouterr().out
-    assert out.count("<-- out of band") == (3 if code else 0)
-    assert f"{3 if code else 0} point(s) out of band" in out
+    assert out.count("<-- search out of band") == (3 if code else 0)
+    assert f"search: worst |gap| = {abs(offset):.2e}, {3 if code else 0} point(s) out of band" in out
+    assert "LP: worst |gap| = 0.00e+00, 0 point(s) out of band" in out
+
+
+@pytest.mark.parametrize(
+    "offset,code",
+    [(-1e-3, 1), (-2e-6, 1), (6e-3, 1), (-5e-7, 0), (0.0, 0), (4e-3, 0)],
+)
+def test_lp_out_of_band_fails_the_audit(offset, code, monkeypatch, capsys):
+    audit = patched(monkeypatch, lp_offset=offset)
+    assert audit.main(["--points", "3"]) == code
+    out = capsys.readouterr().out
+    assert out.count("<-- LP out of band") == (3 if code else 0)
+    assert "search: worst |gap| = 0.00e+00, 0 point(s) out of band" in out
+    assert f"LP: worst |gap| = {abs(offset):.2e}, {3 if code else 0} point(s) out of band" in out
+
+
+def test_both_out_of_band_are_named(monkeypatch, capsys):
+    audit = patched(monkeypatch, search_offset=6e-3, lp_offset=-1e-3)
+    assert audit.main(["--points", "2"]) == 1
+    assert capsys.readouterr().out.count("<-- search and LP out of band") == 2
 
 
 def test_grid_spans_start_to_stop(monkeypatch, capsys):
-    audit = load_audit()
     seen = []
-    monkeypatch.setattr(audit, "channel_mixture_state", lambda p: p)
-
-    def bound(p, measure, cfg):
-        seen.append(p)
-        return types.SimpleNamespace(upper_bound=float(three_tangle_ghzw(p)))
-
-    monkeypatch.setattr(audit, "minimize_roof", bound)
+    audit = patched(monkeypatch, seen=seen)
     assert audit.main(["--points", "5", "--start", "0.02", "--stop", "0.3"]) == 0
     assert seen == pytest.approx([0.02, 0.09, 0.16, 0.23, 0.3], abs=1e-15)
-    assert "0 point(s) out of band" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "search: worst |gap| = 0.00e+00, 0 point(s) out of band" in out
+    assert "LP: worst |gap| = 0.00e+00, 0 point(s) out of band" in out
     with pytest.raises(SystemExit) as exc:
         audit.main(["--start", "0.5", "--stop", "0.4"])
     assert exc.value.code == 2
