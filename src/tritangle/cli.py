@@ -26,7 +26,7 @@ from .entanglement import (
     three_tangle_ghzw,
     three_tangle_pure,
 )
-from .noisychan import channel_report
+from .noisychan import channel_report, epsilon_x_w, zero_tangle_ensemble
 from .qcore import (
     DensityMatrix,
     PureState,
@@ -292,8 +292,7 @@ def cmd_noisy(args) -> int:
         if not (0 <= args.start < args.stop) or args.steps < 2:
             return _usage_error("need 0 <= start < stop and steps >= 2")
         kts = list(np.linspace(args.start, args.stop, args.steps))
-    roof_cfg = _roof_config(args, _resolve_seed(args))
-    reports = [channel_report(float(kt), roof_cfg) for kt in kts]
+    reports = [channel_report(float(kt)) for kt in kts]
     header = [
         "kappa_t",
         "valid",
@@ -302,6 +301,7 @@ def cmd_noisy(args) -> int:
         "c_ac",
         "c_bc",
         "tangle_upper_bound",
+        "tangle_exact",
     ]
     rows = [
         [
@@ -312,6 +312,7 @@ def cmd_noisy(args) -> int:
             r.concurrence_ac,
             r.concurrence_bc,
             r.tangle_upper_bound,
+            r.tangle_exact,
         ]
         for r in reports
     ]
@@ -333,6 +334,7 @@ def cmd_noisy(args) -> int:
                     "c_bc": r.concurrence_bc,
                     "tangle_upper_bound": r.tangle_upper_bound,
                     "tangle_bound_converged": r.tangle_bound_converged,
+                    "tangle_exact": r.tangle_exact,
                 }
                 for r in reports
             ]
@@ -457,6 +459,21 @@ def _suite_roof(seed: int) -> list[dict]:
             "roof_rank2_lp",
             all(-1e-10 <= gap <= 1e-8 for _, gap in gaps),
             "LP - closed: " + ", ".join(f"{name} {gap:+.3e}" for name, gap in gaps),
+        )
+    )
+
+    # The decohered W state's bit-flip ensemble: it must rebuild the state
+    # with every member's tangle exactly zero.
+    worst_recon = worst_tangle = 0.0
+    for kt in (0.0, 0.1, 0.5, 2.0, 10.0):
+        ens = zero_tangle_ensemble(kt)
+        worst_recon = max(worst_recon, float(np.abs(ens.reconstruct() - epsilon_x_w(kt).matrix).max()))
+        worst_tangle = max(worst_tangle, max(float(three_tangle_pure(psi)) for _, psi in ens.members))
+    checks.append(
+        _check(
+            "noisy_zero_ensemble",
+            worst_recon <= 1e-12 and worst_tangle == 0.0,
+            f"max reconstruction error {worst_recon:.3e}, max member tangle {worst_tangle:.3e}",
         )
     )
 
@@ -626,11 +643,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_teleport, default_format="json")
 
-    p = sub.add_parser("noisy", help="report the decohered W state")
+    p = sub.add_parser(
+        "noisy",
+        help="report the decohered W state",
+        description="Report the decohered W state: validity, the exact pairwise concurrences, and its "
+        "three-party tangle, which is exactly 0 at every kappa*t (a mixture of bit-flipped W states).",
+    )
     p.add_argument("--kappa-t", type=_finite_float, default=None, help="single kappa*t value (overrides the sweep)")
     _add_sweep(p, 0.0, 2.0, 11)
-    _add_roof(p, 1, 30)
-    _add_common(p)
+    _add_common(p, "accepted as by every subcommand; the report draws no random numbers")
     p.set_defaults(func=cmd_noisy, default_format="csv")
 
     p = sub.add_parser("validate", help="run invariant suites")

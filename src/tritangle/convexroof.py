@@ -20,8 +20,9 @@ three-party tangle above all) produce a landscape where the summed
 objective has spurious valleys.  Each restart therefore descends twice:
 first on the sum of squared member contributions, whose smooth minimum
 sits on the same zero set, then on the true weighted sum.  Multiple
-restarts (one seeded from the eigendecomposition itself, the rest from
-Haar-random isometries) guard against the remaining local minima.  The
+restarts, each from a Haar-random isometry, guard against the remaining
+local minima (the eigendecomposition is no start: on the GHZ/W mixture it
+is a stationary point that a restart never leaves).  The
 restarts run in lockstep: round k of every restart still descending is
 scored in one stacked scan, all restarts finish the squared phase before
 any starts the plain one, and a restart that has converged waits, so
@@ -478,12 +479,7 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
     rngs = [np.random.default_rng(child) for child in children]
     rows = np.empty((cfg.restarts, m, factor.shape[1]), dtype=complex)
     for t, rng in enumerate(rngs):
-        if t == 0:
-            mix = np.zeros((m, r), dtype=complex)
-            mix[:r, :r] = np.eye(r)
-        else:
-            mix = _haar_isometry(m, r, rng)
-        rows[t] = mix @ factor
+        rows[t] = _haar_isometry(m, r, rng) @ factor
     table = _round_robin(m)
     _lockstep(rows, rngs, table, scan, total, True, cfg.max_iters, cfg.improve_tol)
     objs, converged = _lockstep(rows, rngs, table, scan, total, False, cfg.max_iters, cfg.improve_tol)
@@ -627,19 +623,39 @@ def _stencil(th: np.ndarray, ph: np.ndarray, width, offsets: np.ndarray):
     return t.reshape(th.size, -1), p.reshape(th.size, -1)
 
 
+def _plane_gap_table(form, h: np.ndarray, y: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    # tau - l, with l(n) = y.(1, n), at every (th[k, i], ph[k, j]): a (K, a, b)
+    # table from the (K, a) polar and (K, b) azimuthal tables of K centers.
+    # Both are separable: the form value is sum_n (h_n c^(d-n) s^n) e^{i n ph},
+    # one product of a theta table and a phi table, and l is
+    # y0 + y3 cos th + sin th (y1 cos ph + y2 sin ph), an outer sum.
+    n = np.arange(form.degree + 1)
+    c = np.cos(0.5 * th)[..., np.newaxis]
+    s = np.sin(0.5 * th)[..., np.newaxis]
+    mono = c ** (form.degree - n) * s**n * h
+    values = np.einsum("kin,kjn->kij", mono, np.exp(1j * ph[..., np.newaxis] * n))
+    tau = form.score(values, np.ones(values.shape))
+    tilt = y[1] * np.cos(ph) + y[2] * np.sin(ph)
+    plane = y[0] + y[3] * np.cos(th)[:, :, np.newaxis] + np.sin(th)[:, :, np.newaxis] * tilt[:, np.newaxis]
+    return tau - plane
+
+
 def _refine(f, th: np.ndarray, ph: np.ndarray, cell: float):
-    # Coarse-to-fine search for a local minimum of f(th, ph) around each
-    # start point; the center is always a candidate, so f never rises.
-    best = f(th, ph)
+    # Coarse-to-fine search for a local minimum of f around each start
+    # point; the center is always a candidate, so f never rises.  f scores
+    # the product of each center's polar and azimuthal offsets, (K, 9, 9),
+    # read in the flat order i 9 + j of the 9 x 9 stencil (theta-major).
+    best = f(th[:, np.newaxis], ph[:, np.newaxis])[:, 0, 0]
     pick = np.arange(th.size)
     for offsets in _LP_REFINE:
-        t, p = _stencil(th, ph, cell, offsets)
-        vals = f(t, p)
+        t = th[:, np.newaxis] + cell * offsets
+        p = ph[:, np.newaxis] + cell * offsets
+        vals = f(t, p).reshape(th.size, -1)
         i = vals.argmin(axis=1)
         better = vals[pick, i] < best
         best = np.where(better, vals[pick, i], best)
-        th = np.where(better, t[pick, i], th)
-        ph = np.where(better, p[pick, i], ph)
+        th = np.where(better, t[pick, i // offsets.size], th)
+        ph = np.where(better, p[pick, i % offsets.size], ph)
     return th, ph, best
 
 
@@ -716,11 +732,7 @@ def roof_rank2(rho, measure) -> Rank2Roof:
         if reduced.min() < -_LP_TOL:
             return None
         start = _grid_minima(reduced[: gt * gp].reshape(gt, gp))[:_LP_CUTS]
-
-        def below_plane(t, p):
-            return tau(t, p) - np.tensordot(y, _bloch_columns(t, p), axes=1)
-
-        cut_th, cut_ph, f = _refine(below_plane, th[start], ph[start], cell)
+        cut_th, cut_ph, f = _refine(lambda t, p: _plane_gap_table(form, h, y, t, p), th[start], ph[start], cell)
         n = _bloch_columns(cut_th, cut_ph)[1:]
         near = np.linalg.norm(n[:, :, np.newaxis] - a[1:, support][:, np.newaxis], axis=0).min(axis=1)
         width = np.minimum(near, cell)

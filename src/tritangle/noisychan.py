@@ -16,10 +16,12 @@ matrix itself is real symmetric with every entry a single alpha/beta
 symbol times a factor from {1, sqrt2, 2}, all over 16, and it reduces to
 the pure W projector at kt = 0.
 
-The pairwise concurrences of its two-qubit reductions are exact
-(closed-form spin-flip eigenvalues); no closed form is known for the
-three-party tangle of this state, so reports carry only a numerical
-upper bound from the decomposition search, clearly labeled as such.
+The channel flips each qubit independently with probability
+(1 - e^{-2kt})/2, so the state is a mixture of bit-flipped W states
+(:func:`zero_tangle_ensemble`).  Each of them is a local unitary image of
+W and has tangle zero, so the three-party tangle of the state is exactly
+zero at every kt.  The pairwise concurrences of its two-qubit reductions
+are exact as well (closed-form spin-flip eigenvalues).
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexroof import RoofConfig, minimize_roof
+from .convexroof import Ensemble
 from .entanglement import concurrence_wootters, three_tangle_pure
-from .qcore import DensityMatrix, DensityReport, density_report, partial_trace, w_state
+from .qcore import DensityMatrix, DensityReport, PureState, density_report, partial_trace, w_state
+from .tolerances import get_default
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,42 @@ def epsilon_x_w(kappa_t: float) -> DensityMatrix:
     return DensityMatrix(3, m.astype(complex))
 
 
+def zero_tangle_ensemble(kappa_t: float) -> Ensemble:
+    """Decomposition of the decohered W state into states of zero tangle.
+
+    epsilon_x_w(kt) = sum_s q^(3-|s|) (1-q)^|s| X^s|W><W|X^s over the bit
+    flips s in {0,1}^3, with q = (1 + e^{-2kt})/2: each qubit is flipped
+    independently with probability 1 - q.  Every member is a local
+    unitary image of W, so its tangle is zero.  Members of zero weight
+    are dropped (kt = 0 gives W alone).  The ensemble is checked to
+    reconstruct the state and every member's tangle to be zero.
+    """
+    kt = noise_params(kappa_t).kappa_t
+    flip = -0.5 * math.expm1(-2.0 * kt)
+    w = w_state().amplitudes
+    members = []
+    for s in range(8):
+        ones = bin(s).count("1")
+        weight = (1.0 - flip) ** (3 - ones) * flip**ones
+        if weight > 0.0:
+            members.append((weight, PureState(3, w[np.arange(8) ^ s])))
+    ens = Ensemble(tuple(members))
+    err = float(np.abs(ens.reconstruct() - epsilon_x_w(kt).matrix).max())
+    if err > get_default().reconstruction_atol:
+        raise ValueError(f"ensemble fails to reconstruct the decohered state: error {err:.3e}")
+    if any(float(three_tangle_pure(psi)) != 0.0 for _, psi in ens.members):
+        raise ValueError("a bit-flipped W state has nonzero tangle")
+    return ens
+
+
 @dataclass(frozen=True)
 class ChannelReport:
     """Entanglement summary of the decohered state at one kappa*t.
 
-    The pairwise concurrences are exact.  tangle_upper_bound is only
-    what the decomposition search found; the true tangle may be lower,
-    never higher than reported plus the search tolerance.
+    The pairwise concurrences are exact, and so is the tangle: it is zero
+    at every kappa*t, the average over :func:`zero_tangle_ensemble`.  It
+    keeps the name tangle_upper_bound, with tangle_bound_converged True,
+    since zero is also a bound; tangle_exact says that it is attained.
     """
 
     kappa_t: float
@@ -145,17 +177,11 @@ class ChannelReport:
     concurrence_bc: float
     tangle_upper_bound: float
     tangle_bound_converged: bool
+    tangle_exact: bool
 
 
-_DEFAULT_REPORT_ROOF = RoofConfig(restarts=2, max_iters=40)
-
-
-def channel_report(kappa_t: float, roof_cfg: RoofConfig | None = None) -> ChannelReport:
-    """Full per-kappa*t report: validation, exact pair concurrences, tangle bound.
-
-    The default search budget is deliberately light; pass a heavier
-    RoofConfig when the bound itself is the quantity of interest.
-    """
+def channel_report(kappa_t: float) -> ChannelReport:
+    """Full per-kappa*t report: validation, exact pair concurrences, exact tangle."""
     rho = epsilon_x_w(kappa_t)
     params = noise_params(kappa_t)
     report = density_report(rho.matrix)
@@ -164,7 +190,7 @@ def channel_report(kappa_t: float, roof_cfg: RoofConfig | None = None) -> Channe
     c_ab = float(concurrence_wootters(partial_trace(rho, [3])))
     c_ac = float(concurrence_wootters(partial_trace(rho, [2])))
     c_bc = float(concurrence_wootters(partial_trace(rho, [1])))
-    roof = minimize_roof(rho, three_tangle_pure, roof_cfg or _DEFAULT_REPORT_ROOF)
+    tangle = zero_tangle_ensemble(kappa_t).average(three_tangle_pure)
     return ChannelReport(
         kappa_t=float(kappa_t),
         params=params,
@@ -173,6 +199,7 @@ def channel_report(kappa_t: float, roof_cfg: RoofConfig | None = None) -> Channe
         concurrence_ab=c_ab,
         concurrence_ac=c_ac,
         concurrence_bc=c_bc,
-        tangle_upper_bound=float(roof.upper_bound),
-        tangle_bound_converged=roof.converged,
+        tangle_upper_bound=tangle,
+        tangle_bound_converged=True,
+        tangle_exact=True,
     )

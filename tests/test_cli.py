@@ -286,12 +286,13 @@ class TestNoisy:
         code, out, _ = run(["noisy", "--kappa-t", "0"], capsys)
         assert code == 0
         header, row = out.strip().splitlines()
-        assert header == "kappa_t,valid,matches_pure_w,c_ab,c_ac,c_bc,tangle_upper_bound"
+        assert header == "kappa_t,valid,matches_pure_w,c_ab,c_ac,c_bc,tangle_upper_bound,tangle_exact"
         cells = row.split(",")
         assert cells[0] == "0.000000000000"
         assert cells[1] == "true"
         assert cells[2] == "true"
         assert float(cells[3]) == pytest.approx(0.5, abs=1e-7)
+        assert cells[6:] == ["0.000000000000", "true"]
 
     def test_single_point_json(self, capsys):
         code, out, _ = run(["noisy", "--kappa-t", "0.5", "--format", "json"], capsys)
@@ -300,6 +301,9 @@ class TestNoisy:
         assert row["matches_pure_w"] is False
         assert row["alpha1"] == pytest.approx(1.553001792775919, abs=1e-12)
         assert row["valid"] is True
+        assert row["tangle_upper_bound"] == 0.0
+        assert row["tangle_bound_converged"] is True
+        assert row["tangle_exact"] is True
 
     def test_sweep_row_count(self, capsys):
         code, out, _ = run(["noisy", "--start", "0", "--stop", "0.2", "--steps", "3"], capsys)
@@ -310,6 +314,13 @@ class TestNoisy:
         code, _, err = run(["noisy", "--kappa-t", "-1"], capsys)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("flag", ["--roof-restarts", "--roof-max-iters", "--roof-ensemble-size"])
+    def test_search_flags_are_gone(self, flag, capsys):
+        # noisy reports an exact tangle and runs no search to budget.
+        code, out, err = run_expecting_exit(["noisy", flag, "1"], capsys)
+        assert_one_line_usage_error(code, out, err)
+        assert f"unrecognized arguments: {flag} 1" in err
 
 
 def run_expecting_exit(argv, capsys):
@@ -397,11 +408,11 @@ class TestUsageErrors:
             ["fig4", "--steps", "100001"],
             ["noisy", "--steps", "100001"],
             ["measures", "state.json", "--roof-restarts", "1001"],
-            ["noisy", "--roof-restarts", "1000000000000"],
+            pytest.param(["measures", "state.json", "--roof-restarts", "1000000000000"], id="measures--roof-restarts-1e12"),
             ["measures", "state.json", "--roof-max-iters", "10001"],
-            ["noisy", "--roof-max-iters", "10001"],
+            pytest.param(["measures", "state.json", "--roof-max-iters=10001"], id="measures--roof-max-iters-inline"),
             ["measures", "state.json", "--roof-ensemble-size", "65"],
-            ["noisy", "--roof-ensemble-size", "65"],
+            pytest.param(["measures", "state.json", "--roof-ensemble-size=65"], id="measures--roof-ensemble-size-inline"),
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
@@ -414,10 +425,12 @@ class TestUsageErrors:
         assert "above the cap" in err
 
     def test_size_flags_at_their_caps_parse(self):
-        args = cli.build_parser().parse_args(
-            ["noisy", "--steps", "100000", "--roof-restarts", "1000", "--roof-max-iters", "10000", "--roof-ensemble-size", "64"]
+        parser = cli.build_parser()
+        assert parser.parse_args(["noisy", "--steps", "100000"]).steps == 100000
+        args = parser.parse_args(
+            ["measures", "state.json", "--roof-restarts", "1000", "--roof-max-iters", "10000", "--roof-ensemble-size", "64"]
         )
-        assert (args.steps, args.roof_restarts, args.roof_max_iters, args.roof_ensemble_size) == (100000, 1000, 10000, 64)
+        assert (args.roof_restarts, args.roof_max_iters, args.roof_ensemble_size) == (1000, 10000, 64)
 
     def test_size_flag_not_an_integer(self, capsys):
         code, out, err = run_expecting_exit(["fig1", "--steps", "1.5"], capsys)
@@ -435,10 +448,12 @@ class TestUsageErrors:
         if command == "measures":
             assert text.count("the search runs only on three-qubit mixed states of rank >= 3") == 3
             assert "seed of the decomposition search, which runs only on three-qubit mixed states of rank >= 3" in text
-        if command != "fig1":
             assert "at most 1000, since every restart's seed is drawn" in text
             assert "at most 10000, far above" in text
             assert "at most 64: a rank-r roof needs at most r^2 members" in text
+        if command == "noisy":
+            assert "--roof-" not in text
+            assert "three-party tangle, which is exactly 0 at every kappa*t" in text
 
     def test_missing_out_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"

@@ -121,9 +121,10 @@ def requests(draw):
         flags = draw(st.lists(st.tuples(st.sampled_from(["--p", "--theta", "--phi"]), float_texts), max_size=3))
         flags += draw(common_flags())
     elif command == "noisy":
-        argv = ["noisy", "--steps", "2"] + budget
+        # noisy runs no search, so it takes no roof flags.
+        argv = ["noisy", "--steps", "2"]
         flags = draw(st.lists(st.tuples(st.just("--kappa-t"), float_texts), max_size=1))
-        flags += draw(sweep_flags(st.integers(-1, 3))) + draw(roof_flags()) + draw(common_flags())
+        flags += draw(sweep_flags(st.integers(-1, 3))) + draw(common_flags())
     elif command in ("fig1", "fig4"):
         argv = [command]
         flags = draw(sweep_flags(st.integers(-1, 4))) + draw(common_flags())

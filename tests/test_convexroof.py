@@ -14,16 +14,22 @@ from hypothesis import strategies as st
 import tritangle.convexroof as convexroof
 from tritangle.convexroof import (
     _FORM_LEVELS,
+    _LP_REFINE,
     _SCAN_LEVELS,
     Ensemble,
     RoofConfig,
     _apply_pairs,
+    _bloch_columns,
     _form_scan,
     _level_scores,
     _pair_minimize,
     _pair_terms,
+    _plane_gap_table,
+    _refine,
     _rotation_stack,
     _round_robin,
+    _sphere_values,
+    _stencil,
     ensemble_from_mixing,
     minimize_roof,
     numerical_rank,
@@ -197,6 +203,13 @@ class TestMinimizeRoof:
         rho = channel_mixture_state(0.5)
         cfg = RoofConfig(restarts=4, ensemble_size=4)
         res = minimize_roof(rho, three_tangle_pure, cfg)
+        assert res.upper_bound <= 1e-4
+
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_first_restart_is_not_the_eigendecomposition(self, p):
+        # The eigen-ensemble of the mixture below p0 (tangle exactly p) is a
+        # stationary point of the descent; a single restart must leave it.
+        res = minimize_roof(channel_mixture_state(p), three_tangle_pure, RoofConfig(restarts=1, max_iters=200))
         assert res.upper_bound <= 1e-4
 
     def test_deterministic_for_fixed_config(self):
@@ -514,8 +527,10 @@ class TestLockstep:
 
     @pytest.mark.parametrize("p,seed", [(0.3, 1), (0.8, 42)])
     def test_restart_sequence_does_not_depend_on_the_others(self, p, seed):
-        # At these inputs the third restart converges after the first two,
-        # so a converged restart that kept sweeping would show here.
+        # At these inputs the third restart still descends after one of the
+        # first two has converged (at p = 0.3 in both phases, at p = 0.8 in
+        # the plain one), so a converged restart that kept sweeping would
+        # show here.
         rho = channel_mixture_state(p)
         two = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=2, max_iters=200, seed=seed))
         three = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=3, max_iters=200, seed=seed))
@@ -674,3 +689,51 @@ class TestRoofRank2:
             # The search at the budget of `measures`.
             search = minimize_roof(rho, measure, RoofConfig(restarts=2, max_iters=200, seed=seed % 1000))
             assert res.upper_bound <= search.upper_bound + 1e-8
+
+
+def per_point_gap(form, h, y, th, ph):
+    # tau - l scored point by point, the reference for the tables.
+    return _sphere_values(form, h, th, ph) - np.tensordot(y, _bloch_columns(th, ph), axes=1)
+
+
+class TestRefineTables:
+    """The LP's cut refinement scores each 9 x 9 stencil as a product of angle tables."""
+
+    CELL = math.pi / 60
+
+    def draw(self, measure, seed):
+        # Random form coefficients, plane and centers, two of them at the poles.
+        rng = np.random.default_rng(seed)
+        d = measure.roof_form.degree
+        h = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        y = rng.normal(size=4)
+        th = np.concatenate(([0.0, math.pi], rng.uniform(0.0, math.pi, 6)))
+        ph = rng.uniform(0.0, 2.0 * math.pi, 8)
+        return measure.roof_form, h, y, th, ph
+
+    @pytest.mark.parametrize("measure", [concurrence_pure2, three_tangle_pure], ids=["degree2", "degree4"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_entry_matches_per_point_scoring(self, measure, seed):
+        form, h, y, th, ph = self.draw(measure, seed)
+        for offsets in _LP_REFINE:
+            t_tab = th[:, np.newaxis] + self.CELL * offsets
+            p_tab = ph[:, np.newaxis] + self.CELL * offsets
+            t, p = _stencil(th, ph, self.CELL, offsets)
+            # Flat stencil index i 9 + j is (theta offset i, phi offset j).
+            assert np.array_equal(np.repeat(t_tab, offsets.size, axis=1), t)
+            assert np.array_equal(np.tile(p_tab, offsets.size), p)
+            table = _plane_gap_table(form, h, y, t_tab, p_tab)
+            assert table.shape == (th.size, offsets.size, offsets.size)
+            err = np.abs(table.reshape(th.size, -1) - per_point_gap(form, h, y, t, p)).max()
+            assert err <= 1e-14, err
+        # The middle row of the widest level sits on the poles.
+        assert (th[:2, np.newaxis] + self.CELL * _LP_REFINE[0])[:, 4].tolist() == [0.0, math.pi]
+
+    @pytest.mark.parametrize("measure", [concurrence_pure2, three_tangle_pure], ids=["degree2", "degree4"])
+    def test_refine_never_rises_and_reports_its_points(self, measure):
+        form, h, y, th, ph = self.draw(measure, 3)
+        start = per_point_gap(form, h, y, th, ph)
+        cut_th, cut_ph, best = _refine(lambda t, p: _plane_gap_table(form, h, y, t, p), th, ph, self.CELL)
+        assert (best <= start).all()
+        assert np.array_equal(best, _plane_gap_table(form, h, y, cut_th[:, np.newaxis], cut_ph[:, np.newaxis])[:, 0, 0])
+        assert np.abs(best - per_point_gap(form, h, y, cut_th, cut_ph)).max() <= 1e-14

@@ -1,16 +1,14 @@
-"""Decohered W-state channel: coefficient identities, state validity, decay."""
+"""Decohered W-state channel: coefficient identities, state validity, decay, zero tangle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tritangle.convexroof import RoofConfig
-from tritangle.entanglement import concurrence_wootters
-from tritangle.noisychan import NoiseParams, channel_report, epsilon_x_w, noise_params
+from tritangle.convexroof import RoofConfig, minimize_roof
+from tritangle.entanglement import concurrence_wootters, three_tangle_pure
+from tritangle.noisychan import NoiseParams, channel_report, epsilon_x_w, noise_params, zero_tangle_ensemble
 from tritangle.qcore import partial_trace, w_state
-
-LIGHT_ROOF = RoofConfig(restarts=1, max_iters=30)
 
 
 class TestNoiseParams:
@@ -116,21 +114,60 @@ class TestEntanglementDecay:
         assert c_ac == pytest.approx(0.32861593938850836, abs=1e-12)
 
 
+class TestZeroTangleEnsemble:
+    KAPPA_TS = [0.0, 1e-12, *np.linspace(0.0, 3.0, 301), 10.0, 40.0, 400.0]
+
+    def test_reconstructs_with_zero_member_tangles(self):
+        for kt in self.KAPPA_TS:
+            ens = zero_tangle_ensemble(kt)
+            assert np.abs(ens.reconstruct() - epsilon_x_w(kt).matrix).max() <= 1e-15, kt
+            assert sum(w for w, _ in ens.members) == pytest.approx(1.0, abs=1e-15)
+            assert all(float(three_tangle_pure(psi)) == 0.0 for _, psi in ens.members), kt
+            assert ens.average(three_tangle_pure) == 0.0
+
+    def test_zero_time_is_w_alone(self):
+        ens = zero_tangle_ensemble(0.0)
+        assert ens.size == 1
+        weight, psi = ens.members[0]
+        assert weight == 1.0
+        assert np.array_equal(psi.amplitudes, w_state().amplitudes)
+
+    def test_every_flip_has_weight_after_zero_time(self):
+        ens = zero_tangle_ensemble(1e-12)
+        assert ens.size == 8
+        assert ens.members[0][0] == pytest.approx(1.0, abs=1e-11)
+
+    def test_rejects_bad_time(self):
+        for kt in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="kappa_t"):
+                zero_tangle_ensemble(kt)
+
+    @pytest.mark.parametrize("kt", [0.05, 0.5, 2.0])
+    def test_search_oracle_finds_a_near_zero_bound(self, kt):
+        # The decomposition search, independent of the bit-flip ensemble,
+        # must bound the tangle from above by a small number, never below 0.
+        res = minimize_roof(epsilon_x_w(kt), three_tangle_pure, RoofConfig(restarts=1, max_iters=30))
+        assert 0.0 <= res.upper_bound <= 1e-4
+
+
 class TestChannelReport:
     def test_zero_time_report(self):
-        rep = channel_report(0.0, LIGHT_ROOF)
+        rep = channel_report(0.0)
         assert rep.matches_pure_w
         assert float(rep.concurrence_ab) == pytest.approx(0.5, abs=1e-9)
         assert float(rep.concurrence_ac) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
         assert float(rep.concurrence_bc) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-        assert rep.tangle_upper_bound <= 1e-4
+        assert rep.tangle_upper_bound == 0.0
         assert rep.tangle_bound_converged
+        assert rep.tangle_exact
 
     def test_decohered_report(self):
-        rep = channel_report(0.5, LIGHT_ROOF)
+        rep = channel_report(0.5)
         assert not rep.matches_pure_w
         assert float(rep.concurrence_ab) == 0.0
         assert float(rep.concurrence_ac) == 0.0
         assert float(rep.concurrence_bc) == 0.0
         assert rep.kappa_t == 0.5
         assert rep.params.kappa_t == 0.5
+        assert rep.tangle_upper_bound == 0.0
+        assert rep.tangle_exact
