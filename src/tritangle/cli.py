@@ -605,29 +605,23 @@ def _add_roof(parser: argparse.ArgumentParser, restarts: int, max_iters: int, sc
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tritangle",
-        description="Entanglement measures and teleportation fidelities for GHZ/W-mixture channels.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fig1", help="sweep mixture entanglement measures over p")
+def _fill_fig1(p: argparse.ArgumentParser) -> None:
     _add_sweep(p, 0.0, 1.0, 201)
     _add_common(p)
     p.set_defaults(func=cmd_fig1, default_format="csv")
 
-    p = sub.add_parser("fig4", help="sweep average fidelities over p")
+
+def _fill_fig4(p: argparse.ArgumentParser) -> None:
     _add_sweep(p, 0.0, 1.0, 201)
     _add_common(p)
     p.set_defaults(func=cmd_fig4, default_format="csv")
 
-    p = sub.add_parser(
-        "measures",
-        help="evaluate measures for a JSON state file",
-        description="Evaluate every applicable measure for a state file.  The tangle of a three-qubit "
+
+def _fill_measures(p: argparse.ArgumentParser) -> None:
+    p.description = (
+        "Evaluate every applicable measure for a state file.  The tangle of a three-qubit "
         "mixed state of rank <= 2 is the convex roof solved as a linear program on the Bloch sphere of "
-        "its range; at rank >= 3 it is an upper bound from the seeded decomposition search.",
+        "its range; at rank >= 3 it is an upper bound from the seeded decomposition search."
     )
     p.add_argument("state_file", help="path to a pure or mixed state file")
     search_runs = "runs only on three-qubit mixed states of rank >= 3"
@@ -635,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, f"seed of the decomposition search, which {search_runs}")
     p.set_defaults(func=cmd_measures, default_format="json")
 
-    p = sub.add_parser("teleport", help="teleport one input state")
+
+def _fill_teleport(p: argparse.ArgumentParser) -> None:
     p.add_argument("scheme", choices=("ghz", "w"), help="channel type")
     p.add_argument("--p", type=_finite_float, required=True, help="GHZ weight of the channel mixture")
     p.add_argument("--theta", type=_finite_float, default=math.pi / 2, help="input polar angle (default pi/2)")
@@ -643,18 +638,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_teleport, default_format="json")
 
-    p = sub.add_parser(
-        "noisy",
-        help="report the decohered W state",
-        description="Report the decohered W state: validity, the exact pairwise concurrences, and its "
-        "three-party tangle, which is exactly 0 at every kappa*t (a mixture of bit-flipped W states).",
+
+def _fill_noisy(p: argparse.ArgumentParser) -> None:
+    p.description = (
+        "Report the decohered W state: validity, the exact pairwise concurrences, and its "
+        "three-party tangle, which is exactly 0 at every kappa*t (a mixture of bit-flipped W states)."
     )
     p.add_argument("--kappa-t", type=_finite_float, default=None, help="single kappa*t value (overrides the sweep)")
     _add_sweep(p, 0.0, 2.0, 11)
     _add_common(p, "accepted as by every subcommand; the report draws no random numbers")
     p.set_defaults(func=cmd_noisy, default_format="csv")
 
-    p = sub.add_parser("validate", help="run invariant suites")
+
+def _fill_validate(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "suite",
         nargs="?",
@@ -665,12 +661,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_validate, default_format="json")
 
+
+# Each subcommand's one-line help (listed by the top-level --help) and the
+# function that fills its parser, in the order the help lists them.
+_COMMANDS = {
+    "fig1": ("sweep mixture entanglement measures over p", _fill_fig1),
+    "fig4": ("sweep average fidelities over p", _fill_fig4),
+    "measures": ("evaluate measures for a JSON state file", _fill_measures),
+    "teleport": ("teleport one input state", _fill_teleport),
+    "noisy": ("report the decohered W state", _fill_noisy),
+    "validate": ("run invariant suites", _fill_validate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or only ``command``.
+
+    With ``command`` (a key of the subcommand table) only that subcommand
+    is registered, under the same top-level parser, so its prog, help,
+    usage errors and Namespace are those of the full parser; building it
+    costs about a quarter of building all six.  Each call builds a new
+    parser, which the caller owns.
+    """
+    parser = _Parser(
+        prog="tritangle",
+        description="Entanglement measures and teleportation fidelities for GHZ/W-mixture channels.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, fill = _COMMANDS[name]
+        fill(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI request: ``argv``, or ``sys.argv[1:]`` when it is None.
+
+    When ``argv[0]`` names a subcommand only that subcommand's parser is
+    built; anything else (help, no arguments, an unknown command) goes
+    through the full parser, so its messages list every subcommand.  The
+    parser is built anew on every call and nothing is kept between calls,
+    so main holds no process-wide state: requests run in one process do
+    not depend on each other, and memory does not grow with their number.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if args.format is None:
         args.format = args.default_format
     try:

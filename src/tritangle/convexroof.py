@@ -551,7 +551,7 @@ def _sphere_values(form, h: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.nd
     s = np.sin(0.5 * th)[..., np.newaxis]
     mono = c ** (form.degree - n) * s**n
     values = np.einsum("...n,...n->...", mono * h, np.exp(1j * ph[..., np.newaxis] * n))
-    return form.score(values, np.ones(values.shape))
+    return form.score(values, None)
 
 
 def _bloch_columns(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -598,14 +598,18 @@ def _basic_weights(ab: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _grid_minima(f: np.ndarray) -> np.ndarray:
     # Flat indices of the points of the (theta, phi) grid that are no larger
     # than their eight neighbours (phi periodic), smallest first; a pole row
-    # is one point, so only its first entry counts.
-    padded = np.pad(f, ((1, 1), (0, 0)), constant_values=np.inf)
+    # is one point, so only its first entry counts.  Framed by +inf rows
+    # beyond the poles and the wrapped phi columns, each of the eight
+    # neighbours is a shifted slice of one array.
+    gt, gp = f.shape
+    ext = np.full((gt + 2, gp + 2), np.inf)
+    ext[1:-1, 1:-1] = f
+    ext[1:-1, [0, -1]] = f[:, [-1, 0]]
     low = np.ones(f.shape, dtype=bool)
-    for dt in (-1, 0, 1):
-        rows = padded[1 + dt : padded.shape[0] - 1 + dt]
-        for dp in (-1, 0, 1):
-            if dt or dp:
-                low &= f <= np.roll(rows, dp, axis=1)
+    for dt in range(3):
+        for dp in range(3):
+            if dt != 1 or dp != 1:
+                low &= f <= ext[dt : dt + gt, dp : dp + gp]
     low[0, 1:] = low[-1, 1:] = False
     idx = np.flatnonzero(low)
     return idx[np.argsort(f.ravel()[idx], kind="stable")]
@@ -634,7 +638,7 @@ def _plane_gap_table(form, h: np.ndarray, y: np.ndarray, th: np.ndarray, ph: np.
     s = np.sin(0.5 * th)[..., np.newaxis]
     mono = c ** (form.degree - n) * s**n * h
     values = np.einsum("kin,kjn->kij", mono, np.exp(1j * ph[..., np.newaxis] * n))
-    tau = form.score(values, np.ones(values.shape))
+    tau = form.score(values, None)
     tilt = y[1] * np.cos(ph) + y[2] * np.sin(ph)
     plane = y[0] + y[3] * np.cos(th)[:, :, np.newaxis] + np.sin(th)[:, :, np.newaxis] * tilt[:, np.newaxis]
     return tau - plane

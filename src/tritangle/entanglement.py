@@ -400,11 +400,12 @@ class RoofForm:
         """Contributions of rows with these form values and weights.
 
         A row whose weight is at most 1e-12 contributes zero when the
-        contribution divides by the weight.
+        contribution divides by the weight.  ``weights=None`` means unit
+        weights: the contribution is then the scaled modulus.
         """
         raw = np.abs(values)
         raw *= self.scale
-        if not self.per_weight:
+        if weights is None or not self.per_weight:
             return raw
         return np.divide(raw, weights, out=np.zeros(raw.shape), where=weights > 1e-12)
 

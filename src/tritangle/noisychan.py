@@ -141,6 +141,12 @@ def zero_tangle_ensemble(kappa_t: float) -> Ensemble:
     reconstruct the state and every member's tangle to be zero.
     """
     kt = noise_params(kappa_t).kappa_t
+    return _checked_zero_ensemble(kt, epsilon_x_w(kt))
+
+
+def _checked_zero_ensemble(kt: float, rho: DensityMatrix) -> Ensemble:
+    # The bit-flip ensemble at a validated kt, checked against rho, the
+    # decohered state at the same kt.
     flip = -0.5 * math.expm1(-2.0 * kt)
     w = w_state().amplitudes
     members = []
@@ -150,7 +156,7 @@ def zero_tangle_ensemble(kappa_t: float) -> Ensemble:
         if weight > 0.0:
             members.append((weight, PureState(3, w[np.arange(8) ^ s])))
     ens = Ensemble(tuple(members))
-    err = float(np.abs(ens.reconstruct() - epsilon_x_w(kt).matrix).max())
+    err = float(np.abs(ens.reconstruct() - rho.matrix).max())
     if err > get_default().reconstruction_atol:
         raise ValueError(f"ensemble fails to reconstruct the decohered state: error {err:.3e}")
     if any(float(three_tangle_pure(psi)) != 0.0 for _, psi in ens.members):
@@ -190,7 +196,7 @@ def channel_report(kappa_t: float) -> ChannelReport:
     c_ab = float(concurrence_wootters(partial_trace(rho, [3])))
     c_ac = float(concurrence_wootters(partial_trace(rho, [2])))
     c_bc = float(concurrence_wootters(partial_trace(rho, [1])))
-    tangle = zero_tangle_ensemble(kappa_t).average(three_tangle_pure)
+    tangle = _checked_zero_ensemble(params.kappa_t, rho).average(three_tangle_pure)
     return ChannelReport(
         kappa_t=float(kappa_t),
         params=params,

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, seeds, and figure sweeps."""
 
+import contextlib
 import json
 import math
 import os
@@ -323,8 +324,27 @@ class TestNoisy:
         assert f"unrecognized arguments: {flag} 1" in err
 
 
+def parse_with(parser, argv, capsys):
+    # Exit code (None if parsing succeeded), stdout, stderr and the Namespace.
+    try:
+        ns, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, ns
+
+
+def assert_parsers_agree(argv, capsys):
+    # main builds only the invoked subcommand's parser; it must parse argv
+    # exactly as the parser with all six does.
+    full = parse_with(cli.build_parser(), argv, capsys)
+    assert parse_with(cli.build_parser(argv[0]), argv, capsys) == full
+    return full
+
+
 def run_expecting_exit(argv, capsys):
     # Flag parsing reports through SystemExit, the commands through main's return.
+    assert_parsers_agree(argv, capsys)
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -418,19 +438,17 @@ class TestUsageErrors:
     )
     def test_size_flag_over_its_cap(self, argv, capsys):
         # Parsing alone: an over-cap value never reaches a command.
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(argv)
-        out, err = capsys.readouterr()
-        assert_one_line_usage_error(exc.value.code, out, err)
+        code, out, err, _ = assert_parsers_agree(argv, capsys)
+        assert_one_line_usage_error(code, out, err)
         assert "above the cap" in err
 
-    def test_size_flags_at_their_caps_parse(self):
-        parser = cli.build_parser()
-        assert parser.parse_args(["noisy", "--steps", "100000"]).steps == 100000
-        args = parser.parse_args(
-            ["measures", "state.json", "--roof-restarts", "1000", "--roof-max-iters", "10000", "--roof-ensemble-size", "64"]
+    def test_size_flags_at_their_caps_parse(self, capsys):
+        assert assert_parsers_agree(["noisy", "--steps", "100000"], capsys)[3]["steps"] == 100000
+        _, _, _, args = assert_parsers_agree(
+            ["measures", "state.json", "--roof-restarts", "1000", "--roof-max-iters", "10000", "--roof-ensemble-size", "64"],
+            capsys,
         )
-        assert (args.roof_restarts, args.roof_max_iters, args.roof_ensemble_size) == (1000, 10000, 64)
+        assert (args["roof_restarts"], args["roof_max_iters"], args["roof_ensemble_size"]) == (1000, 10000, 64)
 
     def test_size_flag_not_an_integer(self, capsys):
         code, out, err = run_expecting_exit(["fig1", "--steps", "1.5"], capsys)
@@ -439,10 +457,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["fig1", "noisy", "measures"])
     def test_help_states_each_cap_and_its_reason(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args([command, "--help"])
-        assert exc.value.code == 0
-        text = " ".join(capsys.readouterr().out.split())
+        code, out, _, _ = assert_parsers_agree([command, "--help"], capsys)
+        assert code == 0
+        text = " ".join(out.split())
         if command != "measures":
             assert "at most 100000, each point is a full evaluation" in text
         if command == "measures":
@@ -457,14 +474,109 @@ class TestUsageErrors:
 
     def test_missing_out_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
-        code, out, err = run(["fig1", "--steps", "3", "--out", str(target)], capsys)
+        code, out, err = run_expecting_exit(["fig1", "--steps", "3", "--out", str(target)], capsys)
         assert_one_line_usage_error(code, out, err)
         assert "cannot write output file" in err
         assert not target.exists()
 
     def test_out_path_is_a_directory(self, tmp_path, capsys):
-        code, out, err = run(["teleport", "ghz", "--p", "0.5", "--out", str(tmp_path)], capsys)
+        code, out, err = run_expecting_exit(["teleport", "ghz", "--p", "0.5", "--out", str(tmp_path)], capsys)
         assert_one_line_usage_error(code, out, err)
+
+
+class TestPerCommandParser:
+    """main builds only the invoked subcommand's parser, anew on each call."""
+
+    TOP_HELP = """usage: tritangle [-h] {fig1,fig4,measures,teleport,noisy,validate} ...
+
+Entanglement measures and teleportation fidelities for GHZ/W-mixture channels.
+
+positional arguments:
+  {fig1,fig4,measures,teleport,noisy,validate}
+    fig1                sweep mixture entanglement measures over p
+    fig4                sweep average fidelities over p
+    measures            evaluate measures for a JSON state file
+    teleport            teleport one input state
+    noisy               report the decohered W state
+    validate            run invariant suites
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--steps", "3", "--format", "json"],
+            ["fig4", "--start", "0.2", "--stop", "0.4", "--steps", "3"],
+            ["measures", "state.json", "--roof-restarts", "3", "--seed", "5"],
+            ["teleport", "w", "--p", "0.3", "--theta", "1"],
+            ["noisy", "--kappa-t", "0.5", "--out", "x.csv"],
+            ["validate", "roof"],
+            ["validate", "everything"],
+        ]
+        + [[command, "--help"] for command in ["fig1", "fig4", "measures", "teleport", "noisy", "validate"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_subcommand_parser_matches_the_full_one(self, argv, capsys):
+        code, out, err, ns = assert_parsers_agree(argv, capsys)
+        if argv[-1] == "--help":
+            assert (code, err, ns) == (0, "", None) and out.startswith(f"usage: tritangle {argv[0]} ")
+        elif argv[-1] == "everything":
+            assert code == 2 and ns is None
+        else:
+            assert (code, out, err) == (None, "", "")
+            assert ns["command"] == argv[0] and ns["func"] is getattr(cli, f"cmd_{argv[0]}")
+
+    def test_main_fills_only_the_invoked_subcommand(self, capsys, monkeypatch):
+        filled = []
+
+        def counted(name, fill):
+            def wrapper(p):
+                filled.append(name)
+                fill(p)
+
+            return wrapper
+
+        commands = {name: (text, counted(name, fill)) for name, (text, fill) in cli._COMMANDS.items()}
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+
+        def filled_by(argv):
+            filled.clear()
+            with contextlib.suppress(SystemExit):
+                cli.main(argv)
+            capsys.readouterr()
+            return filled
+
+        assert filled_by(["teleport", "ghz", "--p", "1"]) == ["teleport"]
+        assert filled_by(["noisy", "--kappa-t", "nan"]) == ["noisy"]
+        for argv in (["-h"], [], ["bogus"], ["--seed", "3", "teleport", "ghz", "--p", "1"]):
+            assert filled_by(argv) == list(commands)
+
+    @pytest.mark.parametrize(
+        "argv,code,out,err",
+        [
+            (["-h"], 0, TOP_HELP, ""),
+            ([], 2, "", "error: tritangle: the following arguments are required: command\n"),
+            (
+                ["bogus"],
+                2,
+                "",
+                "error: tritangle: argument command: invalid choice: 'bogus' "
+                "(choose from 'fig1', 'fig4', 'measures', 'teleport', 'noisy', 'validate')\n",
+            ),
+        ],
+        ids=["help", "empty", "unknown"],
+    )
+    def test_top_level_goes_through_the_full_parser(self, argv, code, out, err, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+        monkeypatch.setattr(sys, "argv", ["tritangle", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
 
 
 class TestValidate:

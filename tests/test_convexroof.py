@@ -21,6 +21,7 @@ from tritangle.convexroof import (
     _apply_pairs,
     _bloch_columns,
     _form_scan,
+    _grid_minima,
     _level_scores,
     _pair_minimize,
     _pair_terms,
@@ -737,3 +738,50 @@ class TestRefineTables:
         assert (best <= start).all()
         assert np.array_equal(best, _plane_gap_table(form, h, y, cut_th[:, np.newaxis], cut_ph[:, np.newaxis])[:, 0, 0])
         assert np.abs(best - per_point_gap(form, h, y, cut_th, cut_ph)).max() <= 1e-14
+
+
+def grid_minima_by_roll(f):
+    # The reference: the eight neighbours from a +inf-padded copy, each
+    # phi shift an np.roll (phi periodic).
+    padded = np.pad(f, ((1, 1), (0, 0)), constant_values=np.inf)
+    low = np.ones(f.shape, dtype=bool)
+    for dt in (-1, 0, 1):
+        rows = padded[1 + dt : padded.shape[0] - 1 + dt]
+        for dp in (-1, 0, 1):
+            if dt or dp:
+                low &= f <= np.roll(rows, dp, axis=1)
+    low[0, 1:] = low[-1, 1:] = False
+    idx = np.flatnonzero(low)
+    return idx[np.argsort(f.ravel()[idx], kind="stable")]
+
+
+class TestGridMinima:
+    """Local minima of the LP's (theta, phi) grid, against the pad-and-roll reference."""
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(23)
+        for shape in [(61, 120), (7, 5), (3, 1), (4, 2), (2, 3)]:
+            yield rng.normal(size=shape)
+            # Ties and flat plateaus: few distinct values.
+            yield rng.integers(0, 3, size=shape).astype(float)
+        yield np.zeros((5, 6))
+        # Minima on the pole rows and in the first and last phi columns,
+        # which are neighbours across phi = 0 = 2 pi.
+        f = rng.uniform(1.0, 2.0, size=(9, 12))
+        f[0, :] = f[-1, :] = 0.5
+        f[4, 0] = f[6, -1] = f[2, 0] = f[2, -1] = 0.0
+        yield f
+        yield np.where(np.arange(12) % 11 == 0, 0.0, 1.0)[np.newaxis, :] + np.zeros((9, 1))
+
+    def test_matches_the_reference(self):
+        for f in self.grids():
+            assert np.array_equal(_grid_minima(f), grid_minima_by_roll(f)), f.shape
+
+    def test_wrapped_phi_neighbours(self):
+        # Of two points adjacent across phi = 0, only the lower is a minimum.
+        f = np.random.default_rng(24).uniform(1.0, 2.0, size=(5, 8))
+        f[2, 0], f[2, -1] = 0.2, 0.1
+        got = _grid_minima(f)
+        assert got[0] == 2 * 8 + 7
+        assert 2 * 8 not in got

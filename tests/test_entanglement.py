@@ -269,6 +269,17 @@ class TestRoofForm:
         assert np.array_equal(measure.roof_contrib(rows), measure.roof_form.contrib(rows))
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
+    def test_score_without_weights_is_unit_weights(self, measure):
+        rng = np.random.default_rng(18)
+        values = rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        form = measure.roof_form
+        got = form.score(values, None)
+        assert got.tobytes() == form.score(values, np.ones(values.shape)).tobytes()
+        assert (got == 0.0).any()
+        assert np.array_equal(got, form.scale * np.abs(values))
+
+    @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
     def test_pair_coefficients_reproduce_the_form(self, measure):
         form = measure.roof_form
         d = form.degree

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tritangle import noisychan
 from tritangle.convexroof import RoofConfig, minimize_roof
 from tritangle.entanglement import concurrence_wootters, three_tangle_pure
 from tritangle.noisychan import NoiseParams, channel_report, epsilon_x_w, noise_params, zero_tangle_ensemble
@@ -151,6 +152,24 @@ class TestZeroTangleEnsemble:
 
 
 class TestChannelReport:
+    def test_builds_the_state_once(self, monkeypatch):
+        calls = []
+        build = noisychan.epsilon_x_w
+
+        def counted(kappa_t):
+            calls.append(kappa_t)
+            return build(kappa_t)
+
+        monkeypatch.setattr(noisychan, "epsilon_x_w", counted)
+        for kt in (0.0, 0.7, 2.5):
+            calls.clear()
+            assert channel_report(kt).tangle_exact
+            assert calls == [kt]
+        # The public ensemble still checks against the state it builds.
+        calls.clear()
+        zero_tangle_ensemble(0.7)
+        assert calls == [0.7]
+
     def test_zero_time_report(self):
         rep = channel_report(0.0)
         assert rep.matches_pure_w
