@@ -7,7 +7,8 @@ state) on the GHZ/W mixture, and prints both bounds' gaps to the
 piecewise closed form.  Both only ever overshoot, so a gap should sit in
 [0, ~5e-3]; a large positive gap means the method is stuck, a negative
 one would mean the closed form is wrong.  Exits 1 when any gap, of the
-search or of the LP, falls outside [-1e-6, 5e-3].
+search or of the LP, falls outside `tritangle.checks.MIXTURE_BAND`,
+[-1e-6, 5e-3].
 """
 
 import argparse
@@ -15,10 +16,9 @@ import time
 
 import numpy as np
 
+from tritangle import checks
 from tritangle.convexroof import RoofConfig, minimize_roof, roof_rank2
-from tritangle.entanglement import channel_mixture_state, three_tangle_ghzw, three_tangle_pure
-
-BAND = (-1e-6, 5e-3)
+from tritangle.entanglement import three_tangle_ghzw, three_tangle_pure
 
 
 def main(argv=None) -> int:
@@ -32,10 +32,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (0.0 <= args.start <= args.stop <= 1.0):
         parser.error("need 0 <= start <= stop <= 1")
+    if min(args.points, args.restarts, args.ensemble_size) < 1 or args.seed < 0:
+        parser.error("need --points, --restarts and --ensemble-size >= 1 and --seed >= 0")
 
-    cfg = RoofConfig(
-        restarts=args.restarts, ensemble_size=args.ensemble_size, seed=args.seed
-    )
+    cfg = RoofConfig(restarts=args.restarts, ensemble_size=args.ensemble_size, seed=args.seed)
+    low, high = checks.MIXTURE_BAND
     print(
         f"{'p':>6}  {'closed':>12}  {'roof bound':>12}  {'gap':>10}  {'secs':>6}"
         f"  {'LP bound':>12}  {'LP gap':>10}  {'LP secs':>7}"
@@ -43,20 +44,17 @@ def main(argv=None) -> int:
     worst = {"search": 0.0, "LP": 0.0}
     outside = {"search": 0, "LP": 0}
     for p in np.linspace(args.start, args.stop, args.points):
-        closed = float(three_tangle_ghzw(float(p)))
-        rho = channel_mixture_state(float(p))
-        line = f"{p:6.3f}  {closed:12.8f}"
+        line = f"{p:6.3f}  {float(three_tangle_ghzw(float(p))):12.8f}"
         flags = []
         for name, solve, width in (
-            ("search", lambda: minimize_roof(rho, three_tangle_pure, cfg), 6),
-            ("LP", lambda: roof_rank2(rho, three_tangle_pure), 7),
+            ("search", lambda rho: minimize_roof(rho, three_tangle_pure, cfg), 6),
+            ("LP", lambda rho: roof_rank2(rho, three_tangle_pure), 7),
         ):
             t0 = time.perf_counter()
-            bound = solve().upper_bound
+            ((bound, gap),) = checks.mixture_gaps(solve, [float(p)])
             secs = time.perf_counter() - t0
-            gap = bound - closed
             worst[name] = max(worst[name], abs(gap))
-            if not BAND[0] <= gap <= BAND[1]:
+            if not low <= gap <= high:
                 outside[name] += 1
                 flags.append(name)
             line += f"  {bound:12.8f}  {gap:+10.2e}  {secs:{width}.2f}"

@@ -11,10 +11,10 @@ import sys
 
 import numpy as np
 
-from .convexroof import RoofConfig, minimize_roof, numerical_rank, optimal_ghzw_ensemble, roof_rank2
+from .checks import SUITES
+from .convexroof import RoofConfig, minimize_roof, numerical_rank, roof_rank2
 from .entanglement import (
     Cut,
-    GhzwMixtureParams,
     c_abc_mixture,
     concurrence_pure2,
     concurrence_wootters,
@@ -26,20 +26,12 @@ from .entanglement import (
     three_tangle_ghzw,
     three_tangle_pure,
 )
-from .noisychan import channel_report, epsilon_x_w, zero_tangle_ensemble
-from .qcore import (
-    DensityMatrix,
-    PureState,
-    load_state_file,
-    partial_trace,
-    random_pure_state,
-)
+from .noisychan import channel_report
+from .qcore import DensityMatrix, PureState, load_state_file, partial_trace
 from .teleport import (
     SchemeKind,
     avg_fidelity,
     avg_fidelity_closed,
-    avg_fidelity_entanglement,
-    channel_state,
     critical_values,
     fidelity_ghz_closed,
     fidelity_w_closed,
@@ -345,166 +337,11 @@ def cmd_noisy(args) -> int:
     return EXIT_OK
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _suite_unitarity() -> list[dict]:
-    checks = []
-    for kind in SchemeKind:
-        u = scheme_unitary(kind).unitary
-        dev = float(np.abs(u @ u.conj().T - np.eye(16)).max())
-        checks.append(_check(f"unitarity_{kind.value}", dev <= 1e-12, f"max deviation {dev:.3e}"))
-    return checks
-
-
-def _suite_fidelity() -> list[dict]:
-    checks = []
-    thetas = np.linspace(0.0, math.pi, 17)
-    phis = np.linspace(0.0, 2.0 * math.pi, 9)
-    ps = np.linspace(0.0, 1.0, 11)
-    worst_ghz = 0.0
-    worst_w = 0.0
-    ghz = scheme_unitary(SchemeKind.GHZ)
-    w = scheme_unitary(SchemeKind.W)
-    for theta in thetas:
-        for phi in phis:
-            for p in ps:
-                fg = teleport_output(ghz, theta, phi, p).fidelity
-                worst_ghz = max(worst_ghz, abs(fg - fidelity_ghz_closed(theta, p)))
-                fw = teleport_output(w, theta, phi, p).fidelity
-                worst_w = max(worst_w, abs(fw - fidelity_w_closed(p)))
-    checks.append(_check("fidelity_ghz_grid", worst_ghz <= 1e-10, f"max |numeric - closed| {worst_ghz:.3e}"))
-    checks.append(_check("fidelity_w_grid", worst_w <= 1e-10, f"max |numeric - closed| {worst_w:.3e}"))
-    worst_avg = 0.0
-    for p in ps:
-        worst_avg = max(worst_avg, abs(avg_fidelity(ghz, p) - avg_fidelity_closed(SchemeKind.GHZ, p)))
-        worst_avg = max(worst_avg, abs(avg_fidelity(w, p) - avg_fidelity_closed(SchemeKind.W, p)))
-    checks.append(_check("avg_fidelity_quadrature", worst_avg <= 1e-9, f"max deviation {worst_avg:.3e}"))
-    worst_exact = 0.0
-    for p in ps:
-        for scheme in (ghz, w):
-            exact = avg_fidelity_entanglement(scheme, p)
-            worst_exact = max(worst_exact, abs(exact - avg_fidelity_closed(scheme.kind, p)))
-    checks.append(
-        _check("avg_fidelity_entanglement", worst_exact <= 1e-12, f"max |(2 F_e + 1)/3 - closed| {worst_exact:.3e}")
-    )
-    return checks
-
-
-def _suite_monogamy(seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    worst_gap = -math.inf
-    worst_residual = 0.0
-    for _ in range(1000):
-        psi = random_pure_state(3, rng)
-        rho = psi.density()
-        c_cut = float(cut_concurrence_pure(psi, Cut.AB_C))
-        c_ac = float(concurrence_wootters(partial_trace(rho, [2])))
-        c_bc = float(concurrence_wootters(partial_trace(rho, [1])))
-        gap = c_ac * c_ac + c_bc * c_bc - c_cut * c_cut
-        worst_gap = max(worst_gap, gap)
-        residual = monogamy_residual(psi)
-        worst_residual = max(worst_residual, abs(residual - float(three_tangle_pure(psi))))
-    checks = [
-        _check("monogamy_inequality", worst_gap <= 1e-9, f"max violation {worst_gap:.3e}"),
-        _check(
-            "residual_equals_tangle", worst_residual <= 1e-8, f"max mismatch {worst_residual:.3e}"
-        ),
-    ]
-    return checks
-
-
-def _suite_roof(seed: int) -> list[dict]:
-    checks = []
-    bell = PureState.from_amplitudes([1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
-    res = minimize_roof(bell.density(), concurrence_pure2, RoofConfig(restarts=2, seed=seed))
-    checks.append(
-        _check("roof_bell", abs(res.upper_bound - 1.0) <= 1e-6, f"bound {res.upper_bound:.8f}")
-    )
-
-    w_mix = 0.8
-    bell_proj = bell.density().matrix
-    werner = DensityMatrix(2, w_mix * bell_proj + (1.0 - w_mix) * np.eye(4) / 4.0)
-    wootters = float(concurrence_wootters(werner))
-    res = minimize_roof(werner, concurrence_pure2, RoofConfig(restarts=2, seed=seed))
-    gap = res.upper_bound - wootters
-    checks.append(
-        _check("roof_werner", -1e-9 <= gap <= 5e-3, f"bound - closed = {gap:+.3e}")
-    )
-
-    res = minimize_roof(
-        channel_state(0.5),
-        three_tangle_pure,
-        RoofConfig(restarts=4, ensemble_size=4, seed=seed),
-    )
-    checks.append(
-        _check("roof_mixture_zero_region", res.upper_bound <= 1e-4, f"bound {res.upper_bound:.3e}")
-    )
-
-    # The LP against the closed forms: the mixture tangle at criterion 7's
-    # points, and Wootters on the Werner state's rank-2 analogue (its noise
-    # one product state instead of I/4, since the LP needs rank <= 2).
-    gaps = []
-    for p in (0.3, 0.65, 0.7, 0.9):
-        lp = roof_rank2(channel_state(p), three_tangle_pure)
-        gaps.append((f"p={p}", lp.upper_bound - float(three_tangle_ghzw(p))))
-    product = np.zeros((4, 4))
-    product[1, 1] = 1.0
-    rank2 = DensityMatrix(2, w_mix * bell_proj + (1.0 - w_mix) * product)
-    lp = roof_rank2(rank2, concurrence_pure2)
-    gaps.append(("two-qubit", lp.upper_bound - float(concurrence_wootters(rank2))))
-    checks.append(
-        _check(
-            "roof_rank2_lp",
-            all(-1e-10 <= gap <= 1e-8 for _, gap in gaps),
-            "LP - closed: " + ", ".join(f"{name} {gap:+.3e}" for name, gap in gaps),
-        )
-    )
-
-    # The decohered W state's bit-flip ensemble: it must rebuild the state
-    # with every member's tangle exactly zero.
-    worst_recon = worst_tangle = 0.0
-    for kt in (0.0, 0.1, 0.5, 2.0, 10.0):
-        ens = zero_tangle_ensemble(kt)
-        worst_recon = max(worst_recon, float(np.abs(ens.reconstruct() - epsilon_x_w(kt).matrix).max()))
-        worst_tangle = max(worst_tangle, max(float(three_tangle_pure(psi)) for _, psi in ens.members))
-    checks.append(
-        _check(
-            "noisy_zero_ensemble",
-            worst_recon <= 1e-12 and worst_tangle == 0.0,
-            f"max reconstruction error {worst_recon:.3e}, max member tangle {worst_tangle:.3e}",
-        )
-    )
-
-    params = GhzwMixtureParams.standard()
-    worst_member = 0.0
-    for p in (0.0, 0.2, 0.4, params.p0):
-        ens = optimal_ghzw_ensemble(p, params)
-        worst_member = max(
-            worst_member, max(float(three_tangle_pure(psi)) for _, psi in ens.members)
-        )
-    checks.append(
-        _check(
-            "zero_tangle_ensembles", worst_member <= 1e-10, f"max member tangle {worst_member:.3e}"
-        )
-    )
-    return checks
-
-
 def cmd_validate(args) -> int:
     """Run an invariant suite; exit 0 on pass, 1 on any violation."""
     seed = _resolve_seed(args)
-    suites = {
-        "unitarity": lambda: _suite_unitarity(),
-        "fidelity": lambda: _suite_fidelity(),
-        "monogamy": lambda: _suite_monogamy(seed),
-        "roof": lambda: _suite_roof(seed),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        checks.extend(suites[name]())
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    checks = [check for name in names for check in SUITES[name](seed)]
     passed = all(c["passed"] for c in checks)
     payload = {"suite": args.suite, "checks": checks, "passed": passed}
     _emit(json.dumps(payload, indent=2), args.out)
@@ -563,10 +400,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_use: str = "RNG seed") -> None:
+def _add_common(parser: argparse.ArgumentParser, seed_use: str = "RNG seed", formats=("csv", "json")) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"{seed_use} (default: ${SEED_ENV} or {DEFAULT_SEED})")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
+    parser.add_argument("--format", choices=formats, default=None, help="output format")
 
 
 def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps: int) -> None:
@@ -658,7 +495,7 @@ def _fill_validate(p: argparse.ArgumentParser) -> None:
         choices=("all", "monogamy", "roof", "unitarity", "fidelity"),
         help="which suite to run (default all)",
     )
-    _add_common(p)
+    _add_common(p, formats=("json",))
     p.set_defaults(func=cmd_validate, default_format="json")
 
 

@@ -11,8 +11,8 @@ keeps the best move.  A sweep visits every pair once, in the rounds of a
 random round-robin schedule (the circle method on a random relabelling
 of the members, its rounds in random order), so the pairs of one round
 share no member and move independently; sweeps repeat until one stops
-paying.  For measures given as a signed polynomial (the tangle, the
-two-qubit concurrence) the scan scores its grid from the pair's
+paying.  The measure is given as a signed polynomial (the tangle, the
+two-qubit concurrence), so the scan scores its grid from the pair's
 polynomial coefficients and 2 x 2 Gram matrix, without rotating rows.
 
 Measures whose pure-state value vanishes on curved families (the
@@ -195,21 +195,6 @@ def ensemble_from_mixing(rho, mixing) -> Ensemble:
     return _ensemble_from_rows(rho, m @ factor)
 
 
-def _generic_contrib(num_qubits: int, measure) -> Callable[[np.ndarray], np.ndarray]:
-    drop = get_default().weight_drop
-
-    def contrib(rows: np.ndarray) -> np.ndarray:
-        weights = np.sum(np.abs(rows) ** 2, axis=1)
-        out = np.zeros(rows.shape[0])
-        for j, w in enumerate(weights):
-            if w > drop:
-                psi = PureState(num_qubits, rows[j] / math.sqrt(w))
-                out[j] = w * float(measure(psi))
-        return out
-
-    return contrib
-
-
 def _scan_levels() -> tuple:
     # (theta, phi) offsets of the coarse-to-fine schedule: a 17 x 17 grid
     # over the full rotation, then six 9 x 9 grids, each spanning one cell
@@ -258,45 +243,6 @@ _FORM_LEVELS = {d: _form_levels(d) for d in (2, 4)}
 # whatever the budget (1000 restarts of 64 members would stack 32000 pairs
 # in one round); the default budgets stack at most a few pairs per round.
 _SCAN_CHUNK = 64
-
-
-def _rotation_stack(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    # Coefficients of both rotated rows for every (theta, phi) on the grid
-    # th x ph (theta-major), stacked as a (2G, 2) array: row g maps the pair
-    # (wj, wk) to the new row j, row G + g to the new row k.
-    c = np.repeat(np.cos(th), ph.size)
-    se = np.outer(np.sin(th), np.exp(1j * ph)).ravel()
-    g = c.size
-    rot = np.empty((2 * g, 2), dtype=complex)
-    rot[:g, 0] = c
-    rot[:g, 1] = se
-    rot[g:, 0] = -se.conj()
-    rot[g:, 1] = c
-    return rot
-
-
-def _pair_minimize(wj, wk, contrib, squared: bool):
-    # Coarse-to-fine scan of the two-row rotation (theta, phi); the center
-    # point (0, 0) is always a candidate, so the move never loses ground.
-    # Each level rotates both rows at every grid point in one product and
-    # scores all of them in one kernel call.  Used for measures without a
-    # form, and as the reference for _form_scan.
-    def combine(cj, ck):
-        return cj * cj + ck * ck if squared else cj + ck
-
-    pair = np.stack([wj, wk])
-    cj, ck = contrib(pair)
-    best = (float(combine(cj, ck)), 0.0, 0.0)
-    for th_off, ph_off in _SCAN_LEVELS:
-        th = best[1] + th_off
-        ph = best[2] + ph_off
-        scores = contrib(_rotation_stack(th, ph) @ pair)
-        g = scores.size // 2
-        vals = combine(scores[:g], scores[g:])
-        i = int(np.argmin(vals))
-        if vals[i] < best[0]:
-            best = (float(vals[i]), float(th[i // ph.size]), float(ph[i % ph.size]))
-    return best
 
 
 def _pair_terms(form, wj, wk):
@@ -349,9 +295,10 @@ def _level_scores(form, level, terms, th0: np.ndarray, ph0: np.ndarray) -> np.nd
 
 
 def _form_scan(wj, wk, form, squared: bool):
-    # The scan of _pair_minimize on the same grid for B pairs at once,
-    # stacked (B, dim), each level scored by _level_scores.  Returns the
-    # best objective and its (theta, phi) per pair, each of shape (B,).
+    # Coarse-to-fine scan of the two-row rotation (theta, phi) for B pairs
+    # at once, stacked (B, dim), each level scored by _level_scores; the
+    # center (0, 0) is always a candidate, so a move never loses ground.
+    # Returns the best objective and its (theta, phi) per pair, each (B,).
     terms = _pair_terms(form, wj, wk)
     h, weights, _ = terms
     # h_0 and h_d are form(wj) and form(wk), so this is form.contrib of the pair.
@@ -396,7 +343,7 @@ def _round_robin(m: int) -> np.ndarray:
     return np.array(rounds, dtype=np.intp).reshape(max(n - 1, 1), m // 2, 2)
 
 
-def _lockstep(rows, rngs, table, scan, total, squared, max_iters, improve_tol):
+def _lockstep(rows, rngs, table, form, total, squared, max_iters, improve_tol):
     # Descends every restart at once.  A sweep of a restart runs its rng's
     # round-robin schedule: the table's rounds in a random order, on a
     # random relabelling of the members.  Round k of every active restart
@@ -418,7 +365,7 @@ def _lockstep(rows, rngs, table, scan, total, squared, max_iters, improve_tol):
             for lo in range(0, owner.size, _SCAN_CHUNK):
                 c = slice(lo, lo + _SCAN_CHUNK)
                 t = owner[c]
-                _, th, ph = scan(rows[t, j[c]], rows[t, k[c]], squared)
+                _, th, ph = _form_scan(rows[t, j[c]], rows[t, k[c]], form, squared)
                 _apply_pairs(rows, t, j[c], k[c], th, ph)
         prev = vals[active]
         vals[active] = [total(rows[t], squared) for t in active]
@@ -428,6 +375,14 @@ def _lockstep(rows, rngs, table, scan, total, squared, max_iters, improve_tol):
         if active.size == 0:
             break
     return vals, converged
+
+
+def _roof_form(measure, rho: DensityMatrix, caller: str):
+    # The measure's RoofForm on rho's dimension, which both roof routines need.
+    form = getattr(measure, "roof_form", None)
+    if form is None or getattr(measure, "roof_contrib_dim", None) != rho.dim:
+        raise ValueError(f"{caller} needs a measure with a roof form on dimension {rho.dim}")
+    return form
 
 
 def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -441,11 +396,11 @@ def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
 def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
     """Upper bound on the convex roof of a pure-state measure.
 
-    measure maps a PureState to a value (float or float-convertible); a
-    vectorized fast path is used when the callable carries roof_contrib /
-    roof_contrib_dim attributes matching the state dimension, and its pair
-    scans are scored from the measure's polynomial when it also carries a
-    roof_form (an entanglement.RoofForm).  Deterministic for a fixed config.
+    measure maps a PureState to a value and must carry a roof_form (an
+    entanglement.RoofForm), which scores the pair scans, and a roof_contrib
+    kernel, which sums each sweep, on the state dimension roof_contrib_dim,
+    as three_tangle_pure and concurrence_pure2 do; any other measure raises
+    ValueError, as in :func:`roof_rank2`.  Deterministic for a fixed config.
     """
     cfg = cfg or RoofConfig()
     if not isinstance(rho, DensityMatrix):
@@ -454,25 +409,12 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
     m = cfg.ensemble_size if cfg.ensemble_size is not None else r + 2
     if m < r:
         raise ValueError(f"ensemble_size {m} is below the state rank {r}")
+    form = _roof_form(measure, rho, "minimize_roof")
 
-    fast = getattr(measure, "roof_contrib", None)
-    form = None
-    if fast is not None and getattr(measure, "roof_contrib_dim", None) == rho.dim:
-        contrib = fast
-        form = getattr(measure, "roof_form", None)
-    else:
-        contrib = _generic_contrib(rho.num_qubits, measure)
-
-    # Pair scans run on the measure's form when it has one; the per-sweep
-    # totals always go through contrib, one restart at a time.
-    def scan(wj, wk, squared):
-        if form is not None:
-            return _form_scan(wj, wk, form, squared)
-        moves = np.array([_pair_minimize(a, b, contrib, squared) for a, b in zip(wj, wk)])
-        return moves.T
-
+    # Pair scans run on the measure's form; the per-sweep totals go through
+    # its roof_contrib kernel, one restart at a time.
     def total(rows, squared) -> float:
-        c = contrib(rows)
+        c = measure.roof_contrib(rows)
         return float(np.sum(c * c) if squared else np.sum(c))
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -481,8 +423,8 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
     for t, rng in enumerate(rngs):
         rows[t] = _haar_isometry(m, r, rng) @ factor
     table = _round_robin(m)
-    _lockstep(rows, rngs, table, scan, total, True, cfg.max_iters, cfg.improve_tol)
-    objs, converged = _lockstep(rows, rngs, table, scan, total, False, cfg.max_iters, cfg.improve_tol)
+    _lockstep(rows, rngs, table, form, total, True, cfg.max_iters, cfg.improve_tol)
+    objs, converged = _lockstep(rows, rngs, table, form, total, False, cfg.max_iters, cfg.improve_tol)
 
     best = int(np.argmin(objs))
     ensemble = _ensemble_from_rows(rho, rows[best])
@@ -685,9 +627,7 @@ def roof_rank2(rho, measure) -> Rank2Roof:
     """
     if not isinstance(rho, DensityMatrix):
         rho = validate_density(rho)
-    form = getattr(measure, "roof_form", None)
-    if form is None or getattr(measure, "roof_contrib_dim", None) != rho.dim:
-        raise ValueError(f"roof_rank2 needs a measure with a roof form on dimension {rho.dim}")
+    form = _roof_form(measure, rho, "roof_rank2")
     r, factor = _rank_factor(rho)
     if r > 2:
         raise ValueError(f"roof_rank2 needs a state of rank <= 2, got rank {r}")

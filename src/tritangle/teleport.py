@@ -97,6 +97,11 @@ _UNITARIES = {
 }
 
 
+def unitarity_deviation(u: np.ndarray) -> float:
+    """Largest entry of |U U^dag - I| for a 16 x 16 circuit unitary."""
+    return float(np.abs(u @ u.conj().T - np.eye(16)).max())
+
+
 @dataclass(frozen=True)
 class TeleportScheme:
     kind: SchemeKind
@@ -104,7 +109,7 @@ class TeleportScheme:
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
-        dev = float(np.abs(u @ u.conj().T - np.eye(16)).max())
+        dev = unitarity_deviation(u)
         if dev > 1e-12:
             raise ValueError(f"circuit matrix is not unitary: deviation {dev:.3e}")
         object.__setattr__(self, "unitary", u)

@@ -9,34 +9,21 @@ import time
 
 import numpy as np
 
+from tritangle import checks
 from tritangle.convexroof import RoofConfig, minimize_roof, optimal_ghzw_ensemble
 from tritangle.entanglement import (
-    Cut,
     GhzwMixtureParams,
     c_abc_mixture,
     channel_mixture_state,
     concurrence_pure2,
-    concurrence_wootters,
-    cut_concurrence_pure,
-    monogamy_residual,
-    three_tangle_ghzw,
     three_tangle_pure,
 )
 from tritangle.noisychan import epsilon_x_w
-from tritangle.qcore import (
-    partial_trace,
-    random_density_matrix,
-    random_pure_state,
-    w_state,
-)
+from tritangle.qcore import random_density_matrix, w_state
 from tritangle.teleport import (
-    QuadratureConfig,
     SchemeKind,
     avg_fidelity,
-    avg_fidelity_closed,
     critical_values,
-    fidelity_ghz_closed,
-    fidelity_w_closed,
     scheme_unitary,
     teleport_output,
 )
@@ -92,25 +79,8 @@ def test_criterion_2_critical_fidelities(record_acceptance):
 
 def test_criterion_3_fidelity_closed_forms(record_acceptance):
     t0 = time.perf_counter()
-    ghz = scheme_unitary(SchemeKind.GHZ)
-    w = scheme_unitary(SchemeKind.W)
-    worst_point = 0.0
-    for theta in np.linspace(0.0, math.pi, 17):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 9):
-            for p in np.linspace(0.0, 1.0, 11):
-                fg = teleport_output(ghz, theta, phi, p).fidelity
-                worst_point = max(worst_point, abs(fg - fidelity_ghz_closed(theta, p)))
-                fw = teleport_output(w, theta, phi, p).fidelity
-                worst_point = max(worst_point, abs(fw - fidelity_w_closed(p)))
-    quad = QuadratureConfig()
-    worst_avg = 0.0
-    for p in np.linspace(0.0, 1.0, 11):
-        worst_avg = max(
-            worst_avg, abs(avg_fidelity(ghz, p, quad) - avg_fidelity_closed(SchemeKind.GHZ, p))
-        )
-        worst_avg = max(
-            worst_avg, abs(avg_fidelity(w, p, quad) - avg_fidelity_closed(SchemeKind.W, p))
-        )
+    worst_point = max(checks.fidelity_grid_gap(kind) for kind in SchemeKind)
+    worst_avg = checks.average_fidelity_gap(avg_fidelity)
     elapsed = time.perf_counter() - t0
     ok = worst_point <= 1e-10 and worst_avg <= 1e-9 and elapsed < 30.0
     record_acceptance(
@@ -208,19 +178,7 @@ def test_criterion_5_mixture_sweep(record_acceptance):
 
 def test_criterion_6_monogamy_suite(record_acceptance):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(ACCEPT_SEED)
-    worst_gap = -math.inf
-    worst_residual = 0.0
-    for _ in range(1000):
-        psi = random_pure_state(3, rng)
-        rho = psi.density()
-        c_cut = float(cut_concurrence_pure(psi, Cut.AB_C))
-        c_ac = float(concurrence_wootters(partial_trace(rho, [2])))
-        c_bc = float(concurrence_wootters(partial_trace(rho, [1])))
-        worst_gap = max(worst_gap, c_ac * c_ac + c_bc * c_bc - c_cut * c_cut)
-        worst_residual = max(
-            worst_residual, abs(monogamy_residual(psi) - float(three_tangle_pure(psi)))
-        )
+    worst_gap, worst_residual = checks.monogamy_extremes(1000, np.random.default_rng(ACCEPT_SEED))
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-9 and worst_residual <= 1e-8 and elapsed < 60.0
     record_acceptance(
@@ -238,36 +196,22 @@ def test_criterion_6_monogamy_suite(record_acceptance):
 def test_criterion_7_roof_oracle(record_acceptance):
     t0 = time.perf_counter()
     rng = np.random.default_rng(ACCEPT_SEED)
-    lo, hi = math.inf, -math.inf
-    for _ in range(50):
-        rho = random_density_matrix(2, 2, rng)
-        closed = float(concurrence_wootters(rho))
-        res = minimize_roof(rho, concurrence_pure2, RoofConfig(restarts=2))
-        gap = res.upper_bound - closed
-        lo, hi = min(lo, gap), max(hi, gap)
+    gaps = checks.wootters_gaps(
+        lambda rho: minimize_roof(rho, concurrence_pure2, RoofConfig(restarts=2)),
+        (random_density_matrix(2, 2, rng) for _ in range(50)),
+    )
+    lo, hi = min(gaps), max(gaps)
     conc_ok = lo >= -1e-9 and hi <= 5e-3
 
     g = GhzwMixtureParams.standard()
-    tangle_lo, tangle_hi = math.inf, -math.inf
-    for p in (0.3, 0.65, 0.7, 0.9):
-        res = minimize_roof(
-            channel_mixture_state(p),
-            three_tangle_pure,
-            RoofConfig(restarts=4, ensemble_size=4),
-        )
-        gap = res.upper_bound - float(three_tangle_ghzw(p))
-        tangle_lo, tangle_hi = min(tangle_lo, gap), max(tangle_hi, gap)
+    cfg = RoofConfig(restarts=4, ensemble_size=4)
+    results = checks.mixture_gaps(lambda rho: minimize_roof(rho, three_tangle_pure, cfg), (0.3, 0.65, 0.7, 0.9))
+    tangle_lo, tangle_hi = min(gap for _, gap in results), max(gap for _, gap in results)
     tangle_ok = tangle_lo >= -1e-6 and tangle_hi <= 5e-3
 
-    worst_recon = 0.0
-    worst_member = 0.0
-    for p in (0.0, 0.2, 0.4, g.p0):
-        ens = optimal_ghzw_ensemble(p, g)
-        target = channel_mixture_state(p, g).matrix
-        worst_recon = max(worst_recon, float(np.abs(ens.reconstruct() - target).max()))
-        worst_member = max(
-            worst_member, max(float(three_tangle_pure(psi)) for _, psi in ens.members)
-        )
+    worst_recon, worst_member = checks.ensemble_extremes(
+        (optimal_ghzw_ensemble(p, g), channel_mixture_state(p, g)) for p in (0.0, 0.2, 0.4, g.p0)
+    )
     ensemble_ok = worst_recon <= 1e-10 and worst_member <= 1e-10
 
     elapsed = time.perf_counter() - t0
@@ -315,10 +259,7 @@ def test_criterion_8_noisy_channel(record_acceptance):
 
 def test_criterion_9_unitarity(record_acceptance):
     t0 = time.perf_counter()
-    devs = {}
-    for kind in SchemeKind:
-        u = scheme_unitary(kind).unitary
-        devs[kind.value] = float(np.abs(u @ u.conj().T - np.eye(16)).max())
+    devs = {kind.value: checks.unitarity_gap(kind) for kind in SchemeKind}
     elapsed = time.perf_counter() - t0
     worst = max(devs.values())
     ok = worst <= 1e-12 and elapsed < 1.0

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import tritangle
-from tritangle import cli
+from tritangle import checks, cli
 from tritangle.entanglement import channel_mixture_state, three_tangle_ghzw
 from tritangle.qcore import DensityMatrix, PureState, ghz_state, random_density_matrix, save_state_file
+from tritangle.teleport import SchemeKind
 
 
 def run(argv, capsys):
@@ -383,8 +384,13 @@ class TestUsageErrors:
         assert_one_line_usage_error(code, out, err)
         assert "not a number" in err
 
-    def test_unknown_choice_is_one_line(self, capsys):
-        code, out, err = run_expecting_exit(["teleport", "bell", "--p", "0.5"], capsys)
+    @pytest.mark.parametrize(
+        "argv",
+        [["teleport", "bell", "--p", "0.5"], ["validate", "--format", "csv"]],
+        ids=["scheme", "validate-format"],
+    )
+    def test_unknown_choice_is_one_line(self, argv, capsys):
+        code, out, err = run_expecting_exit(argv, capsys)
         assert_one_line_usage_error(code, out, err)
 
     @pytest.mark.parametrize(
@@ -501,6 +507,7 @@ class TestPerCommandParser:
             ["noisy", "--kappa-t", "0.5", "--out", "x.csv"],
             ["validate", "roof"],
             ["validate", "everything"],
+            ["validate", "--format", "csv"],
         ]
         + [[command, "--help"] for command in ["fig1", "fig4", "measures", "teleport", "noisy", "validate"]],
         ids=lambda argv: " ".join(argv),
@@ -509,7 +516,7 @@ class TestPerCommandParser:
         code, out, err, ns = assert_parsers_agree(argv, capsys)
         if argv[-1] == "--help":
             assert (code, err, ns) == (0, "", None) and out.startswith(f"usage: tritangle {argv[0]} ")
-        elif argv[-1] == "everything":
+        elif argv[-1] in ("everything", "csv"):
             assert code == 2 and ns is None
         else:
             assert (code, out, err) == (None, "", "")
@@ -587,6 +594,24 @@ class TestValidate:
         assert lp["passed"] is True
         for label in ("p=0.3", "p=0.65", "p=0.7", "p=0.9", "two-qubit"):
             assert f"{label} " in lp["detail"]
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_failed_check_exits_1(self, to_file, tmp_path, capsys, monkeypatch):
+        # The W check fails after the GHZ check passes: stderr names the first failing check.
+        real = checks.unitarity_gap
+        monkeypatch.setattr(checks, "unitarity_gap", lambda kind: 1.0 if kind is SchemeKind.W else real(kind))
+        target = tmp_path / "report.json"
+        argv = ["validate", "unitarity"] + (["--out", str(target)] if to_file else [])
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err == "validation failed: unitarity_w\n"
+        if to_file:
+            assert out == ""
+            out = target.read_text()
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        verdicts = [(c["name"], c["passed"]) for c in payload["checks"]]
+        assert verdicts == [("unitarity_ghz", True), ("unitarity_w", False)]
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,11 +23,9 @@ from tritangle.convexroof import (
     _form_scan,
     _grid_minima,
     _level_scores,
-    _pair_minimize,
     _pair_terms,
     _plane_gap_table,
     _refine,
-    _rotation_stack,
     _round_robin,
     _sphere_values,
     _stencil,
@@ -270,6 +268,43 @@ def apply_move(pair, th, ph):
     return rows[0]
 
 
+def rotation_stack(th, ph):
+    # Coefficients of both rotated rows for every (theta, phi) on the grid
+    # th x ph (theta-major), stacked as a (2G, 2) array: row g maps the pair
+    # (wj, wk) to the new row j, row G + g to the new row k.
+    c = np.repeat(np.cos(th), ph.size)
+    se = np.outer(np.sin(th), np.exp(1j * ph)).ravel()
+    g = c.size
+    rot = np.empty((2 * g, 2), dtype=complex)
+    rot[:g, 0] = c
+    rot[:g, 1] = se
+    rot[g:, 0] = -se.conj()
+    rot[g:, 1] = c
+    return rot
+
+
+def pair_minimize(wj, wk, contrib, squared):
+    # The reference for _form_scan: the same coarse-to-fine scan of one
+    # pair, which rotates both rows at every grid point of a level in one
+    # product and scores them with the measure's kernel.
+    def combine(cj, ck):
+        return cj * cj + ck * ck if squared else cj + ck
+
+    pair = np.stack([wj, wk])
+    cj, ck = contrib(pair)
+    best = (float(combine(cj, ck)), 0.0, 0.0)
+    for th_off, ph_off in _SCAN_LEVELS:
+        th = best[1] + th_off
+        ph = best[2] + ph_off
+        scores = contrib(rotation_stack(th, ph) @ pair)
+        g = scores.size // 2
+        vals = combine(scores[:g], scores[g:])
+        i = int(np.argmin(vals))
+        if vals[i] < best[0]:
+            best = (float(vals[i]), float(th[i // ph.size]), float(ph[i % ph.size]))
+    return best
+
+
 class TestPairScan:
     """The two-row scan: fixed grid offsets, stacked rotations, monotone moves."""
 
@@ -309,7 +344,7 @@ class TestPairScan:
         pair = self.random_pair(rng, 8)
         for th_off, ph_off in _SCAN_LEVELS:
             th, ph = 0.41 + th_off, -1.3 + ph_off
-            rows = _rotation_stack(th, ph) @ pair
+            rows = rotation_stack(th, ph) @ pair
             g = th.size * ph.size
             assert rows.shape == (2 * g, 8)
             for i in rng.choice(g, size=10, replace=False):
@@ -348,7 +383,7 @@ class TestPairScan:
             vals, ths, phs = _form_scan(pair[:1], pair[1:], measure.roof_form, squared)
             val, th, ph = float(vals[0]), float(ths[0]), float(phs[0])
         else:
-            val, th, ph = _pair_minimize(pair[0], pair[1], contrib, squared)
+            val, th, ph = pair_minimize(pair[0], pair[1], contrib, squared)
         assert val <= start
         assert objective(apply_move(pair, th, ph)) == pytest.approx(val, rel=1e-9, abs=1e-12)
 
@@ -382,7 +417,7 @@ class TestFormScan:
 
     @staticmethod
     def rotated_scores(pair, contrib, th, ph):
-        return contrib(_rotation_stack(th, ph) @ pair).reshape(2, th.size, ph.size)
+        return contrib(rotation_stack(th, ph) @ pair).reshape(2, th.size, ph.size)
 
     def assert_scores_match(self, pairs, measure, centers):
         # All pairs are scored in one stack, each at its own center.
@@ -427,7 +462,7 @@ class TestFormScan:
         got, _, _ = _form_scan(pairs[:, 0], pairs[:, 1], measure.roof_form, squared)
         same = 0
         for pair, val in zip(pairs, got):
-            ref = _pair_minimize(pair[0], pair[1], measure.roof_contrib, squared)
+            ref = pair_minimize(pair[0], pair[1], measure.roof_contrib, squared)
             same += abs(val - ref[0]) <= 1e-12 * max(ref[0], 1e-300)
         assert same >= 95
 
@@ -466,13 +501,9 @@ class TestFormScan:
         assert vals.tolist() == starts
         assert not th.any() and not ph.any()
 
-    def test_rows_are_never_rotated(self, monkeypatch):
-        # The form scan builds no rotation stack and calls the measure's
-        # kernel only for the per-sweep totals, on whole ensembles.
-        def fail(*args):
-            raise AssertionError("rotation stack built")
-
-        monkeypatch.setattr(convexroof, "_rotation_stack", fail)
+    def test_rows_are_never_rotated(self):
+        # The form scan calls the measure's kernel only for the per-sweep
+        # totals, on whole ensembles.
         sizes = []
         kernel = concurrence_pure2.roof_contrib
 
@@ -489,38 +520,6 @@ class TestFormScan:
         res = minimize_roof(werner(0.8), measure, RoofConfig(restarts=2, ensemble_size=5))
         assert sizes and set(sizes) == {5}
         assert -1e-9 <= res.upper_bound - 0.7 < 5e-3
-
-    def test_measure_without_form_takes_the_generic_path(self, monkeypatch):
-        calls = {"form": 0, "rows": 0}
-        real_form_scan, real_row_scan = convexroof._form_scan, convexroof._pair_minimize
-
-        def form_scan(*args):
-            calls["form"] += 1
-            return real_form_scan(*args)
-
-        def row_scan(*args):
-            calls["rows"] += 1
-            return real_row_scan(*args)
-
-        monkeypatch.setattr(convexroof, "_form_scan", form_scan)
-        monkeypatch.setattr(convexroof, "_pair_minimize", row_scan)
-        # A rank-2 state and one sweep per phase keep the generic path (one
-        # measure call per rotated row) short.
-        bell = bell_density().matrix
-        up_down = np.zeros((4, 4))
-        up_down[1, 1] = 1.0
-        rho = DensityMatrix(2, 0.6 * bell + 0.4 * up_down)
-        closed = float(concurrence_wootters(rho))
-        cfg = RoofConfig(restarts=2, max_iters=1, ensemble_size=3)
-        plain = minimize_roof(rho, lambda psi: float(concurrence_pure2(psi)), cfg)
-        # Three members make three rounds of one pair per sweep; each round
-        # stacks one pair of each restart.
-        assert calls["form"] == 0 and calls["rows"] == 12
-        assert plain.upper_bound >= closed - 1e-9
-        calls["rows"] = 0
-        fast = minimize_roof(rho, concurrence_pure2, cfg)
-        assert calls["rows"] == 0 and calls["form"] == 6
-        assert fast.upper_bound >= closed - 1e-9
 
 
 class TestLockstep:
@@ -654,11 +653,15 @@ class TestRoofRank2:
             roof_rank2(werner(w), concurrence_pure2)
         assert numerical_rank(werner(w)) == 4
 
-    def test_rejects_measure_without_form(self):
+    @pytest.mark.parametrize("solve", [roof_rank2, minimize_roof])
+    def test_rejects_measure_without_form(self, solve):
+        with pytest.raises(ValueError, match=f"{solve.__name__} needs a measure with a roof form on dimension 8"):
+            solve(channel_mixture_state(0.7), lambda psi: 0.0)
         with pytest.raises(ValueError, match="roof form on dimension 8"):
-            roof_rank2(channel_mixture_state(0.7), lambda psi: 0.0)
-        with pytest.raises(ValueError, match="roof form on dimension 8"):
-            roof_rank2(channel_mixture_state(0.7), concurrence_pure2)
+            solve(channel_mixture_state(0.7), concurrence_pure2)
+        # A plain callable, even one that wraps a measure with a form.
+        with pytest.raises(ValueError, match="roof form on dimension 4"):
+            solve(werner(0.8), lambda psi: float(concurrence_pure2(psi)))
 
     def test_round_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(convexroof, "_LP_ROUNDS", 1)

@@ -6,6 +6,7 @@ import types
 
 import pytest
 
+from tritangle import checks
 from tritangle.entanglement import three_tangle_ghzw
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "roof_audit.py"
@@ -20,8 +21,9 @@ def load_audit():
 
 def patched(monkeypatch, search_offset=0.0, lp_offset=0.0, seen=None):
     # Both methods are replaced by bounds at fixed offsets from the closed form.
+    # The mixture is built where the gap is measured, in tritangle.checks.
     audit = load_audit()
-    monkeypatch.setattr(audit, "channel_mixture_state", lambda p: p)
+    monkeypatch.setattr(checks, "channel_mixture_state", lambda p: p)
 
     def search(p, measure, cfg):
         if seen is not None:
@@ -77,6 +79,10 @@ def test_grid_spans_start_to_stop(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "search: worst |gap| = 0.00e+00, 0 point(s) out of band" in out
     assert "LP: worst |gap| = 0.00e+00, 0 point(s) out of band" in out
-    with pytest.raises(SystemExit) as exc:
-        audit.main(["--start", "0.5", "--stop", "0.4"])
-    assert exc.value.code == 2
+    for argv in (["--start", "0.5", "--stop", "0.4"], ["--points", "-1"], ["--points", "0"],
+                 ["--restarts", "0"], ["--ensemble-size", "0"], ["--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            audit.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: " in err.splitlines()[-1]
