@@ -451,9 +451,20 @@ _LP_CUTS = 8
 # plane) that counts as negative.
 _LP_PIVOTS = 200
 _LP_TOL = 1e-12
+# Depth below the dual plane that makes a cut.  Weights sum to one, so with
+# no point of the sphere deeper than this the bound is within it of the roof.
+_LP_DEPTH = 1e-10
 # Local refinement of a cut: 9 x 9 offsets spanning one grid cell around the
-# best point so far, shrinking fourfold per level, to steps of about 5e-11 rad.
-_LP_REFINE = tuple(np.linspace(-1.0, 1.0, 9) / 4.0**k for k in range(15))
+# best point so far, shrinking fourfold per level, to steps of about 5e-8 rad
+# (one row per level).
+_LP_REFINE = np.linspace(-1.0, 1.0, 9) / 4.0 ** np.arange(10)[:, np.newaxis]
+# Stencils a refinement may score beyond one per level.  A center whose best
+# point lands on the border of its stencil steps back a level instead of on,
+# so it follows a narrow valley of tau - l past the 4/3 cell that shrinking
+# stencils alone reach.
+_LP_WALK = 8
+# The border of the 9 x 9 stencil, in its flat order.
+_LP_BORDER = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
 # Offsets, in patch widths, of the columns added around a cut.  A patch
 # spans the cut's distance to the nearest member, so it straddles the contact
 # point of the dual plane between them at a quarter of that distance (one
@@ -466,8 +477,9 @@ class Rank2Roof:
     """Convex roof of a state of rank <= 2, from :func:`roof_rank2`.
 
     upper_bound is ensemble.average(measure).  converged is True when the
-    last cutting round found no point of the sphere below the dual plane,
-    False when the rounds (or a solve's pivots) ran out first.
+    last cutting round found no point of the sphere more than 1e-10 below
+    the dual plane (the bound is then within 1e-10 of the roof), False when
+    the rounds (or a solve's pivots) ran out first.
     """
 
     upper_bound: float
@@ -576,14 +588,14 @@ def _plane_gap_table(form, h: np.ndarray, y: np.ndarray, th: np.ndarray, ph: np.
     # one product of a theta table and a phi table, and l is
     # y0 + y3 cos th + sin th (y1 cos ph + y2 sin ph), an outer sum.
     n = np.arange(form.degree + 1)
-    c = np.cos(0.5 * th)[..., np.newaxis]
-    s = np.sin(0.5 * th)[..., np.newaxis]
-    mono = c ** (form.degree - n) * s**n * h
-    values = np.einsum("kin,kjn->kij", mono, np.exp(1j * ph[..., np.newaxis] * n))
-    tau = form.score(values, None)
-    tilt = y[1] * np.cos(ph) + y[2] * np.sin(ph)
-    plane = y[0] + y[3] * np.cos(th)[:, :, np.newaxis] + np.sin(th)[:, :, np.newaxis] * tilt[:, np.newaxis]
-    return tau - plane
+    c = np.cos(0.5 * th)
+    s = np.sin(0.5 * th)
+    mono = c[..., np.newaxis] ** (form.degree - n) * s[..., np.newaxis] ** n * h
+    turn = np.exp(1j * ph)
+    tau = form.score(mono @ turn[:, np.newaxis] ** n[:, np.newaxis], None)
+    tilt = ((y[1] - 1j * y[2]) * turn).real
+    polar = y[0] + y[3] * (c * c - s * s)
+    return tau - polar[:, :, np.newaxis] - (2.0 * s * c)[:, :, np.newaxis] * tilt[:, np.newaxis]
 
 
 def _refine(f, th: np.ndarray, ph: np.ndarray, cell: float):
@@ -591,17 +603,27 @@ def _refine(f, th: np.ndarray, ph: np.ndarray, cell: float):
     # point; the center is always a candidate, so f never rises.  f scores
     # the product of each center's polar and azimuthal offsets, (K, 9, 9),
     # read in the flat order i 9 + j of the 9 x 9 stencil (theta-major).
+    # Each center keeps its own level of _LP_REFINE: it goes one level finer
+    # after a stencil, or one coarser after a move to the stencil's border,
+    # and is done past the finest level or when the stencils run out.
     best = f(th[:, np.newaxis], ph[:, np.newaxis])[:, 0, 0]
     pick = np.arange(th.size)
-    for offsets in _LP_REFINE:
-        t = th[:, np.newaxis] + cell * offsets
-        p = ph[:, np.newaxis] + cell * offsets
+    levels, size = _LP_REFINE.shape
+    level = np.zeros(th.size, dtype=int)
+    for _ in range(levels + _LP_WALK):
+        if level.min() >= levels:
+            break
+        offsets = cell * _LP_REFINE[np.minimum(level, levels - 1)]
+        t = th[:, np.newaxis] + offsets
+        p = ph[:, np.newaxis] + offsets
         vals = f(t, p).reshape(th.size, -1)
         i = vals.argmin(axis=1)
-        better = vals[pick, i] < best
-        best = np.where(better, vals[pick, i], best)
-        th = np.where(better, t[pick, i // offsets.size], th)
-        ph = np.where(better, p[pick, i % offsets.size], ph)
+        low = vals[pick, i]
+        better = (low < best) & (level < levels)
+        best = np.where(better, low, best)
+        th = np.where(better, t[pick, i // size], th)
+        ph = np.where(better, p[pick, i % size], ph)
+        level = np.where(better & _LP_BORDER[i], np.maximum(level - 1, 0), level + 1)
     return th, ph, best
 
 
@@ -618,8 +640,9 @@ def roof_rank2(rho, measure) -> Rank2Roof:
     (e1, e2).  The columns are a 61 x 120 grid plus the zeros of tau (the
     roots of the pair polynomial, which a grid misses).  With the dual
     plane l(n) = y.(1, n), each cutting round refines the lowest local
-    minima of tau - l on the grid and adds those below l as columns, until
-    none is (converged) or 10 rounds have run.
+    minima of tau - l on the grid, and the members (where tau - l is zero),
+    and adds those more than 1e-10 below l as columns, until none is
+    (converged) or 10 rounds have run.
 
     The returned ensemble is checked to reconstruct rho, and its average
     of measure is the upper bound, as for :func:`minimize_roof`.  Rank 1
@@ -668,21 +691,23 @@ def roof_rank2(rho, measure) -> Rank2Roof:
 
     def cuts(y, support):
         # Points below the plane l(n) = y.(1, n): the lowest local minima of
-        # tau - l on the grid, refined, each with the width of its patch,
-        # its distance to the nearest member (support columns), at most one
-        # cell; a cut within the patch of a lower one is dropped.  None if
-        # a column is below the plane (y is then no dual solution).
+        # tau - l on the grid and the members (a dip of tau - l between two
+        # close members is narrower than a grid cell), refined, each with
+        # the width of its patch, its distance to the nearest member
+        # (support columns), at most one cell; a cut within the patch of a
+        # lower one is dropped.  None if a column is below the plane (y is
+        # then no dual solution).
         reduced = c - y @ a
         if reduced.min() < -_LP_TOL:
             return None
-        start = _grid_minima(reduced[: gt * gp].reshape(gt, gp))[:_LP_CUTS]
+        start = np.concatenate((_grid_minima(reduced[: gt * gp].reshape(gt, gp))[:_LP_CUTS], support))
         cut_th, cut_ph, f = _refine(lambda t, p: _plane_gap_table(form, h, y, t, p), th[start], ph[start], cell)
         n = _bloch_columns(cut_th, cut_ph)[1:]
         near = np.linalg.norm(n[:, :, np.newaxis] - a[1:, support][:, np.newaxis], axis=0).min(axis=1)
         width = np.minimum(near, cell)
         keep = []
         for i in np.argsort(f):
-            if f[i] < -_LP_TOL and all(np.linalg.norm(n[:, i] - n[:, k]) > width[k] for k in keep):
+            if f[i] < -_LP_DEPTH and all(np.linalg.norm(n[:, i] - n[:, k]) > width[k] for k in keep):
                 keep.append(i)
         return cut_th[keep], cut_ph[keep], width[keep]
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tritangle.convexroof as convexroof
@@ -680,6 +680,13 @@ class TestRoofRank2:
 
     @settings(max_examples=12, deadline=None)
     @given(seed=seeds, num_qubits=st.sampled_from([2, 3]), rank=st.sampled_from([1, 2]))
+    # Three-qubit states whose deepest cut is near no grid minimum: within a
+    # cell of a member (2**31 - 1, 8996), more than one stencil along a
+    # narrow valley of tau - l (103), or between two close members (561).
+    @example(seed=2**31 - 1, num_qubits=3, rank=2)
+    @example(seed=8996, num_qubits=3, rank=2)
+    @example(seed=103, num_qubits=3, rank=2)
+    @example(seed=561, num_qubits=3, rank=2)
     def test_random_states_against_the_oracles(self, seed, num_qubits, rank):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(num_qubits, rank, rng)
@@ -741,6 +748,18 @@ class TestRefineTables:
         assert (best <= start).all()
         assert np.array_equal(best, _plane_gap_table(form, h, y, cut_th[:, np.newaxis], cut_ph[:, np.newaxis])[:, 0, 0])
         assert np.abs(best - per_point_gap(form, h, y, cut_th, cut_ph)).max() <= 1e-14
+
+    def test_refine_walks_past_its_first_stencil(self):
+        # A bowl three cells from the start, where shrinking stencils alone
+        # reach 4/3 of a cell: moves to the stencil's border keep it wide.
+        t0, p0 = 1.0 + 3.0 * self.CELL, 2.0 - 3.0 * self.CELL
+
+        def bowl(t, p):
+            return (t[:, :, np.newaxis] - t0) ** 2 + (p[:, np.newaxis, :] - p0) ** 2
+
+        th, ph, best = _refine(bowl, np.array([1.0, t0]), np.array([2.0, p0]), self.CELL)
+        assert np.abs(th - t0).max() <= 1e-7 and np.abs(ph - p0).max() <= 1e-7
+        assert best.max() <= 1e-14
 
 
 def grid_minima_by_roll(f):
