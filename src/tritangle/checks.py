@@ -79,14 +79,15 @@ def fidelity_grid_gap(kind) -> float:
 def average_fidelity_gap(average) -> float:
     """Worst |average(scheme, p) - closed-form average fidelity| over both schemes at 11 p in [0, 1].
 
-    average is avg_fidelity (the quadrature) or avg_fidelity_entanglement.
+    average is avg_fidelity (the quadrature) or avg_fidelity_entanglement,
+    called once per scheme on all 11 weights.
     """
-    schemes = [scheme_unitary(kind) for kind in SchemeKind]
-    return max(
-        abs(average(scheme, p) - avg_fidelity_closed(scheme.kind, p))
-        for p in np.linspace(0.0, 1.0, 11)
-        for scheme in schemes
-    )
+    ps = np.linspace(0.0, 1.0, 11)
+    worst = 0.0
+    for kind in SchemeKind:
+        closed = [avg_fidelity_closed(kind, p) for p in ps]
+        worst = max(worst, float(np.abs(average(scheme_unitary(kind), ps) - closed).max()))
+    return worst
 
 
 def monogamy_extremes(n: int, rng: np.random.Generator) -> tuple[float, float]:

@@ -139,18 +139,18 @@ def cmd_fig4(args) -> int:
     grid = _grid(args, 0.0, 1.0)
     if grid is None:
         return _usage_error("need 0 <= start < stop <= 1 and steps >= 2")
-    schemes = {k: scheme_unitary(k) for k in SchemeKind}
+    ghz, w = (avg_fidelity(scheme_unitary(k), grid) for k in (SchemeKind.GHZ, SchemeKind.W))
     header = ["p", "fbar_ghz_closed", "fbar_ghz_numeric", "fbar_w_closed", "fbar_w_numeric", "c_abc"]
     rows = []
-    for p in grid:
+    for p, fbar_ghz, fbar_w in zip(grid, ghz, w):
         p = float(p)
         rows.append(
             [
                 p,
                 avg_fidelity_closed(SchemeKind.GHZ, p),
-                avg_fidelity(schemes[SchemeKind.GHZ], p),
+                float(fbar_ghz),
                 avg_fidelity_closed(SchemeKind.W, p),
-                avg_fidelity(schemes[SchemeKind.W], p),
+                float(fbar_w),
                 float(c_abc_mixture(p)),
             ]
         )

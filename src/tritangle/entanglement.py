@@ -18,6 +18,7 @@ import numpy as np
 from .qcore import (
     DensityMatrix,
     PureState,
+    _check_density,
     hermitian_eigensystem,
     kron,
     partial_trace,
@@ -258,10 +259,16 @@ def ghzw_params(a: float, b: float, c: float, d: float, f: float) -> GhzwMixture
     return GhzwMixtureParams(a, b, c, d, f, s, tau3_ghz, p0, p1, t1)
 
 
-def _check_unit_interval(p: float, name: str = "p") -> float:
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+def _check_unit_interval(p, name: str = "p"):
+    """p as a float, or an array p as a float array; every entry must lie in [0, 1]."""
+    if isinstance(p, float) or not np.ndim(p):
+        p = float(p)
+        bad = () if 0.0 <= p <= 1.0 else (p,)
+    else:
+        p = np.asarray(p, dtype=float)
+        bad = p[~((p >= 0.0) & (p <= 1.0))]  # NaN is bad too
+    if len(bad):
+        raise ValueError(f"{name} must lie in [0, 1], got {float(bad[0])!r}")
     return p
 
 
@@ -342,16 +349,33 @@ def c_abc_mixture(p: float) -> MeasureValue:
     return MeasureValue(math.sqrt(total), MeasureKind.CUT_CONCURRENCE)
 
 
-def channel_mixture_state(p: float, params: GhzwMixtureParams | None = None) -> DensityMatrix:
-    """Rank-2 mixture p |GHZ-type><GHZ-type| + (1-p) |W-type><W-type|."""
+def _mixture_matrix(p, params: GhzwMixtureParams | None) -> np.ndarray:
+    # The mixture for a float p, or the stack (P, 8, 8) of them for a 1-D p.
     p = _check_unit_interval(p)
     g = params or GhzwMixtureParams.standard()
     ghz_vec = np.zeros(8, dtype=complex)
     ghz_vec[0], ghz_vec[7] = g.a, g.b
     w_vec = np.zeros(8, dtype=complex)
     w_vec[1], w_vec[2], w_vec[4] = g.c, g.d, g.f
-    m = p * np.outer(ghz_vec, ghz_vec.conj()) + (1.0 - p) * np.outer(w_vec, w_vec.conj())
-    return DensityMatrix(3, m)
+    if isinstance(p, np.ndarray):
+        p = p[..., None, None]
+    return p * np.outer(ghz_vec, ghz_vec.conj()) + (1.0 - p) * np.outer(w_vec, w_vec.conj())
+
+
+def channel_mixture_state(p: float, params: GhzwMixtureParams | None = None) -> DensityMatrix:
+    """Rank-2 mixture p |GHZ-type><GHZ-type| + (1-p) |W-type><W-type|."""
+    return DensityMatrix(3, _mixture_matrix(p, params))
+
+
+def channel_mixture_stack(p, params: GhzwMixtureParams | None = None) -> np.ndarray:
+    """The mixtures of :func:`channel_mixture_state` at each weight of a 1-D p, as a (P, 8, 8) stack.
+
+    Every member is checked as a density matrix, as the single state is.
+    """
+    stack = _mixture_matrix(np.atleast_1d(p), params)
+    _check_density(stack, 3, get_default(), stacked=True)
+    stack.flags.writeable = False
+    return stack
 
 
 # Fast per-member evaluators for the decomposition optimizer.  Both exploit

@@ -10,7 +10,7 @@ with complex128 entries.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -106,7 +106,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Measured invariant violations for a candidate density matrix."""
+    """Measured invariant violations for a candidate density matrix.
+
+    For a stack of matrices each field is an array over the members.
+    """
 
     shape_ok: bool
     hermiticity_error: float
@@ -118,25 +121,38 @@ class DensityReport:
 
     @property
     def ok(self) -> bool:
-        return self.shape_ok and self.hermitian_ok and self.trace_ok and self.positive_ok
+        return self.shape_ok & self.hermitian_ok & self.trace_ok & self.positive_ok
 
 
 def density_report(matrix, tols: Tolerances | None = None) -> DensityReport:
     """Check the density-matrix invariants without raising.
 
-    A matrix that is not square with a side of 2**n (n in 1..4), or that has
-    a non-finite entry, fails ``shape_ok`` and every other check.
+    ``matrix`` is one matrix or a stack (..., d, d) of them.  A matrix that
+    is not square with a side of 2**n (n in 1..4) fails ``shape_ok`` and
+    every other check, and so does each matrix with a non-finite entry.
     """
     tols = tols or get_default()
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _DIMS or not np.isfinite(m).all():
-        return DensityReport(False, np.inf, np.inf, -np.inf, False, False, False)
-    mh = m.conj().T
-    herm = float(np.abs(m - mh).max())
-    trace = abs(complex(m.trace()) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + mh))[0])
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in _DIMS:
+        return _NOT_A_DENSITY
+    stacked = m.ndim > 2
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    all_finite = finite.all() if stacked else finite
+    if not all_finite:
+        if not stacked:
+            return _NOT_A_DENSITY
+        m = np.where(finite[..., None, None], m, 0.0)  # keeps eigvalsh away from NaN
+    mh = m.swapaxes(-1, -2).conj()
+    herm = np.abs(m - mh).max(axis=(-2, -1))
+    trace = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    min_eig = np.linalg.eigvalsh(0.5 * (m + mh))[..., 0]
+    if not stacked:
+        finite, herm, trace, min_eig = True, float(herm), float(trace), float(min_eig)
+    elif not all_finite:
+        herm, trace = np.where(finite, herm, np.inf), np.where(finite, trace, np.inf)
+        min_eig = np.where(finite, min_eig, -np.inf)
     return DensityReport(
-        shape_ok=True,
+        shape_ok=finite,
         hermiticity_error=herm,
         trace_error=trace,
         min_eigenvalue=min_eig,
@@ -146,29 +162,41 @@ def density_report(matrix, tols: Tolerances | None = None) -> DensityReport:
     )
 
 
-def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances) -> None:
-    # Raises on the first invariant that density_report finds violated;
-    # with the qubit count and the side checked here, a failed shape in the
-    # report means a non-finite entry.
+_NOT_A_DENSITY = DensityReport(False, np.inf, np.inf, -np.inf, False, False, False)
+
+
+def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances, stacked: bool = False) -> None:
+    # Raises on the first invariant that density_report finds violated; for
+    # a stack (P, d, d), on the first failing member, whose index the
+    # message names.  With the qubit count and the side checked here, a
+    # failed shape in the report means a non-finite entry.
     if not (1 <= num_qubits <= _MAX_QUBITS):
         raise DensityValidationError("shape", np.inf, f"num_qubits must be in 1..{_MAX_QUBITS}, got {num_qubits}")
-    if m.ndim != 2 or m.shape != (2**num_qubits, 2**num_qubits):
-        raise DensityValidationError(
-            "shape", np.inf, f"expected {2**num_qubits}x{2**num_qubits} matrix, got {m.shape}"
-        )
+    d = 2**num_qubits
+    if m.ndim != 2 + stacked or m.shape[-2:] != (d, d):
+        what = f"a stack of {d}x{d} matrices" if stacked else f"{d}x{d} matrix"
+        raise DensityValidationError("shape", np.inf, f"expected {what}, got {m.shape}")
     rep = density_report(m, tols)
+    where = ""
+    if stacked:
+        ok = rep.ok
+        if ok.all():
+            return
+        i = int(np.argmin(ok))
+        rep = DensityReport(*(getattr(rep, f.name)[i] for f in fields(DensityReport)))
+        where = f"member {i}: "
     if not rep.shape_ok:
-        raise DensityValidationError("shape", np.inf, "matrix entries must be finite")
+        raise DensityValidationError("shape", np.inf, f"{where}matrix entries must be finite")
     if not rep.hermitian_ok:
         herm = rep.hermiticity_error
-        raise DensityValidationError("hermiticity", herm, f"not Hermitian: max |m - m^dag| = {herm:.3e}")
+        raise DensityValidationError("hermiticity", herm, f"{where}not Hermitian: max |m - m^dag| = {herm:.3e}")
     if not rep.trace_ok:
         tr_err = rep.trace_error
-        raise DensityValidationError("trace", tr_err, f"trace differs from 1 by {tr_err:.3e}")
+        raise DensityValidationError("trace", tr_err, f"{where}trace differs from 1 by {tr_err:.3e}")
     if not rep.positive_ok:
         min_eig = rep.min_eigenvalue
         raise DensityValidationError(
-            "positivity", min_eig, f"smallest eigenvalue {min_eig:.3e} below {tols.psd_floor:g}"
+            "positivity", min_eig, f"{where}smallest eigenvalue {min_eig:.3e} below {tols.psd_floor:g}"
         )
 
 

@@ -9,10 +9,16 @@ U (rho_in x rho_channel) U^dag.
 
 That reduction is linear in rho_in, so at a fixed channel weight p the
 whole protocol is one single-qubit channel Lambda_p.  :func:`receiver_channel`
-builds it once as its Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|),
+builds it as its Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|),
 from the same circuit unitary; :func:`avg_fidelity` reads every quadrature
 node's fidelity off J, and :func:`avg_fidelity_entanglement` gives the
 exact average (2 F_e + 1)/3 from the entanglement fidelity F_e of J.
+All three take one weight or an array of them.  An array is swept in
+chunks: per chunk one stack of channel states, one batched pass of its
+4P operators |i><j| x rho_channel(p) through the circuit, one stacked
+check of the P Choi states, and one einsum over all P x nodes
+fidelities.  Every weight is still simulated and checked on its own
+terms, and its value is bitwise the one it gets alone.
 :func:`teleport_output` keeps the explicit circuit for single inputs and
 serves as the oracle for the channel form.
 """
@@ -26,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .entanglement import GhzwMixtureParams, _check_unit_interval, channel_mixture_state
-from .qcore import DensityMatrix, PureState, kron, partial_trace
+from .entanglement import GhzwMixtureParams, _check_unit_interval, channel_mixture_stack, channel_mixture_state
+from .qcore import DensityMatrix, PureState, _check_density, kron, partial_trace
 from .tolerances import get_default
 
 _RT2 = math.sqrt(2.0)
@@ -210,66 +216,116 @@ class QuadratureConfig:
             a.flags.writeable = False
         return nodes, weights, phis
 
+    @cached_property
+    def node_vectors(self) -> np.ndarray:
+        """conj(psi) x psi for the input state psi at each grid node, shape
+        (cos_theta_nodes, phi_nodes, 4), read-only; built like :attr:`grid`."""
+        nodes, _, phis = self.grid
+        # input_state(theta, phi) on the grid, cos(theta) = node
+        half = 0.5 * np.arccos(nodes)[:, None]
+        psi = np.stack(
+            [np.cos(half) * np.exp(0.5j * phis), np.sin(half) * np.exp(-0.5j * phis)], axis=-1
+        )
+        vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(*psi.shape[:-1], 4)
+        vec.flags.writeable = False
+        return vec
+
 
 _DEFAULT_QUADRATURE = QuadratureConfig()
+# Weights per batch of a sweep.  Each weight holds four 16 x 16 circuit
+# operators, so a chunk bounds the memory of a sweep of any length.
+_SWEEP_CHUNK = 64
 
 
-def receiver_channel(scheme: TeleportScheme, p: float) -> DensityMatrix:
-    """Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocol.
+def _choi_states(scheme: TeleportScheme, channel: np.ndarray) -> np.ndarray:
+    """Choi states (P, 4, 4) of the protocol for a stack of channel states (P, 8, 8).
 
-    Lambda_p maps the input qubit to the receiver's output at channel
-    weight p.  The four operators |i><j| x rho_channel(p) go through the
-    circuit unitary in one batch.  Building J as a DensityMatrix checks
-    that Lambda_p is completely positive; its input marginal must be I/2,
-    which checks that Lambda_p preserves the trace.
+    The 4P operators |i><j| x rho_channel go through the circuit unitary
+    in one batch.  Every J is checked as a density matrix, which checks
+    that its Lambda_p is completely positive; every input marginal must
+    be I/2, which checks that Lambda_p preserves the trace.
     """
-    rho = channel_state(p).matrix
+    n = channel.shape[0]
     basis = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # basis[i, j] = |i><j|
-    joint = np.einsum("ijab,kl->ijakbl", basis, rho).reshape(2, 2, 16, 16)
+    joint = np.einsum("ijab,pkl->pijakbl", basis, channel).reshape(n, 2, 2, 16, 16)
     evolved = scheme.unitary @ joint @ scheme.unitary.conj().T
     # Trace out the input and the sender's two channel qubits.
-    out = np.einsum("ijmamb->ijab", evolved.reshape(2, 2, 8, 2, 8, 2))
-    choi = DensityMatrix(2, 0.5 * out.transpose(0, 2, 1, 3).reshape(4, 4))
-    marginal = np.einsum("iaja->ij", choi.matrix.reshape(2, 2, 2, 2))
-    dev = float(np.abs(marginal - 0.5 * np.eye(2)).max())
+    out = np.einsum("pijmamb->pijab", evolved.reshape(n, 2, 2, 8, 2, 8, 2))
+    choi = 0.5 * out.transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
+    _check_density(choi, 2, get_default(), stacked=True)
+    marginal = np.einsum("piaja->pij", choi.reshape(n, 2, 2, 2, 2))
+    dev = float(np.abs(marginal - 0.5 * np.eye(2)).max(initial=0.0))
     if dev > get_default().trace_atol:
         raise ValueError(f"receiver map does not preserve the trace: deviation {dev:.3e}")
     return choi
 
 
-def avg_fidelity(scheme: TeleportScheme, p: float, cfg: QuadratureConfig | None = None) -> float:
+def _sweep(scheme: TeleportScheme, p, score) -> np.ndarray:
+    # score(J) for the Choi stack J of the weights p, _SWEEP_CHUNK weights
+    # at a time, as one array of p's shape (plus score's own axes).  Every
+    # weight is simulated through the circuit (channel_mixture_stack checks
+    # its range); a float p is a sweep of one, and an empty p one empty chunk.
+    flat = np.ravel(p)
+    parts = [
+        score(_choi_states(scheme, channel_mixture_stack(flat[lo : lo + _SWEEP_CHUNK])))
+        for lo in range(0, max(flat.size, 1), _SWEEP_CHUNK)
+    ]
+    return np.concatenate(parts).reshape(np.shape(p) + parts[0].shape[1:])
+
+
+def receiver_channel(scheme: TeleportScheme, p):
+    """Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocol.
+
+    Lambda_p maps the input qubit to the receiver's output at channel
+    weight p.  A DensityMatrix for a float p; for an array of weights the
+    stack (..., 4, 4) of their Choi states, each checked as
+    :func:`_choi_states` checks it.
+    """
+    choi = _sweep(scheme, p, lambda choi: choi)
+    return DensityMatrix(2, choi) if np.ndim(p) == 0 else choi
+
+
+def avg_fidelity(scheme: TeleportScheme, p, cfg: QuadratureConfig | None = None):
     """(1/4pi) integral of the fidelity over all input directions.
 
     A Gauss-Legendre rule in cos(theta) times a uniform rule in phi.  The
     fidelity of input psi is F(psi) = 2 <conj(psi) x psi| J |conj(psi) x psi>
     with J the Choi state of :func:`receiver_channel`, evaluated for all
-    nodes at once; every node's fidelity must lie in [0, 1].
+    nodes and weights at once; every node's fidelity must lie in [0, 1].
+    A float for a float p, else an array of p's shape, whose every entry
+    is bitwise the value for that weight alone.
     """
     cfg = _DEFAULT_QUADRATURE if cfg is None else cfg
-    choi = receiver_channel(scheme, p).matrix
-    nodes, weights, phis = cfg.grid
-    # input_state(theta, phi) on the grid, cos(theta) = node
-    half = 0.5 * np.arccos(nodes)[:, None]
-    psi = np.stack(
-        [np.cos(half) * np.exp(0.5j * phis), np.sin(half) * np.exp(-0.5j * phis)], axis=-1
-    )
-    vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(*psi.shape[:-1], 4)
-    fids = 2.0 * np.real(np.einsum("...r,rs,...s->...", vec.conj(), choi, vec))
-    _check_fidelities(fids)
-    return float(weights @ fids.sum(axis=1)) / (2.0 * cfg.phi_nodes)
+    _, weights, _ = cfg.grid
+    vec = cfg.node_vectors
+
+    def average(choi):
+        fids = 2.0 * np.real(np.einsum("...r,prs,...s->p...", vec.conj(), choi, vec))
+        _check_fidelities(fids)
+        # One dot product per weight: a (P, n) @ (n,) product may round a
+        # row differently by its place in the batch.
+        return (fids.sum(axis=2)[:, None, :] @ weights)[:, 0] / (2.0 * cfg.phi_nodes)
+
+    fbar = _sweep(scheme, p, average)
+    return float(fbar) if np.ndim(p) == 0 else fbar
 
 
-def avg_fidelity_entanglement(scheme: TeleportScheme, p: float) -> float:
+def avg_fidelity_entanglement(scheme: TeleportScheme, p):
     """Exact average fidelity (2 F_e + 1)/3, F_e = <Phi+| J |Phi+>.
 
     F_e is the entanglement fidelity of the receiver's channel, read off
     its Choi state J (Horodecki et al., PRA 60, 1888 (1999); Nielsen,
-    PLA 303, 249 (2002)).
+    PLA 303, 249 (2002)).  A float for a float p, else an array of p's
+    shape, as for :func:`avg_fidelity`.
     """
-    choi = receiver_channel(scheme, p).matrix
     phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / _RT2
-    f_e = float(np.real(phi_plus @ choi @ phi_plus))
-    return (2.0 * f_e + 1.0) / 3.0
+
+    def exact(choi):
+        f_e = np.real((phi_plus @ choi)[:, None, :] @ phi_plus)[:, 0]
+        return (2.0 * f_e + 1.0) / 3.0
+
+    fbar = _sweep(scheme, p, exact)
+    return float(fbar) if np.ndim(p) == 0 else fbar
 
 
 def avg_fidelity_closed(kind, p: float) -> float:

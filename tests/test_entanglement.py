@@ -13,6 +13,7 @@ from tritangle.entanglement import (
     MeasureKind,
     MeasureValue,
     c_abc_mixture,
+    channel_mixture_stack,
     channel_mixture_state,
     concurrence_pure2,
     concurrence_wootters,
@@ -433,3 +434,15 @@ class TestMixtureFamily:
             channel_mixture_state(1.2)
         with pytest.raises(ValueError):
             channel_mixture_state(-0.1)
+
+    def test_channel_stack_holds_each_weights_state(self):
+        ps = np.linspace(0.0, 1.0, 9)
+        stack = channel_mixture_stack(ps)
+        assert stack.shape == (9, 8, 8) and not stack.flags.writeable
+        for p, rho in zip(ps, stack):
+            assert np.array_equal(rho, channel_mixture_state(p).matrix)
+
+    @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+    def test_channel_stack_rejects_bad_weight(self, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            channel_mixture_stack([0.3, bad, 0.5])

@@ -240,6 +240,74 @@ class TestDensityValidation:
 INVARIANTS = ("shape", "hermiticity", "trace", "positivity")
 
 
+class TestDensityStack:
+    """The stacked check: one report and one raise for a (P, d, d) stack."""
+
+    @staticmethod
+    def _stack(bad, index=2, size=5):
+        # Valid two-qubit states with one member replaced by bad.
+        rng = np.random.default_rng(7)
+        stack = np.array([random_density_matrix(2, 4, rng).matrix for _ in range(size)])
+        stack[index] = bad
+        return stack
+
+    @staticmethod
+    def _bad_members():
+        good = random_density_matrix(2, 3, np.random.default_rng(3)).matrix
+        non_finite = good.copy()
+        non_finite[1, 2] = np.nan
+        skew = good.copy()
+        skew[0, 3] += 1e-6
+        return {
+            "shape": non_finite,
+            "hermiticity": skew,
+            "trace": 1.1 * good,
+            "positivity": np.diag([1.2, 0.0, 0.0, -0.2]).astype(complex),
+        }
+
+    @pytest.mark.parametrize("invariant", INVARIANTS)
+    def test_bad_member_raises_like_the_single_check(self, invariant):
+        bad = self._bad_members()[invariant]
+        with pytest.raises(DensityValidationError) as single:
+            DensityMatrix(2, bad)
+        assert single.value.invariant == invariant
+        with pytest.raises(DensityValidationError) as stacked:
+            qcore._check_density(self._stack(bad), 2, tolerances.get_default(), stacked=True)
+        assert stacked.value.invariant == invariant
+        assert str(stacked.value) == f"member 2: {single.value}"
+        if invariant != "shape":
+            assert stacked.value.magnitude == single.value.magnitude
+
+    def test_first_failing_member_is_named(self):
+        bad = self._bad_members()
+        stack = self._stack(bad["trace"], index=1)
+        stack[3] = bad["hermiticity"]
+        with pytest.raises(DensityValidationError, match="^member 1: trace") as err:
+            qcore._check_density(stack, 2, tolerances.get_default(), stacked=True)
+        assert err.value.invariant == "trace"
+
+    def test_valid_stack_passes(self):
+        qcore._check_density(self._stack(np.eye(4) / 4), 2, tolerances.get_default(), stacked=True)
+        qcore._check_density(np.zeros((0, 4, 4)), 2, tolerances.get_default(), stacked=True)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 4, 4), (3, 2, 2)])
+    def test_stack_shape(self, shape):
+        with pytest.raises(DensityValidationError, match="stack of 4x4") as err:
+            qcore._check_density(np.zeros(shape, dtype=complex), 2, tolerances.get_default(), stacked=True)
+        assert err.value.invariant == "shape"
+
+    def test_report_fields_are_the_members_reports(self):
+        stack = self._stack(self._bad_members()["shape"])
+        stack[0] = self._bad_members()["positivity"]
+        rep = density_report(stack)
+        for i, member in enumerate(stack):
+            single = density_report(member)
+            for name in ("shape_ok", "hermiticity_error", "trace_error", "min_eigenvalue",
+                         "hermitian_ok", "trace_ok", "positive_ok", "ok"):
+                assert getattr(rep, name)[i] == getattr(single, name), (i, name)
+        assert rep.ok.tolist() == [False, True, False, True, True]
+
+
 @st.composite
 def candidate_matrices(draw):
     # A random density matrix, then at most one perturbation placed on

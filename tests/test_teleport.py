@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritangle import teleport
 from tritangle.entanglement import GhzwMixtureParams
@@ -159,6 +161,11 @@ class TestAverageFidelity:
         assert np.array_equal(cfg.grid[2], 2.0 * math.pi * np.arange(10) / 10)
         for arr in cfg.grid:
             assert not arr.flags.writeable
+        assert cfg.node_vectors is cfg.node_vectors
+        assert cfg.node_vectors.shape == (12, 10, 4)
+        assert not cfg.node_vectors.flags.writeable
+        amps = input_state(math.acos(nodes[5]), cfg.grid[2][3]).amplitudes
+        assert np.allclose(cfg.node_vectors[5, 3], np.kron(amps.conj(), amps), atol=1e-15)
         assert cfg == QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)
         assert hash(cfg) == hash(QuadratureConfig(cos_theta_nodes=12, phi_nodes=10))
         assert repr(cfg) == "QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)"
@@ -230,7 +237,7 @@ class TestReceiverChannel:
 
     def test_avg_fidelity_rejects_fidelity_out_of_range(self, monkeypatch):
         choi = receiver_channel(scheme_unitary("w"), 0.0)
-        monkeypatch.setattr(teleport, "receiver_channel", lambda scheme, p: SimpleNamespace(matrix=1.5 * choi.matrix))
+        monkeypatch.setattr(teleport, "_choi_states", lambda scheme, channel: 1.5 * choi.matrix[None])
         with pytest.raises(ValueError, match="outside"):
             avg_fidelity(scheme_unitary("w"), 0.0)
 
@@ -242,13 +249,44 @@ class TestReceiverChannel:
 
     def test_rejects_out_of_range(self):
         scheme = scheme_unitary("ghz")
-        for p in (-0.01, 1.01, math.nan):
-            with pytest.raises(ValueError):
-                receiver_channel(scheme, p)
-            with pytest.raises(ValueError):
-                avg_fidelity(scheme, p)
-            with pytest.raises(ValueError):
-                avg_fidelity_entanglement(scheme, p)
+        for bad in (-0.01, 1.01, math.nan):
+            # alone, and as one weight among good ones
+            for p in (bad, np.array([0.2, bad, 0.9]), np.array([0.0, 1.0, bad])):
+                with pytest.raises(ValueError):
+                    receiver_channel(scheme, p)
+                with pytest.raises(ValueError):
+                    avg_fidelity(scheme, p)
+                with pytest.raises(ValueError):
+                    avg_fidelity_entanglement(scheme, p)
+
+    @pytest.mark.parametrize("kind", ["ghz", "w"])
+    def test_stack_holds_each_weights_choi_state(self, kind):
+        scheme = scheme_unitary(kind)
+        ps = np.linspace(0.0, 1.0, 7)
+        stack = receiver_channel(scheme, ps)
+        assert stack.shape == (7, 4, 4)
+        for p, choi in zip(ps, stack):
+            assert np.array_equal(choi, receiver_channel(scheme, p).matrix)
+
+
+SWEEP_LENGTHS = sorted({1, teleport._SWEEP_CHUNK - 1, teleport._SWEEP_CHUNK, teleport._SWEEP_CHUNK + 1,
+                        3 * teleport._SWEEP_CHUNK + 1})
+
+
+@given(
+    st.sampled_from(SWEEP_LENGTHS).flatmap(
+        lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+    st.sampled_from(["ghz", "w"]),
+)
+@settings(max_examples=10, deadline=None)
+def test_sweep_entries_are_the_single_weight_values(ps, kind):
+    # Bitwise: a weight's value must not depend on the sweep it sits in,
+    # its place in a chunk, or the chunk boundaries.
+    scheme = scheme_unitary(kind)
+    for average in (avg_fidelity, avg_fidelity_entanglement):
+        swept = average(scheme, np.array(ps))
+        assert swept.shape == (len(ps),)
+        assert [x.hex() for x in swept.tolist()] == [average(scheme, p).hex() for p in ps]
 
 
 class TestCriticalValues:
