@@ -16,18 +16,16 @@ import numpy as np
 
 from .convexroof import RoofConfig, minimize_roof, optimal_ghzw_ensemble, roof_rank2
 from .entanglement import (
-    Cut,
     GhzwMixtureParams,
     channel_mixture_state,
     concurrence_pure2,
     concurrence_wootters,
-    cut_concurrence_pure,
     monogamy_residual,
     three_tangle_ghzw,
     three_tangle_pure,
 )
 from .noisychan import epsilon_x_w, zero_tangle_ensemble
-from .qcore import DensityMatrix, PureState, partial_trace, random_pure_state
+from .qcore import DensityMatrix, PureState, random_pure_state
 from .teleport import (
     SchemeKind,
     avg_fidelity,
@@ -91,18 +89,16 @@ def average_fidelity_gap(average) -> float:
 
 
 def monogamy_extremes(n: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Over n random pure three-qubit states: the largest C_AC^2 + C_BC^2 - C_C(AB)^2
-    (at most 0 by monogamy) and the largest |monogamy residual - tangle|."""
+    """Over n random pure three-qubit states: the largest negated monogamy residual
+    C_AC^2 + C_BC^2 - C_C(AB)^2 (at most 0 by monogamy) and the largest
+    |monogamy residual - tangle|."""
     worst_gap = -math.inf
     worst_residual = 0.0
     for _ in range(n):
         psi = random_pure_state(3, rng)
-        rho = psi.density()
-        c_cut = float(cut_concurrence_pure(psi, Cut.AB_C))
-        c_ac = float(concurrence_wootters(partial_trace(rho, [2])))
-        c_bc = float(concurrence_wootters(partial_trace(rho, [1])))
-        worst_gap = max(worst_gap, c_ac * c_ac + c_bc * c_bc - c_cut * c_cut)
-        worst_residual = max(worst_residual, abs(monogamy_residual(psi) - float(three_tangle_pure(psi))))
+        residual = monogamy_residual(psi)
+        worst_gap = max(worst_gap, -residual)
+        worst_residual = max(worst_residual, abs(residual - float(three_tangle_pure(psi))))
     return worst_gap, worst_residual
 
 
@@ -128,7 +124,7 @@ def ensemble_extremes(cases) -> tuple[float, float]:
     """Over (ensemble, state) pairs: the worst reconstruction error and the largest member tangle."""
     worst_recon = worst_member = 0.0
     for ens, rho in cases:
-        worst_recon = max(worst_recon, float(np.abs(ens.reconstruct() - rho.matrix).max()))
+        worst_recon = max(worst_recon, ens.reconstruction_error(rho))
         worst_member = max(worst_member, max(float(three_tangle_pure(psi)) for _, psi in ens.members))
     return worst_recon, worst_member
 

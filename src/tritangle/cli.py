@@ -400,7 +400,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_use: str = "RNG seed", formats=("csv", "json")) -> None:
+_SEED_UNUSED = "accepted as by every subcommand; the report draws no random numbers"
+
+
+def _add_common(parser: argparse.ArgumentParser, seed_use: str = _SEED_UNUSED, formats=("csv", "json")) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"{seed_use} (default: ${SEED_ENV} or {DEFAULT_SEED})")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=formats, default=None, help="output format")
@@ -483,7 +486,7 @@ def _fill_noisy(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--kappa-t", type=_finite_float, default=None, help="single kappa*t value (overrides the sweep)")
     _add_sweep(p, 0.0, 2.0, 11)
-    _add_common(p, "accepted as by every subcommand; the report draws no random numbers")
+    _add_common(p)
     p.set_defaults(func=cmd_noisy, default_format="csv")
 
 
@@ -495,7 +498,7 @@ def _fill_validate(p: argparse.ArgumentParser) -> None:
         choices=("all", "monogamy", "roof", "unitarity", "fidelity"),
         help="which suite to run (default all)",
     )
-    _add_common(p, formats=("json",))
+    _add_common(p, "seed of the monogamy suite's random states and of the roof suite's searches", ("json",))
     p.set_defaults(func=cmd_validate, default_format="json")
 
 

@@ -45,18 +45,15 @@ tests' independent oracle for the LP.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .entanglement import GhzwMixtureParams, channel_mixture_state, ghzw_superposition
 from .qcore import DensityMatrix, PureState, hermitian_eigensystem, validate_density
-from .tolerances import get_default
-
-_CONFIG_KEYS = ("restarts", "ensemble_size", "seed", "max_iters", "improve_tol")
+from .tolerances import TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -81,20 +78,6 @@ class RoofConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "RoofConfig":
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown roof config keys: {sorted(unknown)}")
-        return cls(**{k: data[k] for k in _CONFIG_KEYS if k in data})
-
-    @classmethod
-    def from_json(cls, text: str) -> "RoofConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("roof config JSON must be an object")
-        return cls.from_mapping(data)
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -103,7 +86,7 @@ class Ensemble:
     members: tuple
 
     def __post_init__(self):
-        tols = get_default()
+        atol = TOLERANCES.weight_sum_atol
         members = tuple((float(w), psi) for w, psi in self.members)
         if not members:
             raise ValueError("ensemble needs at least one member")
@@ -112,10 +95,10 @@ class Ensemble:
         for w, psi in members:
             if not isinstance(psi, PureState) or psi.num_qubits != n:
                 raise ValueError("ensemble members must be pure states on the same qubits")
-            if not (0.0 < w <= 1.0 + tols.weight_sum_atol):
+            if not (0.0 < w <= 1.0 + atol):
                 raise ValueError(f"member weight {w!r} outside (0, 1]")
             total += w
-        if abs(total - 1.0) > tols.weight_sum_atol:
+        if abs(total - 1.0) > atol:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "members", members)
 
@@ -133,6 +116,10 @@ class Ensemble:
         for w, psi in self.members:
             out += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
         return out
+
+    def reconstruction_error(self, rho: DensityMatrix) -> float:
+        """Largest entry of |reconstruct() - rho|."""
+        return float(np.abs(self.reconstruct() - rho.matrix).max())
 
     def average(self, measure: Callable[[PureState], float]) -> float:
         return float(sum(w * float(measure(psi)) for w, psi in self.members))
@@ -152,9 +139,8 @@ class RoofResult:
 
 def _rank_factor(rho: DensityMatrix):
     # Rows of the returned factor are scaled eigenvectors: rho = C^T conj(C).
-    tols = get_default()
     vals, vecs = hermitian_eigensystem(rho.matrix)
-    r = int(np.sum(vals > tols.rank_cutoff))
+    r = int(np.sum(vals > TOLERANCES.rank_cutoff))
     if r == 0:
         raise ValueError("density matrix has no eigenvalue above the rank cutoff")
     factor = (vecs[:, :r] * np.sqrt(np.clip(vals[:r], 0.0, None))).T
@@ -162,16 +148,15 @@ def _rank_factor(rho: DensityMatrix):
 
 
 def _ensemble_from_rows(rho: DensityMatrix, rows: np.ndarray) -> Ensemble:
-    tols = get_default()
     weights = np.sum(np.abs(rows) ** 2, axis=1)
     members = []
     for j in range(rows.shape[0]):
         w = float(weights[j])
-        if w > tols.weight_drop:
+        if w > TOLERANCES.weight_drop:
             members.append((w, PureState(rho.num_qubits, rows[j] / math.sqrt(w))))
     ens = Ensemble(tuple(members))
-    err = float(np.abs(ens.reconstruct() - rho.matrix).max())
-    if err > tols.reconstruction_atol:
+    err = ens.reconstruction_error(rho)
+    if err > TOLERANCES.reconstruction_atol:
         raise ValueError(f"decomposition fails to reconstruct the state: error {err:.3e}")
     return ens
 
@@ -184,13 +169,12 @@ def ensemble_from_mixing(rho, mixing) -> Ensemble:
     """
     if not isinstance(rho, DensityMatrix):
         rho = validate_density(rho)
-    tols = get_default()
     r, factor = _rank_factor(rho)
     m = np.atleast_2d(np.asarray(mixing, dtype=complex))
     if m.shape[1] != r or m.shape[0] < r:
         raise ValueError(f"mixing must be m x {r} with m >= {r}, got {m.shape}")
     gram_err = float(np.abs(m.conj().T @ m - np.eye(r)).max())
-    if gram_err > tols.mixing_orthonormal_atol:
+    if gram_err > TOLERANCES.mixing_orthonormal_atol:
         raise ValueError(f"mixing columns not orthonormal: deviation {gram_err:.3e}")
     return _ensemble_from_rows(rho, m @ factor)
 
@@ -764,7 +748,7 @@ def optimal_ghzw_ensemble(p: float, params: GhzwMixtureParams | None = None) -> 
     if not (0.0 <= p <= g.p0 + 1e-12):
         raise ValueError(f"p must lie in [0, p0 = {g.p0:.6f}], got {p!r}")
     p = min(p, g.p0)
-    drop = get_default().weight_drop
+    drop = TOLERANCES.weight_drop
     members = []
     w_branch = p / (3.0 * g.p0)
     for n in range(3):
@@ -776,8 +760,7 @@ def optimal_ghzw_ensemble(p: float, params: GhzwMixtureParams | None = None) -> 
         amps[1], amps[2], amps[4] = g.c, g.d, g.f
         members.append((w_rest, PureState(3, amps)))
     ens = Ensemble(tuple(members))
-    target = channel_mixture_state(p, g).matrix
-    err = float(np.abs(ens.reconstruct() - target).max())
+    err = ens.reconstruction_error(channel_mixture_state(p, g))
     if err > 1e-10:
         raise ValueError(f"ensemble fails to reproduce the mixture: error {err:.3e}")
     return ens

@@ -8,6 +8,7 @@ state, together with the reduced concurrences of the standard mixture.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,7 +25,7 @@ from .qcore import (
     partial_trace,
     validate_density,
 )
-from .tolerances import get_default
+from .tolerances import TOLERANCES
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP_4 = kron(_SIGMA_Y, _SIGMA_Y)
@@ -51,7 +52,7 @@ class MeasureValue:
 
     def __post_init__(self):
         v = float(self.value)
-        tol = get_default().measure_clamp
+        tol = TOLERANCES.measure_clamp
         if -tol <= v < 0.0:
             v = 0.0
         elif 1.0 < v <= 1.0 + tol:
@@ -62,10 +63,6 @@ class MeasureValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _as_float(c) -> float:
-    return float(c.value) if isinstance(c, MeasureValue) else float(c)
 
 
 def concurrence_pure2(psi: PureState) -> MeasureValue:
@@ -104,23 +101,16 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _validated_concurrence(c) -> float:
-    cv = _as_float(c)
-    if not (-1e-12 <= cv <= 1.0 + 1e-12):
-        raise ValueError(f"concurrence {cv!r} outside [0, 1]")
-    return min(1.0, max(0.0, cv))
-
-
 def eof_from_concurrence(c) -> MeasureValue:
     """Entanglement of formation h((1 + sqrt(1 - c^2))/2), h the binary entropy."""
-    cv = _validated_concurrence(c)
+    cv = MeasureValue(c, MeasureKind.CONCURRENCE).value
     x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - cv * cv)))
     return MeasureValue(_binary_entropy(x), MeasureKind.EOF)
 
 
 def groverian_from_concurrence(c) -> MeasureValue:
     """Grover-search based measure sqrt((1 - sqrt(1 - c^2))/2)."""
-    cv = _validated_concurrence(c)
+    cv = MeasureValue(c, MeasureKind.CONCURRENCE).value
     inner = 1.0 - math.sqrt(max(0.0, 1.0 - cv * cv))
     return MeasureValue(math.sqrt(max(0.0, inner) / 2.0), MeasureKind.GROVERIAN)
 
@@ -224,8 +214,12 @@ class GhzwMixtureParams:
     t1: float
 
     @classmethod
+    @functools.cache
     def standard(cls) -> "GhzwMixtureParams":
-        """Balanced GHZ with the (1/sqrt2, 1/2, 1/2) W component; s = 2 exactly."""
+        """Balanced GHZ with the (1/sqrt2, 1/2, 1/2) W component; s = 2 exactly.
+
+        Derived once, on the first call; every call returns that instance.
+        """
         rt2 = 1.0 / math.sqrt(2.0)
         s = 2.0
         tau3_ghz = 1.0
@@ -242,7 +236,7 @@ def ghzw_params(a: float, b: float, c: float, d: float, f: float) -> GhzwMixture
     Requires a^2 + b^2 = 1 and c^2 + d^2 + f^2 = 1; raises if a^2 b
     vanishes (the scale s is undefined there).
     """
-    tol = get_default().norm_atol
+    tol = TOLERANCES.norm_atol
     if abs(a * a + b * b - 1.0) > tol:
         raise ValueError(f"a^2 + b^2 = {a * a + b * b!r}, expected 1")
     if abs(c * c + d * d + f * f - 1.0) > tol:
@@ -373,7 +367,7 @@ def channel_mixture_stack(p, params: GhzwMixtureParams | None = None) -> np.ndar
     Every member is checked as a density matrix, as the single state is.
     """
     stack = _mixture_matrix(np.atleast_1d(p), params)
-    _check_density(stack, 3, get_default(), stacked=True)
+    _check_density(stack, 3, TOLERANCES, stacked=True)
     stack.flags.writeable = False
     return stack
 

@@ -34,7 +34,7 @@ import numpy as np
 from .convexroof import Ensemble
 from .entanglement import concurrence_wootters, three_tangle_pure
 from .qcore import DensityMatrix, DensityReport, PureState, density_report, partial_trace, w_state
-from .tolerances import get_default
+from .tolerances import TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ def _checked_zero_ensemble(kt: float, rho: DensityMatrix) -> Ensemble:
         if weight > 0.0:
             members.append((weight, PureState(3, w[np.arange(8) ^ s])))
     ens = Ensemble(tuple(members))
-    err = float(np.abs(ens.reconstruct() - rho.matrix).max())
-    if err > get_default().reconstruction_atol:
+    err = ens.reconstruction_error(rho)
+    if err > TOLERANCES.reconstruction_atol:
         raise ValueError(f"ensemble fails to reconstruct the decohered state: error {err:.3e}")
     if any(float(three_tangle_pure(psi)) != 0.0 for _, psi in ens.members):
         raise ValueError("a bit-flipped W state has nonzero tangle")

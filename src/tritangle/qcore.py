@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, fields
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .tolerances import Tolerances, get_default
+from .tolerances import TOLERANCES, Tolerances
 
 ComplexMatrix = np.ndarray
 
@@ -65,7 +65,7 @@ class PureState:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        tol = get_default().norm_atol
+        tol = TOLERANCES.norm_atol
         if norm_err > tol:
             raise ValueError(f"state not normalized: |sum - 1| = {norm_err:.3e} > {tol:g}")
         amps.flags.writeable = False
@@ -85,17 +85,16 @@ class PureState:
 class DensityMatrix:
     """Validated density operator: Hermitian, unit trace, positive semidefinite.
 
-    ``tols`` (init only) sets the tolerances of the check; without it the
-    module default applies.
+    ``tols`` (init only) sets the tolerances of the check.
     """
 
     num_qubits: int
     matrix: np.ndarray
-    tols: InitVar[Optional[Tolerances]] = None
+    tols: InitVar[Tolerances] = TOLERANCES
 
     def __post_init__(self, tols):
         m = np.asarray(self.matrix, dtype=complex).copy()
-        _check_density(m, self.num_qubits, tols or get_default())
+        _check_density(m, self.num_qubits, tols)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -124,14 +123,13 @@ class DensityReport:
         return self.shape_ok & self.hermitian_ok & self.trace_ok & self.positive_ok
 
 
-def density_report(matrix, tols: Tolerances | None = None) -> DensityReport:
+def density_report(matrix, tols: Tolerances = TOLERANCES) -> DensityReport:
     """Check the density-matrix invariants without raising.
 
     ``matrix`` is one matrix or a stack (..., d, d) of them.  A matrix that
     is not square with a side of 2**n (n in 1..4) fails ``shape_ok`` and
     every other check, and so does each matrix with a non-finite entry.
     """
-    tols = tols or get_default()
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in _DIMS:
         return _NOT_A_DENSITY
@@ -200,11 +198,11 @@ def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances, stacked: bo
         )
 
 
-def validate_density(matrix, tols: Tolerances | None = None) -> DensityMatrix:
+def validate_density(matrix, tols: Tolerances = TOLERANCES) -> DensityMatrix:
     """Build a :class:`DensityMatrix` from a raw array.
 
-    Passing ``tols`` validates against those tolerances instead of the
-    module defaults (the only way to accept, say, a slightly negative
+    Passing ``tols`` validates against those tolerances instead of
+    :data:`~tritangle.tolerances.TOLERANCES` (the only way to accept, say, a slightly negative
     eigenvalue from an upstream numerical step).
 
     Raises
@@ -282,26 +280,25 @@ def _require_hermitian(h, tols: Tolerances) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_eigenvalues(h, tols: Tolerances | None = None) -> np.ndarray:
+def hermitian_eigenvalues(h, tols: Tolerances = TOLERANCES) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
-    m = _require_hermitian(h, tols or get_default())
+    m = _require_hermitian(h, tols)
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
-def hermitian_eigensystem(h, tols: Tolerances | None = None):
+def hermitian_eigensystem(h, tols: Tolerances = TOLERANCES):
     """Eigenvalues (descending) and matching eigenvector columns."""
-    m = _require_hermitian(h, tols or get_default())
+    m = _require_hermitian(h, tols)
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def sqrt_psd(rho: Union[DensityMatrix, np.ndarray], tols: Tolerances | None = None) -> ComplexMatrix:
+def sqrt_psd(rho: Union[DensityMatrix, np.ndarray], tols: Tolerances = TOLERANCES) -> ComplexMatrix:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-psd_clamp, 0) are clamped to zero; anything below the
-    hard floor raises ValueError.
+    Eigenvalues in [psd_hard_floor, 0), by default [-1e-8, 0), are clamped
+    to zero; anything below the hard floor raises ValueError.
     """
-    tols = tols or get_default()
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     vals, vecs = hermitian_eigensystem(m, tols)
     if float(vals[-1]) < tols.psd_hard_floor:

@@ -28,13 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .entanglement import GhzwMixtureParams, _check_unit_interval, channel_mixture_stack, channel_mixture_state
 from .qcore import DensityMatrix, PureState, _check_density, kron, partial_trace
-from .tolerances import get_default
+from .tolerances import TOLERANCES
 
 _RT2 = math.sqrt(2.0)
 # Fidelities may overshoot [0, 1] by this much from rounding.
@@ -89,20 +89,6 @@ _W_ENTRIES = [
 ]
 
 
-def _build(entries, prefactor) -> np.ndarray:
-    u = np.zeros((16, 16), dtype=complex)
-    for row, col, coeff in entries:
-        u[row - 1, col - 1] = prefactor * coeff
-    u.flags.writeable = False
-    return u
-
-
-_UNITARIES = {
-    SchemeKind.GHZ: _build(_GHZ_ENTRIES, _GHZ_PREFACTOR),
-    SchemeKind.W: _build(_W_ENTRIES, _W_PREFACTOR),
-}
-
-
 def unitarity_deviation(u: np.ndarray) -> float:
     """Largest entry of |U U^dag - I| for a 16 x 16 circuit unitary."""
     return float(np.abs(u @ u.conj().T - np.eye(16)).max())
@@ -119,6 +105,18 @@ class TeleportScheme:
         if dev > 1e-12:
             raise ValueError(f"circuit matrix is not unitary: deviation {dev:.3e}")
         object.__setattr__(self, "unitary", u)
+
+
+@cache
+def _scheme(kind: SchemeKind) -> TeleportScheme:
+    # The circuit matrix of a scheme from its entries, built and checked
+    # on first use.
+    entries, prefactor = (_GHZ_ENTRIES, _GHZ_PREFACTOR) if kind is SchemeKind.GHZ else (_W_ENTRIES, _W_PREFACTOR)
+    u = np.zeros((16, 16), dtype=complex)
+    for row, col, coeff in entries:
+        u[row - 1, col - 1] = prefactor * coeff
+    u.flags.writeable = False
+    return TeleportScheme(kind, u)
 
 
 @dataclass(frozen=True)
@@ -146,10 +144,6 @@ def _coerce_kind(kind) -> SchemeKind:
     return SchemeKind(str(kind).lower())
 
 
-# The channel density p |GHZ><GHZ| + (1-p) |W><W|, rank at most two.
-channel_state = channel_mixture_state
-
-
 def input_state(theta: float, phi: float) -> PureState:
     """cos(theta/2) e^{i phi/2} |0> + sin(theta/2) e^{-i phi/2} |1>."""
     half = 0.5 * float(theta)
@@ -163,16 +157,19 @@ def input_state(theta: float, phi: float) -> PureState:
 
 
 def scheme_unitary(kind) -> TeleportScheme:
-    """The verbatim 16x16 circuit operator for either channel type."""
-    k = _coerce_kind(kind)
-    return TeleportScheme(k, _UNITARIES[k])
+    """The verbatim 16x16 circuit operator for either channel type.
+
+    Each scheme is built once per process, on the first call for it; later
+    calls return that same scheme.
+    """
+    return _scheme(_coerce_kind(kind))
 
 
 def teleport_output(scheme: TeleportScheme, theta: float, phi: float, p: float) -> TeleportReport:
     """Receiver's state and fidelity after the protocol at mixing weight p."""
     p = _check_unit_interval(p)
     psi = input_state(theta, phi)
-    joint = kron(psi.density().matrix, channel_state(p).matrix)
+    joint = kron(psi.density().matrix, channel_mixture_state(p).matrix)
     evolved = scheme.unitary @ joint @ scheme.unitary.conj().T
     rho_out = partial_trace(evolved, [1, 2, 3])
     amps = psi.amplitudes
@@ -252,10 +249,10 @@ def _choi_states(scheme: TeleportScheme, channel: np.ndarray) -> np.ndarray:
     # Trace out the input and the sender's two channel qubits.
     out = np.einsum("pijmamb->pijab", evolved.reshape(n, 2, 2, 8, 2, 8, 2))
     choi = 0.5 * out.transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
-    _check_density(choi, 2, get_default(), stacked=True)
+    _check_density(choi, 2, TOLERANCES, stacked=True)
     marginal = np.einsum("piaja->pij", choi.reshape(n, 2, 2, 2, 2))
     dev = float(np.abs(marginal - 0.5 * np.eye(2)).max(initial=0.0))
-    if dev > get_default().trace_atol:
+    if dev > TOLERANCES.trace_atol:
         raise ValueError(f"receiver map does not preserve the trace: deviation {dev:.3e}")
     return choi
 
@@ -333,7 +330,7 @@ def avg_fidelity_closed(kind, p: float) -> float:
     p = _check_unit_interval(p)
     if _coerce_kind(kind) is SchemeKind.GHZ:
         return (5.0 + 7.0 * p) / 12.0
-    return 1.0 - p / 2.0
+    return fidelity_w_closed(p)
 
 
 @dataclass(frozen=True)
@@ -364,6 +361,6 @@ def critical_values() -> CriticalValues:
         return avg_fidelity_closed(SchemeKind.W, p) - avg_fidelity_closed(SchemeKind.GHZ, p)
 
     root = gap(0.0) / (gap(0.0) - gap(1.0))
-    if abs(root - p_star) > get_default().weight_sum_atol:
+    if abs(root - p_star) > TOLERANCES.weight_sum_atol:
         raise RuntimeError(f"fidelity crossing {root!r} disagrees with 7/13")
     return CriticalValues(f_ghz, f_w, p_star, params.p0, params.p1)

@@ -1,9 +1,9 @@
 """Central numerical tolerances.
 
 Every comparison threshold used by the library lives here so that tests and
-callers agree on one set of numbers.  The module-level default instance can be
-swapped out with :func:`set_default` for looser or stricter runs; functions
-that take an optional ``tols`` argument fall back to the current default.
+callers agree on one set of numbers.  :data:`TOLERANCES` is the one set the
+library uses; functions that take a ``tols`` argument default to it, and a
+caller who needs other thresholds passes its own frozen instance.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ class Tolerances:
 
     # spectral routines
     eigh_hermitian_atol: float = 1e-10   # hermiticity required of eigensolver input
-    psd_clamp: float = 1e-10             # negatives in [-psd_clamp, 0) clamp to 0
     psd_hard_floor: float = -1e-8        # sqrt refuses eigenvalues below this
-    sqrt_residual: float = 1e-9          # max |S@S - rho| guaranteed by sqrt_psd
 
     # measure values
     measure_clamp: float = 1e-12      # [-clamp, 0) -> 0 and (1, 1+clamp] -> 1
@@ -36,13 +34,4 @@ class Tolerances:
     reconstruction_atol: float = 1e-9
 
 
-_default = Tolerances()
-
-
-def get_default() -> Tolerances:
-    return _default
-
-
-def set_default(tols: Tolerances) -> None:
-    global _default
-    _default = tols
+TOLERANCES = Tolerances()

@@ -478,6 +478,17 @@ class TestUsageErrors:
             assert "--roof-" not in text
             assert "three-party tangle, which is exactly 0 at every kappa*t" in text
 
+    @pytest.mark.parametrize("command", ["fig1", "fig4", "measures", "teleport", "noisy", "validate"])
+    def test_seed_help_says_what_uses_the_seed(self, command, capsys):
+        code, out, _, _ = assert_parsers_agree([command, "--help"], capsys)
+        assert code == 0
+        text = " ".join(out.split())
+        unused = "--seed SEED accepted as by every subcommand; the report draws no random numbers"
+        assert (unused in text) == (command not in ("measures", "validate"))
+        assert "RNG seed" not in text
+        if command == "validate":
+            assert "seed of the monogamy suite's random states and of the roof suite's searches" in text
+
     def test_missing_out_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
         argv = ["fig1", "--steps", "3", "--out", str(target)]

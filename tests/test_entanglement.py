@@ -316,6 +316,7 @@ class TestMixtureFamily:
         assert g.p0 == pytest.approx(P0, abs=1e-12)
         assert g.p1 == pytest.approx(P1, abs=1e-12)
         assert g.t1 == pytest.approx(T1, abs=1e-12)
+        assert GhzwMixtureParams.standard() is g
 
     def test_params_factory_matches_standard(self):
         r2 = 1 / math.sqrt(2)

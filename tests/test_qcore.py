@@ -1,5 +1,6 @@
 """Core linear algebra: products, traces, eigenvalues, state validation."""
 
+import functools
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritangle import qcore, tolerances
+from tritangle import qcore
 from tritangle.qcore import (
     DensityMatrix,
     DensityValidationError,
@@ -27,7 +28,7 @@ from tritangle.qcore import (
     validate_density,
     w_state,
 )
-from tritangle.tolerances import Tolerances
+from tritangle.tolerances import TOLERANCES, Tolerances
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -212,29 +213,21 @@ class TestDensityValidation:
             validate_density(m)
         assert err.value.invariant == "shape"
 
-    def test_loose_tolerances_leave_the_default_alone(self, monkeypatch):
-        # A slightly negative eigenvalue passes only under loose tolerances.
-        # The module default is read from inside the check on every call,
-        # and it never changes.
-        default = tolerances.get_default()
-        seen = []
-        real_report = qcore.density_report
-
-        def recording(m, tols=None):
-            seen.append((tolerances.get_default(), tols))
-            return real_report(m, tols)
-
-        monkeypatch.setattr(qcore, "density_report", recording)
+    def test_loose_tolerances_leave_the_default_alone(self):
+        # A slightly negative eigenvalue passes only under loose tolerances,
+        # passed in explicitly; the shared instance is frozen and unchanged.
         m = np.diag([1.0 + 1e-8, -1e-8])
-        with pytest.raises(DensityValidationError) as err:
-            validate_density(m)
-        assert err.value.invariant == "positivity"
         loose = Tolerances(psd_floor=-1e-6)
-        assert validate_density(m, loose).num_qubits == 1
-        assert np.array_equal(DensityMatrix(1, m, loose).matrix, m)
-        assert [t for _, t in seen] == [default, loose, loose]
-        assert all(d is default for d, _ in seen)
-        assert tolerances.get_default() is default
+        for build in (validate_density, functools.partial(DensityMatrix, 1)):
+            with pytest.raises(DensityValidationError) as err:
+                build(m)
+            assert err.value.invariant == "positivity"
+            with pytest.raises(DensityValidationError):
+                build(m, TOLERANCES)
+            assert np.array_equal(build(m, loose).matrix, m)
+        with pytest.raises(AttributeError):
+            TOLERANCES.psd_floor = -1e-6
+        assert TOLERANCES == Tolerances()
 
 
 INVARIANTS = ("shape", "hermiticity", "trace", "positivity")
@@ -272,7 +265,7 @@ class TestDensityStack:
             DensityMatrix(2, bad)
         assert single.value.invariant == invariant
         with pytest.raises(DensityValidationError) as stacked:
-            qcore._check_density(self._stack(bad), 2, tolerances.get_default(), stacked=True)
+            qcore._check_density(self._stack(bad), 2, TOLERANCES, stacked=True)
         assert stacked.value.invariant == invariant
         assert str(stacked.value) == f"member 2: {single.value}"
         if invariant != "shape":
@@ -283,17 +276,17 @@ class TestDensityStack:
         stack = self._stack(bad["trace"], index=1)
         stack[3] = bad["hermiticity"]
         with pytest.raises(DensityValidationError, match="^member 1: trace") as err:
-            qcore._check_density(stack, 2, tolerances.get_default(), stacked=True)
+            qcore._check_density(stack, 2, TOLERANCES, stacked=True)
         assert err.value.invariant == "trace"
 
     def test_valid_stack_passes(self):
-        qcore._check_density(self._stack(np.eye(4) / 4), 2, tolerances.get_default(), stacked=True)
-        qcore._check_density(np.zeros((0, 4, 4)), 2, tolerances.get_default(), stacked=True)
+        qcore._check_density(self._stack(np.eye(4) / 4), 2, TOLERANCES, stacked=True)
+        qcore._check_density(np.zeros((0, 4, 4)), 2, TOLERANCES, stacked=True)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 4, 4), (3, 2, 2)])
     def test_stack_shape(self, shape):
         with pytest.raises(DensityValidationError, match="stack of 4x4") as err:
-            qcore._check_density(np.zeros(shape, dtype=complex), 2, tolerances.get_default(), stacked=True)
+            qcore._check_density(np.zeros(shape, dtype=complex), 2, TOLERANCES, stacked=True)
         assert err.value.invariant == "shape"
 
     def test_report_fields_are_the_members_reports(self):

@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritangle import teleport
-from tritangle.entanglement import GhzwMixtureParams
+from tritangle.entanglement import GhzwMixtureParams, channel_mixture_state
 from tritangle.qcore import DensityMatrix, ghz_state, w_state
 from tritangle.teleport import (
     CriticalValues,
     QuadratureConfig,
     SchemeKind,
     TeleportReport,
+    TeleportScheme,
     avg_fidelity,
     avg_fidelity_closed,
     avg_fidelity_entanglement,
-    channel_state,
     critical_values,
     fidelity_ghz_closed,
     fidelity_w_closed,
@@ -59,16 +59,27 @@ class TestCircuitMatrices:
         with pytest.raises(ValueError):
             scheme_unitary("bell")
 
+    def test_each_scheme_is_built_once(self):
+        assert scheme_unitary("ghz") is scheme_unitary(SchemeKind.GHZ)
+        assert scheme_unitary("W") is scheme_unitary(SchemeKind.W)
+        assert not scheme_unitary("w").unitary.flags.writeable
+
+    def test_non_unitary_matrix_is_rejected(self):
+        u = scheme_unitary("ghz").unitary.copy()
+        u[0, 0] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="not unitary"):
+            TeleportScheme(SchemeKind.GHZ, u)
+
 
 class TestChannelState:
     def test_endpoints_are_projectors(self):
         ghz = np.outer(ghz_state().amplitudes, ghz_state().amplitudes.conj())
-        assert np.abs(channel_state(1.0).matrix - ghz).max() < 1e-15
+        assert np.abs(channel_mixture_state(1.0).matrix - ghz).max() < 1e-15
         w = np.outer(w_state().amplitudes, w_state().amplitudes.conj())
-        assert np.abs(channel_state(0.0).matrix - w).max() < 1e-15
+        assert np.abs(channel_mixture_state(0.0).matrix - w).max() < 1e-15
 
     def test_rank_two_spectrum(self):
-        vals = np.linalg.eigvalsh(channel_state(0.3).matrix)
+        vals = np.linalg.eigvalsh(channel_mixture_state(0.3).matrix)
         top = np.sort(vals)[::-1]
         # GHZ and W pieces are orthogonal, so the weights are the spectrum
         assert top[0] == pytest.approx(0.7, abs=1e-12)
@@ -77,9 +88,9 @@ class TestChannelState:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            channel_state(-0.2)
+            channel_mixture_state(-0.2)
         with pytest.raises(ValueError):
-            channel_state(1.01)
+            channel_mixture_state(1.01)
 
 
 class TestInputState:
@@ -187,6 +198,12 @@ class TestAverageFidelity:
     def test_closed_form_anchors(self):
         assert avg_fidelity_closed("ghz", 0.0) == pytest.approx(5 / 12, abs=1e-15)
         assert avg_fidelity_closed("w", 1.0) == pytest.approx(0.5, abs=1e-15)
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_w_average_is_the_w_fidelity(self, p):
+        # The W fidelity does not depend on the input, so its average is
+        # the same function, bit for bit.
+        assert avg_fidelity_closed("w", p).hex() == fidelity_w_closed(p).hex()
 
 
 class TestReceiverChannel:
