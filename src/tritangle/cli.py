@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import re
 import sys
 
@@ -40,7 +40,6 @@ from .teleport import (
 )
 
 DEFAULT_SEED = 42
-SEED_ENV = "TRITANGLE_SEED"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,93 +80,66 @@ def _csv(header: list[str], rows: list[list], trailer: str | None = None) -> str
     return "\n".join(lines)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+def _emit_rows(args, rows: list[dict], csv_columns=None, summary: dict | None = None) -> None:
+    """Write a sweep's table, one dict per row.
+
+    JSON is {"rows": rows}, plus "summary" when one is given.  CSV has the
+    keys csv_columns (by default every key of a row) as its columns and
+    the summary as a "# summary:" trailer line.
+    """
+    if args.format == "json":
+        payload = {"rows": rows} if summary is None else {"rows": rows, "summary": summary}
+        _emit(json.dumps(payload, indent=2), args.out)
+        return
+    columns = list(csv_columns or rows[0])
+    trailer = None if summary is None else "# summary: " + json.dumps(summary)
+    _emit(_csv(columns, [[row[c] for c in columns] for row in rows], trailer), args.out)
 
 
-def _roof_config(args, seed: int) -> RoofConfig:
-    return RoofConfig(
-        restarts=args.roof_restarts,
-        ensemble_size=args.roof_ensemble_size,
-        max_iters=args.roof_max_iters,
-        seed=seed,
-    )
-
-
-def _grid(args, lo: float, hi: float) -> np.ndarray | None:
-    if args.steps < 2:
-        return None
-    if not (lo <= args.start < args.stop <= hi):
-        return None
+def _grid(args) -> np.ndarray:
+    # The p grid of fig1 and fig4.
+    if args.steps < 2 or not (0.0 <= args.start < args.stop <= 1.0):
+        raise ValueError("need 0 <= start < stop <= 1 and steps >= 2")
     return np.linspace(args.start, args.stop, args.steps)
 
 
 def cmd_fig1(args) -> int:
     """Sweep of the mixture's pairwise, residual, and cut entanglement."""
-    grid = _grid(args, 0.0, 1.0)
-    if grid is None:
-        return _usage_error("need 0 <= start < stop <= 1 and steps >= 2")
-    header = ["p", "c_ab", "c_ac", "c_bc", "tau3", "c_abc"]
     rows = []
-    for p in grid:
+    for p in _grid(args):
         c_ab, c_ac, c_bc = reduced_concurrences_qc(p)
         rows.append(
-            [
-                float(p),
-                float(c_ab),
-                float(c_ac),
-                float(c_bc),
-                float(three_tangle_ghzw(p)),
-                float(c_abc_mixture(p)),
-            ]
+            {
+                "p": float(p),
+                "c_ab": float(c_ab),
+                "c_ac": float(c_ac),
+                "c_bc": float(c_bc),
+                "tau3": float(three_tangle_ghzw(p)),
+                "c_abc": float(c_abc_mixture(p)),
+            }
         )
-    if args.format == "json":
-        payload = {"rows": [dict(zip(header, row)) for row in rows]}
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
+    _emit_rows(args, rows)
     return EXIT_OK
 
 
 def cmd_fig4(args) -> int:
     """Sweep of closed-form and quadrature average fidelities, plus thresholds."""
-    grid = _grid(args, 0.0, 1.0)
-    if grid is None:
-        return _usage_error("need 0 <= start < stop <= 1 and steps >= 2")
+    grid = _grid(args)
     ghz, w = (avg_fidelity(scheme_unitary(k), grid) for k in (SchemeKind.GHZ, SchemeKind.W))
-    header = ["p", "fbar_ghz_closed", "fbar_ghz_numeric", "fbar_w_closed", "fbar_w_numeric", "c_abc"]
     rows = []
     for p, fbar_ghz, fbar_w in zip(grid, ghz, w):
         p = float(p)
         rows.append(
-            [
-                p,
-                avg_fidelity_closed(SchemeKind.GHZ, p),
-                float(fbar_ghz),
-                avg_fidelity_closed(SchemeKind.W, p),
-                float(fbar_w),
-                float(c_abc_mixture(p)),
-            ]
+            {
+                "p": p,
+                "fbar_ghz_closed": avg_fidelity_closed(SchemeKind.GHZ, p),
+                "fbar_ghz_numeric": float(fbar_ghz),
+                "fbar_w_closed": avg_fidelity_closed(SchemeKind.W, p),
+                "fbar_w_numeric": float(fbar_w),
+                "c_abc": float(c_abc_mixture(p)),
+            }
         )
-    crit = critical_values()
-    summary = {
-        "f_ghz": crit.f_ghz,
-        "f_w": crit.f_w,
-        "p_star": crit.p_star,
-        "p0": crit.p0,
-        "p1": crit.p1,
-    }
-    if args.format == "json":
-        payload = {"rows": [dict(zip(header, row)) for row in rows], "summary": summary}
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        trailer = "# summary: " + json.dumps(summary)
-        _emit(_csv(header, rows, trailer), args.out)
+    _emit_rows(args, rows, summary=dataclasses.asdict(critical_values()))
     return EXIT_OK
 
 
@@ -224,7 +196,10 @@ def cmd_measures(args) -> int:
         state = load_state_file(args.state_file)
     except (OSError, ValueError) as exc:
         return _usage_error(f"cannot read state file: {exc}")
-    payload = _measures_payload(state, _roof_config(args, _resolve_seed(args)))
+    roof_cfg = RoofConfig(
+        restarts=args.roof_restarts, ensemble_size=args.roof_ensemble_size, max_iters=args.roof_max_iters, seed=args.seed
+    )
+    payload = _measures_payload(state, roof_cfg)
     if payload is None:
         return _usage_error(
             f"no measures defined for a {state.num_qubits}-qubit state (need 2 or 3 qubits)"
@@ -260,18 +235,19 @@ def cmd_teleport(args) -> int:
         ],
     }
     if args.format == "csv":
-        header = ["scheme", "p", "theta", "phi", "fidelity", "fidelity_closed", "avg_fidelity_closed"]
-        row = [payload[k] for k in header]
+        row = {k: v for k, v in payload.items() if k != "rho_out"}
         for i in range(2):
             for j in range(2):
-                header.append(f"rho_out_{i}{j}_re")
-                header.append(f"rho_out_{i}{j}_im")
-                row.append(payload["rho_out"][i][j][0])
-                row.append(payload["rho_out"][i][j][1])
-        _emit(_csv(header, [row]), args.out)
+                row[f"rho_out_{i}{j}_re"], row[f"rho_out_{i}{j}_im"] = payload["rho_out"][i][j]
+        _emit(_csv(list(row), [list(row.values())]), args.out)
     else:
         _emit(json.dumps(payload, indent=2), args.out)
     return EXIT_OK
+
+
+# The noisy CSV leaves out the decoherence parameters and the bound's
+# convergence flag that its JSON rows carry.
+_NOISY_CSV_COLUMNS = ("kappa_t", "valid", "matches_pure_w", "c_ab", "c_ac", "c_bc", "tangle_upper_bound", "tangle_exact")
 
 
 def cmd_noisy(args) -> int:
@@ -285,63 +261,34 @@ def cmd_noisy(args) -> int:
             return _usage_error("need 0 <= start < stop and steps >= 2")
         kts = list(np.linspace(args.start, args.stop, args.steps))
     reports = [channel_report(float(kt)) for kt in kts]
-    header = [
-        "kappa_t",
-        "valid",
-        "matches_pure_w",
-        "c_ab",
-        "c_ac",
-        "c_bc",
-        "tangle_upper_bound",
-        "tangle_exact",
-    ]
     rows = [
-        [
-            r.kappa_t,
-            r.density.ok,
-            r.matches_pure_w,
-            r.concurrence_ab,
-            r.concurrence_ac,
-            r.concurrence_bc,
-            r.tangle_upper_bound,
-            r.tangle_exact,
-        ]
+        {
+            "kappa_t": r.kappa_t,
+            "valid": r.density.ok,
+            "matches_pure_w": r.matches_pure_w,
+            "alpha1": r.params.alpha1,
+            "alpha2": r.params.alpha2,
+            "alpha3": r.params.alpha3,
+            "alpha4": r.params.alpha4,
+            "beta_plus": r.params.beta_plus,
+            "beta_minus": r.params.beta_minus,
+            "c_ab": r.concurrence_ab,
+            "c_ac": r.concurrence_ac,
+            "c_bc": r.concurrence_bc,
+            "tangle_upper_bound": r.tangle_upper_bound,
+            "tangle_bound_converged": r.tangle_bound_converged,
+            "tangle_exact": r.tangle_exact,
+        }
         for r in reports
     ]
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "kappa_t": r.kappa_t,
-                    "valid": r.density.ok,
-                    "matches_pure_w": r.matches_pure_w,
-                    "alpha1": r.params.alpha1,
-                    "alpha2": r.params.alpha2,
-                    "alpha3": r.params.alpha3,
-                    "alpha4": r.params.alpha4,
-                    "beta_plus": r.params.beta_plus,
-                    "beta_minus": r.params.beta_minus,
-                    "c_ab": r.concurrence_ab,
-                    "c_ac": r.concurrence_ac,
-                    "c_bc": r.concurrence_bc,
-                    "tangle_upper_bound": r.tangle_upper_bound,
-                    "tangle_bound_converged": r.tangle_bound_converged,
-                    "tangle_exact": r.tangle_exact,
-                }
-                for r in reports
-            ]
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
+    _emit_rows(args, rows, _NOISY_CSV_COLUMNS)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     """Run an invariant suite; exit 0 on pass, 1 on any violation."""
-    seed = _resolve_seed(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks = [check for name in names for check in SUITES[name](seed)]
+    checks = [check for name in names for check in SUITES[name](args.seed)]
     passed = all(c["passed"] for c in checks)
     payload = {"suite": args.suite, "checks": checks, "passed": passed}
     _emit(json.dumps(payload, indent=2), args.out)
@@ -404,7 +351,7 @@ _SEED_UNUSED = "accepted as by every subcommand; the report draws no random numb
 
 
 def _add_common(parser: argparse.ArgumentParser, seed_use: str = _SEED_UNUSED, formats=("csv", "json")) -> None:
-    parser.add_argument("--seed", type=int, default=None, help=f"{seed_use} (default: ${SEED_ENV} or {DEFAULT_SEED})")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"{seed_use} (default {DEFAULT_SEED})")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=formats, default=None, help="output format")
 
@@ -445,16 +392,14 @@ def _add_roof(parser: argparse.ArgumentParser, restarts: int, max_iters: int, sc
     )
 
 
-def _fill_fig1(p: argparse.ArgumentParser) -> None:
-    _add_sweep(p, 0.0, 1.0, 201)
-    _add_common(p)
-    p.set_defaults(func=cmd_fig1, default_format="csv")
+def _fill_fig(func):
+    # fig1 and fig4 take the same flags, a sweep over p in [0, 1].
+    def fill(p: argparse.ArgumentParser) -> None:
+        _add_sweep(p, 0.0, 1.0, 201)
+        _add_common(p)
+        p.set_defaults(func=func, default_format="csv")
 
-
-def _fill_fig4(p: argparse.ArgumentParser) -> None:
-    _add_sweep(p, 0.0, 1.0, 201)
-    _add_common(p)
-    p.set_defaults(func=cmd_fig4, default_format="csv")
+    return fill
 
 
 def _fill_measures(p: argparse.ArgumentParser) -> None:
@@ -505,8 +450,8 @@ def _fill_validate(p: argparse.ArgumentParser) -> None:
 # Each subcommand's one-line help (listed by the top-level --help) and the
 # function that fills its parser, in the order the help lists them.
 _COMMANDS = {
-    "fig1": ("sweep mixture entanglement measures over p", _fill_fig1),
-    "fig4": ("sweep average fidelities over p", _fill_fig4),
+    "fig1": ("sweep mixture entanglement measures over p", _fill_fig(cmd_fig1)),
+    "fig4": ("sweep average fidelities over p", _fill_fig(cmd_fig4)),
     "measures": ("evaluate measures for a JSON state file", _fill_measures),
     "teleport": ("teleport one input state", _fill_teleport),
     "noisy": ("report the decohered W state", _fill_noisy),

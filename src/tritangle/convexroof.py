@@ -64,7 +64,6 @@ class RoofConfig:
     ensemble_size: Optional[int] = None
     max_iters: int = 500
     seed: int = 42
-    improve_tol: float = 1e-10
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -73,8 +72,6 @@ class RoofConfig:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.improve_tol > 0.0):
-            raise ValueError("improve_tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -327,7 +324,11 @@ def _round_robin(m: int) -> np.ndarray:
     return np.array(rounds, dtype=np.intp).reshape(max(n - 1, 1), m // 2, 2)
 
 
-def _lockstep(rows, rngs, table, form, total, squared, max_iters, improve_tol):
+# A restart stops, converged, once a sweep lowers its objective by less.
+_IMPROVE_TOL = 1e-10
+
+
+def _lockstep(rows, rngs, table, form, total, squared, max_iters):
     # Descends every restart at once.  A sweep of a restart runs its rng's
     # round-robin schedule: the table's rounds in a random order, on a
     # random relabelling of the members.  Round k of every active restart
@@ -353,7 +354,7 @@ def _lockstep(rows, rngs, table, form, total, squared, max_iters, improve_tol):
                 _apply_pairs(rows, t, j[c], k[c], th, ph)
         prev = vals[active]
         vals[active] = [total(rows[t], squared) for t in active]
-        stopped = prev - vals[active] < improve_tol
+        stopped = prev - vals[active] < _IMPROVE_TOL
         converged[active[stopped]] = True
         active = active[~stopped]
         if active.size == 0:
@@ -407,8 +408,8 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
     for t, rng in enumerate(rngs):
         rows[t] = _haar_isometry(m, r, rng) @ factor
     table = _round_robin(m)
-    _lockstep(rows, rngs, table, form, total, True, cfg.max_iters, cfg.improve_tol)
-    objs, converged = _lockstep(rows, rngs, table, form, total, False, cfg.max_iters, cfg.improve_tol)
+    _lockstep(rows, rngs, table, form, total, True, cfg.max_iters)
+    objs, converged = _lockstep(rows, rngs, table, form, total, False, cfg.max_iters)
 
     best = int(np.argmin(objs))
     ensemble = _ensemble_from_rows(rho, rows[best])

@@ -192,6 +192,12 @@ def monogamy_residual(psi: PureState) -> float:
 # --- GHZ/W mixtures ---------------------------------------------------------
 
 
+def _signed_middle(p: float, s: float) -> float:
+    # p^2 - sqrt(p (1-p)^3) s: the middle branch of the mixture's tangle, in
+    # units of tau3_ghz and before the absolute value.
+    return p * p - math.sqrt(p * (1.0 - p) ** 3) * s
+
+
 @dataclass(frozen=True)
 class GhzwMixtureParams:
     """Amplitudes of the two rank-2 mixture components, plus derived scales.
@@ -222,12 +228,16 @@ class GhzwMixtureParams:
         """
         rt2 = 1.0 / math.sqrt(2.0)
         s = 2.0
-        tau3_ghz = 1.0
-        s23 = float(np.cbrt(s * s))
-        p0 = s23 / (1.0 + s23)
-        p1 = 0.5 + 0.5 / math.sqrt(1.0 + s * s)
-        t1 = tau3_ghz * abs(p1 * p1 - math.sqrt(p1 * (1.0 - p1) ** 3) * s)
-        return cls(rt2, rt2, rt2, 0.5, 0.5, s, tau3_ghz, p0, p1, t1)
+        return _with_break_points(rt2, rt2, rt2, 0.5, 0.5, s, 1.0, float(np.cbrt(s * s)))
+
+
+def _with_break_points(a, b, c, d, f, s, tau3_ghz, s23) -> GhzwMixtureParams:
+    # The parameters with their break points, from s and s23 = s^(2/3):
+    # p0, the convexification point p1 (never below p0) and t1 at p1.
+    p0 = s23 / (1.0 + s23)
+    p1 = max(p0, 0.5 + 0.5 / math.sqrt(1.0 + s * s))
+    t1 = tau3_ghz * abs(_signed_middle(p1, s))
+    return GhzwMixtureParams(a, b, c, d, f, s, tau3_ghz, p0, p1, t1)
 
 
 def ghzw_params(a: float, b: float, c: float, d: float, f: float) -> GhzwMixtureParams:
@@ -245,12 +255,7 @@ def ghzw_params(a: float, b: float, c: float, d: float, f: float) -> GhzwMixture
     if abs(denom) <= 1e-12:
         raise ValueError("a^2 * b = 0: the scale s = 4cdf/(a^2 b) is undefined")
     s = 4.0 * c * d * f / denom
-    tau3_ghz = 4.0 * (a * b) ** 2
-    s23 = float(np.cbrt(s) ** 2)
-    p0 = s23 / (1.0 + s23)
-    p1 = max(p0, 0.5 + 0.5 / math.sqrt(1.0 + s * s))
-    t1 = tau3_ghz * abs(p1 * p1 - math.sqrt(p1 * (1.0 - p1) ** 3) * s)
-    return GhzwMixtureParams(a, b, c, d, f, s, tau3_ghz, p0, p1, t1)
+    return _with_break_points(a, b, c, d, f, s, 4.0 * (a * b) ** 2, float(np.cbrt(s) ** 2))
 
 
 def _check_unit_interval(p, name: str = "p"):
@@ -306,9 +311,9 @@ def three_tangle_ghzw(p: float, params: GhzwMixtureParams | None = None) -> Meas
     if p <= g.p0:
         return MeasureValue(0.0, MeasureKind.THREE_TANGLE)
     if p <= g.p1:
-        val = g.tau3_ghz * abs(p * p - math.sqrt(p * (1.0 - p) ** 3) * g.s)
+        val = g.tau3_ghz * abs(_signed_middle(p, g.s))
         return MeasureValue(val, MeasureKind.THREE_TANGLE)
-    mid = g.p1 * g.p1 - math.sqrt(g.p1 * (1.0 - g.p1) ** 3) * g.s
+    mid = _signed_middle(g.p1, g.s)
     val = g.tau3_ghz * ((p - g.p1) / (1.0 - g.p1) + (1.0 - p) / (1.0 - g.p1) * mid)
     return MeasureValue(val, MeasureKind.THREE_TANGLE)
 

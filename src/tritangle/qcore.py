@@ -392,10 +392,14 @@ def load_state_file(path) -> Union[PureState, DensityMatrix]:
 
     Raises ValueError on any departure from the schema: a num_qubits that
     is not an integer in 1..4, an entry that is not a [real, imag] pair of
-    numbers, or a matrix row that is not a list.
+    numbers, or a matrix row that is not a list; also on JSON nested too
+    deeply to parse.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("state file is nested too deeply") from None
     if not isinstance(payload, dict) or "num_qubits" not in payload:
         raise ValueError("state file must be an object with a num_qubits field")
     n = payload["num_qubits"]

@@ -11,8 +11,9 @@ That reduction is linear in rho_in, so at a fixed channel weight p the
 whole protocol is one single-qubit channel Lambda_p.  :func:`receiver_channel`
 builds it as its Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|),
 from the same circuit unitary; :func:`avg_fidelity` reads every quadrature
-node's fidelity off J, and :func:`avg_fidelity_entanglement` gives the
-exact average (2 F_e + 1)/3 from the entanglement fidelity F_e of J.
+node's fidelity off J, on a rule fixed at 32 x 16 nodes (cos theta x phi),
+and :func:`avg_fidelity_entanglement` gives the exact average
+(2 F_e + 1)/3 from the entanglement fidelity F_e of J.
 All three take one weight or an array of them.  An array is swept in
 chunks: per chunk one stack of channel states, one batched pass of its
 4P operators |i><j| x rho_channel(p) through the circuit, one stacked
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -188,47 +189,32 @@ def fidelity_w_closed(p: float) -> float:
     return 1.0 - _check_unit_interval(p) / 2.0
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node counts for the Bloch-sphere average (Gauss-Legendre x uniform)."""
-
-    cos_theta_nodes: int = 32
-    phi_nodes: int = 16
-
-    def __post_init__(self):
-        if self.cos_theta_nodes < 8 or self.phi_nodes < 8:
-            raise ValueError("quadrature needs at least 8 nodes per direction")
-
-    @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nodes, weights, phis): the Gauss-Legendre rule in cos(theta) and
-        the uniform phi grid, read-only.
-
-        Built on first use, once per config, so that importing the package
-        does not import numpy.polynomial.
-        """
-        nodes, weights = np.polynomial.legendre.leggauss(self.cos_theta_nodes)
-        phis = 2.0 * math.pi * np.arange(self.phi_nodes) / self.phi_nodes
-        for a in (nodes, weights, phis):
-            a.flags.writeable = False
-        return nodes, weights, phis
-
-    @cached_property
-    def node_vectors(self) -> np.ndarray:
-        """conj(psi) x psi for the input state psi at each grid node, shape
-        (cos_theta_nodes, phi_nodes, 4), read-only; built like :attr:`grid`."""
-        nodes, _, phis = self.grid
-        # input_state(theta, phi) on the grid, cos(theta) = node
-        half = 0.5 * np.arccos(nodes)[:, None]
-        psi = np.stack(
-            [np.cos(half) * np.exp(0.5j * phis), np.sin(half) * np.exp(-0.5j * phis)], axis=-1
-        )
-        vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(*psi.shape[:-1], 4)
-        vec.flags.writeable = False
-        return vec
+# Nodes of the Bloch-sphere rule.  The fidelity is quadratic in the input
+# state, so any rule exact to that degree gives the same average.
+_COS_THETA_NODES = 32
+_PHI_NODES = 16
 
 
-_DEFAULT_QUADRATURE = QuadratureConfig()
+@cache
+def _quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """(weights, node_vectors), read-only: the Gauss-Legendre weights in
+    cos(theta), and conj(psi) x psi for the input state psi at each node,
+    shape (_COS_THETA_NODES, _PHI_NODES, 4).
+
+    Built on first use, so that importing the package does not import
+    numpy.polynomial.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_COS_THETA_NODES)
+    phis = 2.0 * math.pi * np.arange(_PHI_NODES) / _PHI_NODES
+    # input_state(theta, phi) on the grid, cos(theta) = node
+    half = 0.5 * np.arccos(nodes)[:, None]
+    psi = np.stack([np.cos(half) * np.exp(0.5j * phis), np.sin(half) * np.exp(-0.5j * phis)], axis=-1)
+    vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(*psi.shape[:-1], 4)
+    weights.flags.writeable = False
+    vec.flags.writeable = False
+    return weights, vec
+
+
 # Weights per batch of a sweep.  Each weight holds four 16 x 16 circuit
 # operators, so a chunk bounds the memory of a sweep of any length.
 _SWEEP_CHUNK = 64
@@ -282,26 +268,25 @@ def receiver_channel(scheme: TeleportScheme, p):
     return DensityMatrix(2, choi) if np.ndim(p) == 0 else choi
 
 
-def avg_fidelity(scheme: TeleportScheme, p, cfg: QuadratureConfig | None = None):
+def avg_fidelity(scheme: TeleportScheme, p):
     """(1/4pi) integral of the fidelity over all input directions.
 
-    A Gauss-Legendre rule in cos(theta) times a uniform rule in phi.  The
-    fidelity of input psi is F(psi) = 2 <conj(psi) x psi| J |conj(psi) x psi>
+    The rule is fixed at 32 Gauss-Legendre nodes in cos(theta) times 16
+    uniform nodes in phi.  The fidelity of input psi is
+    F(psi) = 2 <conj(psi) x psi| J |conj(psi) x psi>
     with J the Choi state of :func:`receiver_channel`, evaluated for all
     nodes and weights at once; every node's fidelity must lie in [0, 1].
     A float for a float p, else an array of p's shape, whose every entry
     is bitwise the value for that weight alone.
     """
-    cfg = _DEFAULT_QUADRATURE if cfg is None else cfg
-    _, weights, _ = cfg.grid
-    vec = cfg.node_vectors
+    weights, vec = _quadrature()
 
     def average(choi):
         fids = 2.0 * np.real(np.einsum("...r,prs,...s->p...", vec.conj(), choi, vec))
         _check_fidelities(fids)
         # One dot product per weight: a (P, n) @ (n,) product may round a
         # row differently by its place in the batch.
-        return (fids.sum(axis=2)[:, None, :] @ weights)[:, 0] / (2.0 * cfg.phi_nodes)
+        return (fids.sum(axis=2)[:, None, :] @ weights)[:, 0] / (2.0 * _PHI_NODES)
 
     fbar = _sweep(scheme, p, average)
     return float(fbar) if np.ndim(p) == 0 else fbar
@@ -335,6 +320,8 @@ def avg_fidelity_closed(kind, p: float) -> float:
 
 @dataclass(frozen=True)
 class CriticalValues:
+    """The thresholds of :func:`critical_values`; its fields, in order, are fig4's summary."""
+
     f_ghz: float
     f_w: float
     p_star: float

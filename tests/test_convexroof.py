@@ -81,7 +81,7 @@ class TestRoofConfig:
             {"restarts": 0},
             {"ensemble_size": 0},
             {"max_iters": 0},
-            {"improve_tol": 0.0},
+            {"ensemble_size": -2},
             {"seed": -1},
         ],
     )

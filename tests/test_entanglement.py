@@ -318,6 +318,27 @@ class TestMixtureFamily:
         assert g.t1 == pytest.approx(T1, abs=1e-12)
         assert GhzwMixtureParams.standard() is g
 
+    def test_mixture_tangle_values_are_pinned(self):
+        # Bit patterns of the standard mixture's tangle, taken before its
+        # branches shared one helper; a change in the order of the
+        # arithmetic shows up here.
+        g = GhzwMixtureParams.standard()
+        assert g.p1.hex() == "0x1.727c9716ffb76p-1"
+        assert g.t1.hex() == "0x1.1b06d1d200911p-2"
+        pinned = {
+            g.p0: "0x0.0p+0",
+            g.p1: "0x1.1b06d1d200911p-2",
+            0.7: "0x1.b869c0d48174ep-3",
+            0.9: "0x1.79f4e7a7b3578p-1",
+            1.0: "0x1.0000000000000p+0",
+        }
+        for p, bits in pinned.items():
+            assert float(three_tangle_ghzw(p)).hex() == bits
+        h = ghzw_params(0.6, 0.8, 0.6, 0.48, 0.64)
+        assert h.p1.hex() == "0x1.5d254ee2b3618p-1"
+        assert h.t1.hex() == "0x1.43db275e29b1cp-4"
+        assert float(three_tangle_ghzw(0.95, h)).hex() == "0x1.940c6cc145052p-1"
+
     def test_params_factory_matches_standard(self):
         r2 = 1 / math.sqrt(2)
         g = ghzw_params(r2, r2, r2, 0.5, 0.5)

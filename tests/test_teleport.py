@@ -13,7 +13,6 @@ from tritangle.entanglement import GhzwMixtureParams, channel_mixture_state
 from tritangle.qcore import DensityMatrix, ghz_state, w_state
 from tritangle.teleport import (
     CriticalValues,
-    QuadratureConfig,
     SchemeKind,
     TeleportReport,
     TeleportScheme,
@@ -157,35 +156,29 @@ class TestTeleportOutput:
 
 
 class TestAverageFidelity:
-    def test_quadrature_config_bounds(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(cos_theta_nodes=4)
-        with pytest.raises(ValueError):
-            QuadratureConfig(phi_nodes=7)
-
-    def test_quadrature_grid_built_once_per_config(self):
-        cfg = QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)
-        nodes, weights = np.polynomial.legendre.leggauss(12)
-        assert cfg.grid is cfg.grid
-        assert np.array_equal(cfg.grid[0], nodes)
-        assert np.array_equal(cfg.grid[1], weights)
-        assert np.array_equal(cfg.grid[2], 2.0 * math.pi * np.arange(10) / 10)
-        for arr in cfg.grid:
-            assert not arr.flags.writeable
-        assert cfg.node_vectors is cfg.node_vectors
-        assert cfg.node_vectors.shape == (12, 10, 4)
-        assert not cfg.node_vectors.flags.writeable
-        amps = input_state(math.acos(nodes[5]), cfg.grid[2][3]).amplitudes
-        assert np.allclose(cfg.node_vectors[5, 3], np.kron(amps.conj(), amps), atol=1e-15)
-        assert cfg == QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)
-        assert hash(cfg) == hash(QuadratureConfig(cos_theta_nodes=12, phi_nodes=10))
-        assert repr(cfg) == "QuadratureConfig(cos_theta_nodes=12, phi_nodes=10)"
+    def test_quadrature_tables_built_once(self):
+        weights, vec = teleport._quadrature()
+        assert teleport._quadrature() is teleport._quadrature()
+        nodes, expected = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(weights, expected)
+        assert vec.shape == (32, 16, 4)
+        assert not weights.flags.writeable and not vec.flags.writeable
+        # input_state is the oracle for every node's vector.
+        amps = input_state(math.acos(nodes[5]), 2.0 * math.pi * 3 / 16).amplitudes
+        assert np.allclose(vec[5, 3], np.kron(amps.conj(), amps), atol=1e-15)
 
     @pytest.mark.parametrize("kind", ["ghz", "w"])
     def test_default_quadrature_is_the_32_by_16_rule(self, kind):
+        # The same rule summed node by node over the explicit circuit.
         scheme = scheme_unitary(kind)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
         for p in (0.0, 0.4, 1.0):
-            assert avg_fidelity(scheme, p) == avg_fidelity(scheme, p, QuadratureConfig(32, 16))
+            total = sum(
+                w * teleport_output(scheme, math.acos(u), 2.0 * math.pi * k / 16, p).fidelity
+                for u, w in zip(nodes, weights)
+                for k in range(16)
+            )
+            assert abs(avg_fidelity(scheme, p) - total / 32) <= 1e-12
 
     def test_ghz_average_numeric(self):
         scheme = scheme_unitary("ghz")
@@ -222,13 +215,12 @@ class TestReceiverChannel:
     def test_node_fidelities_match_circuit(self, kind, p):
         scheme = scheme_unitary(kind)
         choi = receiver_channel(scheme, p)
-        cfg = QuadratureConfig()
-        nodes, _ = np.polynomial.legendre.leggauss(cfg.cos_theta_nodes)
+        nodes, _ = np.polynomial.legendre.leggauss(teleport._COS_THETA_NODES)
         worst = 0.0
         for u in nodes:
             theta = math.acos(float(u))
-            for k in range(cfg.phi_nodes):
-                phi = 2.0 * math.pi * k / cfg.phi_nodes
+            for k in range(teleport._PHI_NODES):
+                phi = 2.0 * math.pi * k / teleport._PHI_NODES
                 circuit = teleport_output(scheme, theta, phi, p).fidelity
                 worst = max(worst, abs(self._choi_fidelity(choi, theta, phi) - circuit))
         assert worst <= 1e-12
