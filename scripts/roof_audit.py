@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     worst = {"search": 0.0, "LP": 0.0}
     outside = {"search": 0, "LP": 0}
     for p in np.linspace(args.start, args.stop, args.points):
-        line = f"{p:6.3f}  {float(three_tangle_ghzw(float(p))):12.8f}"
+        line = f"{p:6.3f}  {three_tangle_ghzw(float(p)):12.8f}"
         flags = []
         for name, solve, width in (
             ("search", lambda rho: minimize_roof(rho, three_tangle_pure, cfg), 6),

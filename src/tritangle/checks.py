@@ -98,7 +98,7 @@ def monogamy_extremes(n: int, rng: np.random.Generator) -> tuple[float, float]:
         psi = random_pure_state(3, rng)
         residual = monogamy_residual(psi)
         worst_gap = max(worst_gap, -residual)
-        worst_residual = max(worst_residual, abs(residual - float(three_tangle_pure(psi))))
+        worst_residual = max(worst_residual, abs(residual - three_tangle_pure(psi)))
     return worst_gap, worst_residual
 
 
@@ -111,13 +111,13 @@ def mixture_gaps(solve, ps) -> list[tuple[float, float]]:
     out = []
     for p in ps:
         bound = solve(channel_mixture_state(p)).upper_bound
-        out.append((bound, bound - float(three_tangle_ghzw(p))))
+        out.append((bound, bound - three_tangle_ghzw(p)))
     return out
 
 
 def wootters_gaps(solve, states) -> list[float]:
     """bound - Wootters concurrence of a roof solver (as for mixture_gaps) on each two-qubit state."""
-    return [solve(rho).upper_bound - float(concurrence_wootters(rho)) for rho in states]
+    return [solve(rho).upper_bound - concurrence_wootters(rho) for rho in states]
 
 
 def ensemble_extremes(cases) -> tuple[float, float]:
@@ -125,7 +125,7 @@ def ensemble_extremes(cases) -> tuple[float, float]:
     worst_recon = worst_member = 0.0
     for ens, rho in cases:
         worst_recon = max(worst_recon, ens.reconstruction_error(rho))
-        worst_member = max(worst_member, max(float(three_tangle_pure(psi)) for _, psi in ens.members))
+        worst_member = max(worst_member, max(three_tangle_pure(psi) for _, psi in ens.members))
     return worst_recon, worst_member
 
 

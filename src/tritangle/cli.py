@@ -22,12 +22,13 @@ from .entanglement import (
     eof_from_concurrence,
     groverian_from_concurrence,
     monogamy_residual,
+    pairwise_concurrences,
     reduced_concurrences_qc,
     three_tangle_ghzw,
     three_tangle_pure,
 )
 from .noisychan import channel_report
-from .qcore import DensityMatrix, PureState, load_state_file, partial_trace
+from .qcore import DensityMatrix, PureState, load_state_file
 from .teleport import (
     SchemeKind,
     avg_fidelity,
@@ -111,11 +112,11 @@ def cmd_fig1(args) -> int:
         rows.append(
             {
                 "p": float(p),
-                "c_ab": float(c_ab),
-                "c_ac": float(c_ac),
-                "c_bc": float(c_bc),
-                "tau3": float(three_tangle_ghzw(p)),
-                "c_abc": float(c_abc_mixture(p)),
+                "c_ab": c_ab,
+                "c_ac": c_ac,
+                "c_bc": c_bc,
+                "tau3": three_tangle_ghzw(p),
+                "c_abc": c_abc_mixture(p),
             }
         )
     _emit_rows(args, rows)
@@ -136,7 +137,7 @@ def cmd_fig4(args) -> int:
                 "fbar_ghz_numeric": float(fbar_ghz),
                 "fbar_w_closed": avg_fidelity_closed(SchemeKind.W, p),
                 "fbar_w_numeric": float(fbar_w),
-                "c_abc": float(c_abc_mixture(p)),
+                "c_abc": c_abc_mixture(p),
             }
         )
     _emit_rows(args, rows, summary=dataclasses.asdict(critical_values()))
@@ -149,26 +150,26 @@ def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
         return {
             "num_qubits": 2,
             "pure": True,
-            "concurrence": float(c),
-            "eof": float(eof_from_concurrence(c)),
-            "groverian": float(groverian_from_concurrence(c)),
+            "concurrence": c,
+            "eof": eof_from_concurrence(c),
+            "groverian": groverian_from_concurrence(c),
         }
     if isinstance(state, DensityMatrix) and state.num_qubits == 2:
         c = concurrence_wootters(state)
         return {
             "num_qubits": 2,
             "pure": False,
-            "concurrence": float(c),
-            "eof": float(eof_from_concurrence(c)),
+            "concurrence": c,
+            "eof": eof_from_concurrence(c),
         }
     if isinstance(state, PureState) and state.num_qubits == 3:
         return {
             "num_qubits": 3,
             "pure": True,
-            "tau3": float(three_tangle_pure(state)),
-            "cut_ab_c": float(cut_concurrence_pure(state, Cut.AB_C)),
-            "cut_ac_b": float(cut_concurrence_pure(state, Cut.AC_B)),
-            "cut_bc_a": float(cut_concurrence_pure(state, Cut.BC_A)),
+            "tau3": three_tangle_pure(state),
+            "cut_ab_c": cut_concurrence_pure(state, Cut.AB_C),
+            "cut_ac_b": cut_concurrence_pure(state, Cut.AC_B),
+            "cut_bc_a": cut_concurrence_pure(state, Cut.BC_A),
             "monogamy_residual": monogamy_residual(state),
         }
     if isinstance(state, DensityMatrix) and state.num_qubits == 3:
@@ -178,12 +179,13 @@ def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
             roof = roof_rank2(state, three_tangle_pure)
         else:
             roof = minimize_roof(state, three_tangle_pure, roof_cfg)
+        c_ab, c_ac, c_bc = pairwise_concurrences(state)
         return {
             "num_qubits": 3,
             "pure": False,
-            "concurrence_ab": float(concurrence_wootters(partial_trace(state, [3]))),
-            "concurrence_ac": float(concurrence_wootters(partial_trace(state, [2]))),
-            "concurrence_bc": float(concurrence_wootters(partial_trace(state, [1]))),
+            "concurrence_ab": c_ab,
+            "concurrence_ac": c_ac,
+            "concurrence_bc": c_bc,
             "tangle_upper_bound": float(roof.upper_bound),
             "tangle_bound_converged": roof.converged,
         }

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class Ensemble:
         return float(np.abs(self.reconstruct() - rho.matrix).max())
 
     def average(self, measure: Callable[[PureState], float]) -> float:
-        return float(sum(w * float(measure(psi)) for w, psi in self.members))
+        return float(sum(w * measure(psi) for w, psi in self.members))
 
 
 @dataclass(frozen=True)
@@ -156,24 +156,6 @@ def _ensemble_from_rows(rho: DensityMatrix, rows: np.ndarray) -> Ensemble:
     if err > TOLERANCES.reconstruction_atol:
         raise ValueError(f"decomposition fails to reconstruct the state: error {err:.3e}")
     return ens
-
-
-def ensemble_from_mixing(rho, mixing) -> Ensemble:
-    """Decomposition induced by an m x r column-orthonormal mixing matrix.
-
-    r must match the numerical rank of rho; members with negligible
-    weight are dropped.
-    """
-    if not isinstance(rho, DensityMatrix):
-        rho = validate_density(rho)
-    r, factor = _rank_factor(rho)
-    m = np.atleast_2d(np.asarray(mixing, dtype=complex))
-    if m.shape[1] != r or m.shape[0] < r:
-        raise ValueError(f"mixing must be m x {r} with m >= {r}, got {m.shape}")
-    gram_err = float(np.abs(m.conj().T @ m - np.eye(r)).max())
-    if gram_err > TOLERANCES.mixing_orthonormal_atol:
-        raise ValueError(f"mixing columns not orthonormal: deviation {gram_err:.3e}")
-    return _ensemble_from_rows(rho, m @ factor)
 
 
 def _scan_levels() -> tuple:

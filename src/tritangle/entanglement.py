@@ -4,6 +4,8 @@ Covers pure and mixed two-qubit concurrence, entanglement of formation,
 the Grover-search based measure, the three-party tangle of pure states,
 and the piecewise tangle of rank-2 mixtures of a GHZ-type with a W-type
 state, together with the reduced concurrences of the standard mixture.
+Every measure returns a float in [0, 1]: a value outside by at most
+``measure_clamp`` is clamped to the bound, and one further out raises.
 """
 
 from __future__ import annotations
@@ -31,49 +33,30 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP_4 = kron(_SIGMA_Y, _SIGMA_Y)
 
 
-class MeasureKind(Enum):
-    CONCURRENCE = "concurrence"
-    EOF = "eof"
-    GROVERIAN = "groverian"
-    THREE_TANGLE = "three_tangle"
-    CUT_CONCURRENCE = "cut_concurrence"
+def _unit_value(v, name: str) -> float:
+    # A measure value as a float in [0, 1]: values in [-measure_clamp, 0)
+    # are clamped to 0 and values in (1, 1 + measure_clamp] to 1; anything
+    # further outside raises.
+    v = float(v)
+    tol = TOLERANCES.measure_clamp
+    if -tol <= v < 0.0:
+        v = 0.0
+    elif 1.0 < v <= 1.0 + tol:
+        v = 1.0
+    if not (0.0 <= v <= 1.0):
+        raise ValueError(f"{name} value {v!r} outside [0, 1]")
+    return v
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    """A measure outcome, clamped to [0, 1].
-
-    Values in [-measure_clamp, 0) are clamped to 0 and values in
-    (1, 1 + measure_clamp] to 1; anything further outside raises.
-    """
-
-    value: float
-    kind: MeasureKind
-
-    def __post_init__(self):
-        v = float(self.value)
-        tol = TOLERANCES.measure_clamp
-        if -tol <= v < 0.0:
-            v = 0.0
-        elif 1.0 < v <= 1.0 + tol:
-            v = 1.0
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"{self.kind.value} value {v!r} outside [0, 1]")
-        object.__setattr__(self, "value", v)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def concurrence_pure2(psi: PureState) -> MeasureValue:
+def concurrence_pure2(psi: PureState) -> float:
     """Concurrence of a two-qubit pure state: 2|a00*a11 - a01*a10|."""
     if psi.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {psi.num_qubits} qubits")
     a = psi.amplitudes
-    return MeasureValue(2.0 * abs(a[0] * a[3] - a[1] * a[2]), MeasureKind.CONCURRENCE)
+    return _unit_value(2.0 * abs(a[0] * a[3] - a[1] * a[2]), "concurrence")
 
 
-def concurrence_wootters(rho) -> MeasureValue:
+def concurrence_wootters(rho) -> float:
     """Concurrence of a two-qubit mixed state.
 
     The spin-flip spectrum l_1 >= ... >= l_4 (the square roots of the
@@ -92,7 +75,7 @@ def concurrence_wootters(rho) -> MeasureValue:
     vals, vecs = hermitian_eigensystem(rho.matrix)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     lam = np.linalg.svd(factor.T @ _SPIN_FLIP_4 @ factor, compute_uv=False)
-    return MeasureValue(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), MeasureKind.CONCURRENCE)
+    return _unit_value(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), "concurrence")
 
 
 def _binary_entropy(x: float) -> float:
@@ -101,18 +84,18 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def eof_from_concurrence(c) -> MeasureValue:
+def eof_from_concurrence(c) -> float:
     """Entanglement of formation h((1 + sqrt(1 - c^2))/2), h the binary entropy."""
-    cv = MeasureValue(c, MeasureKind.CONCURRENCE).value
+    cv = _unit_value(c, "concurrence")
     x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - cv * cv)))
-    return MeasureValue(_binary_entropy(x), MeasureKind.EOF)
+    return _unit_value(_binary_entropy(x), "eof")
 
 
-def groverian_from_concurrence(c) -> MeasureValue:
+def groverian_from_concurrence(c) -> float:
     """Grover-search based measure sqrt((1 - sqrt(1 - c^2))/2)."""
-    cv = MeasureValue(c, MeasureKind.CONCURRENCE).value
+    cv = _unit_value(c, "concurrence")
     inner = 1.0 - math.sqrt(max(0.0, 1.0 - cv * cv))
-    return MeasureValue(math.sqrt(max(0.0, inner) / 2.0), MeasureKind.GROVERIAN)
+    return _unit_value(math.sqrt(max(0.0, inner) / 2.0), "groverian")
 
 
 def _tangle_form(w: np.ndarray) -> np.ndarray:
@@ -134,7 +117,7 @@ def _tangle_raw(w: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(_tangle_form(w))
 
 
-def three_tangle_pure(psi: PureState) -> MeasureValue:
+def three_tangle_pure(psi: PureState) -> float:
     """Three-party tangle of a pure three-qubit state.
 
     4|d1 - 2 d2 + 4 d3| where d1 sums the squared products of amplitudes
@@ -145,8 +128,7 @@ def three_tangle_pure(psi: PureState) -> MeasureValue:
     """
     if psi.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
-    raw = float(_tangle_raw(psi.amplitudes[np.newaxis, :])[0])
-    return MeasureValue(raw, MeasureKind.THREE_TANGLE)
+    return _unit_value(_tangle_raw(psi.amplitudes[np.newaxis, :])[0], "three_tangle")
 
 
 class Cut(Enum):
@@ -161,7 +143,7 @@ class Cut(Enum):
         return {"AB|C": 3, "AC|B": 2, "BC|A": 1}[self.value]
 
 
-def cut_concurrence_pure(psi: PureState, cut: Cut) -> MeasureValue:
+def cut_concurrence_pure(psi: PureState, cut: Cut) -> float:
     """Concurrence across a 2-vs-1 cut: 2 sqrt(det rho_lone)."""
     if psi.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
@@ -169,7 +151,12 @@ def cut_concurrence_pure(psi: PureState, cut: Cut) -> MeasureValue:
     traced = [q for q in (1, 2, 3) if q != lone]
     r = partial_trace(psi.density(), traced).matrix
     det = float(np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]))
-    return MeasureValue(2.0 * math.sqrt(max(0.0, det)), MeasureKind.CUT_CONCURRENCE)
+    return _unit_value(2.0 * math.sqrt(max(0.0, det)), "cut_concurrence")
+
+
+def pairwise_concurrences(rho) -> tuple[float, float, float]:
+    """Wootters concurrences of a three-qubit state's two-qubit reductions, in (AB, AC, BC) order."""
+    return tuple(concurrence_wootters(partial_trace(rho, [q])) for q in (3, 2, 1))
 
 
 def monogamy_residual(psi: PureState) -> float:
@@ -182,10 +169,8 @@ def monogamy_residual(psi: PureState) -> float:
     """
     if psi.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
-    rho = psi.density()
-    c_cut = float(cut_concurrence_pure(psi, Cut.AB_C))
-    c_ac = float(concurrence_wootters(partial_trace(rho, [2])))
-    c_bc = float(concurrence_wootters(partial_trace(rho, [1])))
+    c_cut = cut_concurrence_pure(psi, Cut.AB_C)
+    _, c_ac, c_bc = pairwise_concurrences(psi.density())
     return c_cut * c_cut - c_ac * c_ac - c_bc * c_bc
 
 
@@ -294,11 +279,10 @@ def ghzw_pure_tangle(p: float, phi: float = 0.0, params: GhzwMixtureParams | Non
     """
     p = _check_unit_interval(p)
     g = params or GhzwMixtureParams.standard()
-    z = p * p - math.sqrt(p * (1.0 - p) ** 3) * g.s * np.exp(3j * phi)
-    return g.tau3_ghz * abs(z)
+    return g.tau3_ghz * abs(_signed_middle(p, g.s * np.exp(3j * phi)))
 
 
-def three_tangle_ghzw(p: float, params: GhzwMixtureParams | None = None) -> MeasureValue:
+def three_tangle_ghzw(p: float, params: GhzwMixtureParams | None = None) -> float:
     """Tangle of the weighted mixture p (GHZ-type) + (1-p) (W-type).
 
     Piecewise in the mixing weight: identically zero up to p0, the
@@ -309,16 +293,15 @@ def three_tangle_ghzw(p: float, params: GhzwMixtureParams | None = None) -> Meas
     p = _check_unit_interval(p)
     g = params or GhzwMixtureParams.standard()
     if p <= g.p0:
-        return MeasureValue(0.0, MeasureKind.THREE_TANGLE)
+        return 0.0
     if p <= g.p1:
-        val = g.tau3_ghz * abs(_signed_middle(p, g.s))
-        return MeasureValue(val, MeasureKind.THREE_TANGLE)
+        return _unit_value(g.tau3_ghz * abs(_signed_middle(p, g.s)), "three_tangle")
     mid = _signed_middle(g.p1, g.s)
     val = g.tau3_ghz * ((p - g.p1) / (1.0 - g.p1) + (1.0 - p) / (1.0 - g.p1) * mid)
-    return MeasureValue(val, MeasureKind.THREE_TANGLE)
+    return _unit_value(val, "three_tangle")
 
 
-def reduced_concurrences_qc(p: float) -> tuple[MeasureValue, MeasureValue, MeasureValue]:
+def reduced_concurrences_qc(p: float) -> tuple[float, float, float]:
     """Pairwise concurrences of the standard mixture's two-qubit reductions.
 
     C_AB = max(0, (1 - p - 2 sqrt(p))/2), positive only below 3 - 2 sqrt(2);
@@ -326,16 +309,12 @@ def reduced_concurrences_qc(p: float) -> tuple[MeasureValue, MeasureValue, Measu
     below 1/3.  Returned in (AB, AC, BC) order.
     """
     p = _check_unit_interval(p)
-    c_ab = max(0.0, 0.5 * (1.0 - p - 2.0 * math.sqrt(p)))
-    c_pair = max(0.0, (1.0 - p - math.sqrt(p * (1.0 + p))) / math.sqrt(2.0))
-    return (
-        MeasureValue(c_ab, MeasureKind.CONCURRENCE),
-        MeasureValue(c_pair, MeasureKind.CONCURRENCE),
-        MeasureValue(c_pair, MeasureKind.CONCURRENCE),
-    )
+    c_ab = _unit_value(max(0.0, 0.5 * (1.0 - p - 2.0 * math.sqrt(p))), "concurrence")
+    c_pair = _unit_value(max(0.0, (1.0 - p - math.sqrt(p * (1.0 + p))) / math.sqrt(2.0)), "concurrence")
+    return c_ab, c_pair, c_pair
 
 
-def c_abc_mixture(p: float) -> MeasureValue:
+def c_abc_mixture(p: float) -> float:
     """Cut concurrence of the standard mixture across AB|C.
 
     sqrt(C^2_AC + C^2_BC + tau3(p)).  Equals 1 at both endpoints and
@@ -343,9 +322,7 @@ def c_abc_mixture(p: float) -> MeasureValue:
     """
     p = _check_unit_interval(p)
     _, c_ac, c_bc = reduced_concurrences_qc(p)
-    tau = float(three_tangle_ghzw(p))
-    total = float(c_ac) ** 2 + float(c_bc) ** 2 + tau
-    return MeasureValue(math.sqrt(total), MeasureKind.CUT_CONCURRENCE)
+    return _unit_value(math.sqrt(c_ac**2 + c_bc**2 + three_tangle_ghzw(p)), "cut_concurrence")
 
 
 def _mixture_matrix(p, params: GhzwMixtureParams | None) -> np.ndarray:

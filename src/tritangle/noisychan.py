@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexroof import Ensemble
-from .entanglement import concurrence_wootters, three_tangle_pure
-from .qcore import DensityMatrix, DensityReport, PureState, density_report, partial_trace, w_state
+from .entanglement import pairwise_concurrences, three_tangle_pure
+from .qcore import DensityMatrix, DensityReport, PureState, density_report, w_state
 from .tolerances import TOLERANCES
 
 
@@ -159,7 +159,7 @@ def _checked_zero_ensemble(kt: float, rho: DensityMatrix) -> Ensemble:
     err = ens.reconstruction_error(rho)
     if err > TOLERANCES.reconstruction_atol:
         raise ValueError(f"ensemble fails to reconstruct the decohered state: error {err:.3e}")
-    if any(float(three_tangle_pure(psi)) != 0.0 for _, psi in ens.members):
+    if any(three_tangle_pure(psi) != 0.0 for _, psi in ens.members):
         raise ValueError("a bit-flipped W state has nonzero tangle")
     return ens
 
@@ -193,9 +193,7 @@ def channel_report(kappa_t: float) -> ChannelReport:
     report = density_report(rho.matrix)
     w_proj = np.outer(w_state().amplitudes, w_state().amplitudes.conj())
     matches = bool(np.abs(rho.matrix - w_proj).max() <= 1e-12)
-    c_ab = float(concurrence_wootters(partial_trace(rho, [3])))
-    c_ac = float(concurrence_wootters(partial_trace(rho, [2])))
-    c_bc = float(concurrence_wootters(partial_trace(rho, [1])))
+    c_ab, c_ac, c_bc = pairwise_concurrences(rho)
     tangle = _checked_zero_ensemble(params.kappa_t, rho).average(three_tangle_pure)
     return ChannelReport(
         kappa_t=float(kappa_t),

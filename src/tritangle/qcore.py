@@ -280,31 +280,11 @@ def _require_hermitian(h, tols: Tolerances) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_eigenvalues(h, tols: Tolerances = TOLERANCES) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending."""
-    m = _require_hermitian(h, tols)
-    return np.linalg.eigvalsh(m)[::-1].copy()
-
-
 def hermitian_eigensystem(h, tols: Tolerances = TOLERANCES):
     """Eigenvalues (descending) and matching eigenvector columns."""
     m = _require_hermitian(h, tols)
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def sqrt_psd(rho: Union[DensityMatrix, np.ndarray], tols: Tolerances = TOLERANCES) -> ComplexMatrix:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [psd_hard_floor, 0), by default [-1e-8, 0), are clamped
-    to zero; anything below the hard floor raises ValueError.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    vals, vecs = hermitian_eigensystem(m, tols)
-    if float(vals[-1]) < tols.psd_hard_floor:
-        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {vals[-1]:.3e}")
-    clamped = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(clamped)) @ vecs.conj().T
 
 
 def ghz_state() -> PureState:
@@ -390,10 +370,11 @@ def _complex_entries(entries, what: str) -> list[complex]:
 def load_state_file(path) -> Union[PureState, DensityMatrix]:
     """Read a pure or mixed state from its JSON file form.
 
-    Raises ValueError on any departure from the schema: a num_qubits that
-    is not an integer in 1..4, an entry that is not a [real, imag] pair of
-    numbers, or a matrix row that is not a list; also on JSON nested too
-    deeply to parse.
+    Raises ValueError on any departure from the schema: a file with both
+    or neither of amplitudes and matrix, a num_qubits that is not an
+    integer in 1..4, an entry that is not a [real, imag] pair of numbers,
+    or a matrix row that is not a list; also on JSON nested too deeply to
+    parse.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -407,6 +388,8 @@ def load_state_file(path) -> Union[PureState, DensityMatrix]:
         raise ValueError("num_qubits must be an integer")
     if not (1 <= n <= _MAX_QUBITS):
         raise ValueError(f"num_qubits must be in 1..{_MAX_QUBITS}, got {n}")
+    if "amplitudes" in payload and "matrix" in payload:
+        raise ValueError("state file needs exactly one of amplitudes or matrix")
     if "amplitudes" in payload:
         amps = np.array(_complex_entries(payload["amplitudes"], "amplitudes"))
         return PureState(n, amps)

@@ -21,14 +21,12 @@ class Tolerances:
 
     # spectral routines
     eigh_hermitian_atol: float = 1e-10   # hermiticity required of eigensolver input
-    psd_hard_floor: float = -1e-8        # sqrt refuses eigenvalues below this
 
     # measure values
     measure_clamp: float = 1e-12      # [-clamp, 0) -> 0 and (1, 1+clamp] -> 1
 
     # ensembles and roof search
     rank_cutoff: float = 1e-10        # eigenvalues below this do not count as rank
-    mixing_orthonormal_atol: float = 1e-10
     weight_drop: float = 1e-12        # ensemble members below this weight are dropped
     weight_sum_atol: float = 1e-10
     reconstruction_atol: float = 1e-9

@@ -121,10 +121,10 @@ def test_criterion_5_mixture_sweep(record_acceptance):
     t0 = time.perf_counter()
     g = GhzwMixtureParams.standard()
     end_dev = max(
-        abs(float(c_abc_mixture(0.0)) - 1.0), abs(float(c_abc_mixture(1.0)) - 1.0)
+        abs(c_abc_mixture(0.0) - 1.0), abs(c_abc_mixture(1.0) - 1.0)
     )
     window = np.linspace(1.0 / 3.0 + 1e-6, g.p0 - 1e-6, 101)
-    window_max = max(float(c_abc_mixture(p)) for p in window)
+    window_max = max(c_abc_mixture(p) for p in window)
     # c_abc is continuous but has square-root points, where its slope is
     # unbounded: at p = 0, c_abc = 1 - p - sqrt(p (1 + p)) falls as sqrt(p),
     # and at p = p0, c_abc = sqrt(tau3) rises as sqrt(tau3'(p0+) (p - p0)).
@@ -143,12 +143,12 @@ def test_criterion_5_mixture_sweep(record_acceptance):
     ratios = []
     for n in sizes:
         grid = np.linspace(0.0, 1.0, n)
-        curve = np.array([float(c_abc_mixture(p)) for p in grid])
+        curve = np.array([c_abc_mixture(p) for p in grid])
         ratios.append(float(np.abs(np.diff(curve)).max()) / math.sqrt(grid[1]))
     # Grid-independent: no jump at a break point, whatever the grid alignment.
     eps = 1e-10
     break_gap = max(
-        abs(float(c_abc_mixture(b + eps)) - float(c_abc_mixture(b - eps)))
+        abs(c_abc_mixture(b + eps) - c_abc_mixture(b - eps))
         for b in (1.0 / 3.0, g.p0, g.p1)
     )
     break_limit = k_bound * math.sqrt(2.0 * eps)

@@ -226,7 +226,7 @@ class TestMeasures:
             code, out, _ = run(["measures", str(path)], capsys)
             assert code == 0
             payload = json.loads(out)
-            gap = payload["tangle_upper_bound"] - float(three_tangle_ghzw(p))
+            gap = payload["tangle_upper_bound"] - three_tangle_ghzw(p)
             assert -1e-10 <= gap <= 1e-8
             assert payload["tangle_bound_converged"] is True
 
@@ -276,6 +276,10 @@ class TestMeasures:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot read state file")
+
+    def test_rejects_both_amplitudes_and_matrix(self, tmp_path, capsys):
+        payload = {"num_qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "matrix": 5}
+        self._assert_one_line_rejection(tmp_path, capsys, payload)
 
     @pytest.mark.parametrize("part", ["0.5", True])
     def test_rejects_non_real_part(self, tmp_path, capsys, part):

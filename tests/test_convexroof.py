@@ -29,7 +29,6 @@ from tritangle.convexroof import (
     _round_robin,
     _sphere_values,
     _stencil,
-    ensemble_from_mixing,
     minimize_roof,
     numerical_rank,
     optimal_ghzw_ensemble,
@@ -59,13 +58,6 @@ def werner(w):
     phi = np.zeros(4)
     phi[0] = phi[3] = 1 / math.sqrt(2)
     return DensityMatrix(2, w * np.outer(phi, phi) + (1 - w) * np.eye(4) / 4)
-
-
-def haar_isometry(m, r, rng):
-    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    q, rr = np.linalg.qr(g)
-    d = np.diagonal(rr)
-    return (q * (d / np.abs(d)))[:, :r]
 
 
 class TestRoofConfig:
@@ -122,46 +114,6 @@ class TestEnsemble:
             Ensemble(((0.5, up), (0.5, bell)))
 
 
-class TestEnsembleFromMixing:
-    def test_pure_state_identity(self):
-        ens = ensemble_from_mixing(bell_density(), [[1.0]])
-        assert ens.size == 1
-        w, psi = ens.members[0]
-        assert w == pytest.approx(1.0, abs=1e-12)
-        assert abs(float(concurrence_pure2(psi)) - 1.0) < 1e-9
-
-    def test_maximally_mixed_identity_mixing(self):
-        rho = DensityMatrix(1, np.eye(2) / 2)
-        ens = ensemble_from_mixing(rho, np.eye(2))
-        assert ens.size == 2
-        assert all(w == pytest.approx(0.5, abs=1e-12) for w, _ in ens.members)
-
-    def test_hadamard_rebalances_rank_two_state(self):
-        rho = channel_mixture_state(0.4)
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-        ens = ensemble_from_mixing(rho, h)
-        assert ens.size == 2
-        assert np.abs(ens.reconstruct() - rho.matrix).max() < 1e-10
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="mixing"):
-            ensemble_from_mixing(channel_mixture_state(0.4), np.eye(3))
-
-    def test_rejects_non_orthonormal(self):
-        m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="orthonormal"):
-            ensemble_from_mixing(channel_mixture_state(0.4), m)
-
-    @given(seeds)
-    @settings(max_examples=20, deadline=None)
-    def test_any_isometry_reconstructs(self, seed):
-        rng = np.random.default_rng(seed)
-        rho = random_density_matrix(2, 2, rng)
-        mix = haar_isometry(4, 2, rng)
-        ens = ensemble_from_mixing(rho, mix)
-        assert np.abs(ens.reconstruct() - rho.matrix).max() < 1e-9
-
-
 class TestMinimizeRoof:
     def test_pure_state_is_fixed_point(self):
         res = minimize_roof(bell_density(), concurrence_pure2, RoofConfig(restarts=2))
@@ -214,7 +166,7 @@ class TestOptimalGhzwEnsemble:
         assert ens.size == 1
         w, psi = ens.members[0]
         assert w == pytest.approx(1.0, abs=1e-12)
-        assert float(three_tangle_pure(psi)) <= 1e-12
+        assert three_tangle_pure(psi) <= 1e-12
 
     def test_onset_point_is_three_phases(self):
         g = GhzwMixtureParams.standard()
@@ -233,7 +185,7 @@ class TestOptimalGhzwEnsemble:
     def test_members_are_tangle_free_and_reconstruct(self, p):
         ens = optimal_ghzw_ensemble(p)
         for _, psi in ens.members:
-            assert float(three_tangle_pure(psi)) <= 1e-10
+            assert three_tangle_pure(psi) <= 1e-10
         target = channel_mixture_state(p).matrix
         assert np.abs(ens.reconstruct() - target).max() <= 1e-10
 
@@ -579,7 +531,7 @@ class TestRoofRank2:
             rho = channel_mixture_state(p)
             res = roof_rank2(rho, three_tangle_pure)
             self.assert_valid(rho, res, three_tangle_pure)
-            gap = res.upper_bound - float(three_tangle_ghzw(p))
+            gap = res.upper_bound - three_tangle_ghzw(p)
             assert -1e-10 <= gap <= 1e-8, (p, gap)
             if p < g.p0:
                 assert gap <= 1e-12, (p, gap)
@@ -591,7 +543,7 @@ class TestRoofRank2:
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
         assert res.ensemble.size == 1 and res.converged and res.rounds == 0
-        assert res.upper_bound == pytest.approx(float(three_tangle_pure(psi)), abs=1e-14)
+        assert res.upper_bound == pytest.approx(three_tangle_pure(psi), abs=1e-14)
 
     def test_equal_eigenvalues(self):
         rho = channel_mixture_state(0.5)
@@ -604,7 +556,7 @@ class TestRoofRank2:
         rho2 = DensityMatrix(2, 0.5 * bell + 0.5 * flip)
         res = roof_rank2(rho2, concurrence_pure2)
         self.assert_valid(rho2, res, concurrence_pure2)
-        assert res.upper_bound == pytest.approx(float(concurrence_wootters(rho2)), abs=1e-12)
+        assert res.upper_bound == pytest.approx(concurrence_wootters(rho2), abs=1e-12)
 
     @pytest.mark.parametrize("num_qubits,weights", [(3, {0: 0.7, 7: 0.3}), (2, {0: 0.7, 3: 0.3})])
     def test_root_at_the_pole(self, num_qubits, weights):
@@ -641,7 +593,7 @@ class TestRoofRank2:
             solve(channel_mixture_state(0.7), concurrence_pure2)
         # A plain callable, even one that wraps a measure with a form.
         with pytest.raises(ValueError, match="roof form on dimension 4"):
-            solve(werner(0.8), lambda psi: float(concurrence_pure2(psi)))
+            solve(werner(0.8), lambda psi: concurrence_pure2(psi))
 
     def test_round_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(convexroof, "_LP_ROUNDS", 1)
@@ -649,7 +601,7 @@ class TestRoofRank2:
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
         assert not res.converged and res.rounds == 1
-        assert res.upper_bound >= float(three_tangle_ghzw(0.7)) - 1e-10
+        assert res.upper_bound >= three_tangle_ghzw(0.7) - 1e-10
 
     def test_pivot_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(convexroof, "_LP_PIVOTS", 1)
@@ -674,7 +626,7 @@ class TestRoofRank2:
         res = roof_rank2(rho, measure)
         self.assert_valid(rho, res, measure)
         if num_qubits == 2:
-            gap = res.upper_bound - float(concurrence_wootters(rho))
+            gap = res.upper_bound - concurrence_wootters(rho)
             assert -1e-12 <= gap <= 1e-8
         else:
             # The search at the budget of `measures`.

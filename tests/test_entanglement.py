@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from tritangle.entanglement import (
     Cut,
     GhzwMixtureParams,
-    MeasureKind,
-    MeasureValue,
     c_abc_mixture,
     channel_mixture_stack,
     channel_mixture_state,
@@ -24,6 +22,7 @@ from tritangle.entanglement import (
     ghzw_superposition,
     groverian_from_concurrence,
     monogamy_residual,
+    pairwise_concurrences,
     reduced_concurrences_qc,
     three_tangle_ghzw,
     three_tangle_pure,
@@ -36,6 +35,7 @@ from tritangle.qcore import (
     PureState,
     ghz_state,
     partial_trace,
+    random_density_matrix,
     random_pure_state,
     w_state,
 )
@@ -65,67 +65,91 @@ def haar_unitary(n, rng):
 
 
 class TestMeasureValue:
+    """Measures return plain floats, clamped to [0, 1] within measure_clamp."""
+
     def test_clamps_negative_noise(self):
-        assert MeasureValue(-1e-13, MeasureKind.CONCURRENCE).value == 0.0
+        assert eof_from_concurrence(-1e-13) == 0.0
 
     def test_clamps_above_one(self):
-        assert MeasureValue(1 + 5e-13, MeasureKind.CONCURRENCE).value == 1.0
+        assert eof_from_concurrence(1 + 5e-13) == eof_from_concurrence(1.0)
 
     def test_rejects_far_negative(self):
-        with pytest.raises(ValueError):
-            MeasureValue(-1e-6, MeasureKind.CONCURRENCE)
+        with pytest.raises(ValueError, match="concurrence value"):
+            groverian_from_concurrence(-1e-6)
 
     def test_rejects_far_above_one(self):
-        with pytest.raises(ValueError):
-            MeasureValue(1.1, MeasureKind.THREE_TANGLE)
+        with pytest.raises(ValueError, match="concurrence value"):
+            groverian_from_concurrence(1.1)
 
-    def test_float_conversion(self):
-        assert float(MeasureValue(0.5, MeasureKind.EOF)) == 0.5
+    @pytest.mark.parametrize(
+        "measure, args",
+        [
+            pytest.param(concurrence_pure2, (random_pure_state(2, np.random.default_rng(1)),), id="concurrence_pure2"),
+            pytest.param(concurrence_wootters, (werner(0.8),), id="concurrence_wootters"),
+            pytest.param(eof_from_concurrence, (0.6,), id="eof_from_concurrence"),
+            pytest.param(groverian_from_concurrence, (0.6,), id="groverian_from_concurrence"),
+            pytest.param(three_tangle_pure, (random_pure_state(3, np.random.default_rng(2)),), id="three_tangle_pure"),
+            pytest.param(
+                cut_concurrence_pure, (random_pure_state(3, np.random.default_rng(3)), Cut.AC_B), id="cut_concurrence_pure"
+            ),
+            pytest.param(three_tangle_ghzw, (0.3,), id="three_tangle_ghzw-zero"),
+            pytest.param(three_tangle_ghzw, (0.65,), id="three_tangle_ghzw-middle"),
+            pytest.param(three_tangle_ghzw, (0.9,), id="three_tangle_ghzw-linear"),
+            pytest.param(reduced_concurrences_qc, (0.1,), id="reduced_concurrences_qc"),
+            pytest.param(c_abc_mixture, (0.7,), id="c_abc_mixture"),
+            pytest.param(pairwise_concurrences, (channel_mixture_state(0.2),), id="pairwise_concurrences"),
+        ],
+    )
+    def test_returns_plain_float(self, measure, args):
+        # A float, not a numpy scalar: json and the CSV writer print it as one.
+        result = measure(*args)
+        for value in result if isinstance(result, tuple) else (result,):
+            assert type(value) is float
 
 
 class TestPairwiseConcurrence:
     def test_product_state_zero(self):
         psi = PureState.from_amplitudes([1, 0, 0, 0])
-        assert float(concurrence_pure2(psi)) == 0.0
+        assert concurrence_pure2(psi) == 0.0
 
     def test_bell_is_maximal(self):
-        assert float(concurrence_pure2(bell_state())) == pytest.approx(1.0, abs=1e-15)
+        assert concurrence_pure2(bell_state()) == pytest.approx(1.0, abs=1e-15)
 
     def test_wootters_on_bell(self):
-        assert float(concurrence_wootters(bell_state().density())) == pytest.approx(
+        assert concurrence_wootters(bell_state().density()) == pytest.approx(
             1.0, abs=1e-12
         )
 
     @pytest.mark.parametrize("w", [0.0, 0.2, 1 / 3, 0.4, 0.6, 0.8, 1.0])
     def test_werner_line(self, w):
         expected = max(0.0, (3 * w - 1) / 2)
-        assert float(concurrence_wootters(werner(w))) == pytest.approx(expected, abs=1e-12)
+        assert concurrence_wootters(werner(w)) == pytest.approx(expected, abs=1e-12)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_mixed_route_matches_pure_formula(self, seed):
         rng = np.random.default_rng(seed)
         psi = random_pure_state(2, rng)
-        direct = float(concurrence_pure2(psi))
-        via_wootters = float(concurrence_wootters(psi.density()))
+        direct = concurrence_pure2(psi)
+        via_wootters = concurrence_wootters(psi.density())
         assert abs(direct - via_wootters) < 1e-12
 
     def test_eof_endpoints(self):
-        assert float(eof_from_concurrence(0.0)) == 0.0
-        assert float(eof_from_concurrence(1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert eof_from_concurrence(0.0) == 0.0
+        assert eof_from_concurrence(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_eof_frozen_point(self):
-        assert float(eof_from_concurrence(0.6)) == pytest.approx(
+        assert eof_from_concurrence(0.6) == pytest.approx(
             0.4689955935892811, abs=1e-12
         )
 
     def test_groverian_frozen_point(self):
-        assert float(groverian_from_concurrence(0.6)) == pytest.approx(
+        assert groverian_from_concurrence(0.6) == pytest.approx(
             0.31622776601683783, abs=1e-12
         )
 
     def test_groverian_bell(self):
-        assert float(groverian_from_concurrence(1.0)) == pytest.approx(
+        assert groverian_from_concurrence(1.0) == pytest.approx(
             0.7071067811, abs=1e-9
         )
 
@@ -135,22 +159,28 @@ class TestPairwiseConcurrence:
         with pytest.raises(ValueError):
             groverian_from_concurrence(-0.5)
 
-    def test_accepts_measure_value_input(self):
-        c = concurrence_pure2(bell_state())
-        assert float(eof_from_concurrence(c)) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "rho",
+        [random_density_matrix(3, rank, np.random.default_rng(rank)) for rank in range(1, 9)]
+        + [channel_mixture_state(0.2)],
+        ids=[f"rank{rank}" for rank in range(1, 9)] + ["mixture"],
+    )
+    def test_pairwise_concurrences_are_the_three_wootters_values(self, rho):
+        separate = tuple(concurrence_wootters(partial_trace(rho, [q])) for q in (3, 2, 1))
+        assert pairwise_concurrences(rho) == separate
 
 
 class TestThreeTangle:
     def test_ghz_maximal(self):
-        assert float(three_tangle_pure(ghz_state())) == pytest.approx(1.0, abs=1e-14)
+        assert three_tangle_pure(ghz_state()) == pytest.approx(1.0, abs=1e-14)
 
     def test_w_class_vanishes(self):
-        assert float(three_tangle_pure(w_state())) <= 1e-10
+        assert three_tangle_pure(w_state()) <= 1e-10
 
     def test_product_state_vanishes(self):
         amps = np.zeros(8)
         amps[0] = 1.0
-        assert float(three_tangle_pure(PureState(3, amps))) <= 1e-14
+        assert three_tangle_pure(PureState(3, amps)) <= 1e-14
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -162,7 +192,7 @@ class TestThreeTangle:
             full = np.kron(np.kron(v, w), haar_unitary(2, rng))
             rotated = PureState(3, full @ psi.amplitudes)
             assert abs(
-                float(three_tangle_pure(rotated)) - float(three_tangle_pure(psi))
+                three_tangle_pure(rotated) - three_tangle_pure(psi)
             ) < 1e-9
 
     @given(seeds)
@@ -172,21 +202,21 @@ class TestThreeTangle:
         psi = random_pure_state(3, rng)
         residual = monogamy_residual(psi)
         assert residual >= -1e-9
-        assert abs(residual - float(three_tangle_pure(psi))) < 1e-8
+        assert abs(residual - three_tangle_pure(psi)) < 1e-8
 
     def test_cut_concurrence_ghz(self):
         for cut in Cut:
-            assert float(cut_concurrence_pure(ghz_state(), cut)) == pytest.approx(
+            assert cut_concurrence_pure(ghz_state(), cut) == pytest.approx(
                 1.0, abs=1e-12
             )
 
     def test_cut_concurrence_w(self):
         # lone LSB keeps the 1/sqrt(2) amplitude balanced against the rest
-        assert float(cut_concurrence_pure(w_state(), Cut.AB_C)) == pytest.approx(
+        assert cut_concurrence_pure(w_state(), Cut.AB_C) == pytest.approx(
             1.0, abs=1e-12
         )
         for cut in (Cut.AC_B, Cut.BC_A):
-            assert float(cut_concurrence_pure(w_state(), cut)) == pytest.approx(
+            assert cut_concurrence_pure(w_state(), cut) == pytest.approx(
                 math.sqrt(3) / 2, abs=1e-12
             )
 
@@ -230,7 +260,7 @@ class TestTangleKernel:
     def test_contrib_is_weight_times_tangle(self):
         w = self.random_rows(50, 13) * np.linspace(0.1, 2.0, 50)[:, None]
         weights = np.sum(np.abs(w) ** 2, axis=1)
-        expected = [wt * float(three_tangle_pure(PureState(3, row / math.sqrt(wt)))) for wt, row in zip(weights, w)]
+        expected = [wt * three_tangle_pure(PureState(3, row / math.sqrt(wt))) for wt, row in zip(weights, w)]
         assert np.allclose(_tangle_contrib(w), expected, rtol=1e-12, atol=0.0)
 
     def test_contrib_of_negligible_row_is_zero(self):
@@ -265,7 +295,7 @@ class TestRoofForm:
         rows = rng.normal(size=(30, measure.roof_contrib_dim)) + 1j * rng.normal(size=(30, measure.roof_contrib_dim))
         n = measure.roof_contrib_dim.bit_length() - 1
         weights = np.sum(np.abs(rows) ** 2, axis=1)
-        expected = [wt * float(measure(PureState(n, row / math.sqrt(wt)))) for wt, row in zip(weights, rows)]
+        expected = [wt * measure(PureState(n, row / math.sqrt(wt))) for wt, row in zip(weights, rows)]
         assert np.allclose(measure.roof_contrib(rows), expected, rtol=1e-12, atol=0.0)
         assert np.array_equal(measure.roof_contrib(rows), measure.roof_form.contrib(rows))
 
@@ -333,11 +363,11 @@ class TestMixtureFamily:
             1.0: "0x1.0000000000000p+0",
         }
         for p, bits in pinned.items():
-            assert float(three_tangle_ghzw(p)).hex() == bits
+            assert three_tangle_ghzw(p).hex() == bits
         h = ghzw_params(0.6, 0.8, 0.6, 0.48, 0.64)
         assert h.p1.hex() == "0x1.5d254ee2b3618p-1"
         assert h.t1.hex() == "0x1.43db275e29b1cp-4"
-        assert float(three_tangle_ghzw(0.95, h)).hex() == "0x1.940c6cc145052p-1"
+        assert three_tangle_ghzw(0.95, h).hex() == "0x1.940c6cc145052p-1"
 
     def test_params_factory_matches_standard(self):
         r2 = 1 / math.sqrt(2)
@@ -364,13 +394,13 @@ class TestMixtureFamily:
             ghzw_params(1.0, 1.0, 1 / math.sqrt(2), 0.5, 0.5)
 
     def test_superposition_endpoints(self):
-        assert float(three_tangle_pure(ghzw_superposition(1.0))) == pytest.approx(
+        assert three_tangle_pure(ghzw_superposition(1.0)) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert float(three_tangle_pure(ghzw_superposition(0.0))) <= 1e-10
+        assert three_tangle_pure(ghzw_superposition(0.0)) <= 1e-10
 
     def test_superposition_tangle_vanishes_at_onset(self):
-        assert float(three_tangle_pure(ghzw_superposition(P0))) <= 1e-10
+        assert three_tangle_pure(ghzw_superposition(P0)) <= 1e-10
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -380,76 +410,76 @@ class TestMixtureFamily:
     def test_pure_tangle_closed_form(self, p, phi):
         state = ghzw_superposition(p, phi)
         assert abs(
-            float(three_tangle_pure(state)) - ghzw_pure_tangle(p, phi)
+            three_tangle_pure(state) - ghzw_pure_tangle(p, phi)
         ) < 1e-9
 
     def test_mixture_tangle_zero_plateau(self):
         for p in (0.0, 0.2, 0.4, 0.6, P0):
-            assert float(three_tangle_ghzw(p)) == 0.0
+            assert three_tangle_ghzw(p) == 0.0
 
     def test_mixture_tangle_frozen_point(self):
-        assert float(three_tangle_ghzw(0.7)) == pytest.approx(
+        assert three_tangle_ghzw(0.7) == pytest.approx(
             0.21504545830264948, abs=1e-12
         )
 
     def test_mixture_tangle_endpoint(self):
-        assert float(three_tangle_ghzw(1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert three_tangle_ghzw(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixture_tangle_knot_values(self):
-        assert float(three_tangle_ghzw(P0)) == pytest.approx(0.0, abs=1e-12)
-        assert float(three_tangle_ghzw(P1)) == pytest.approx(T1, abs=1e-12)
+        assert three_tangle_ghzw(P0) == pytest.approx(0.0, abs=1e-12)
+        assert three_tangle_ghzw(P1) == pytest.approx(T1, abs=1e-12)
 
     def test_mixture_tangle_continuous_at_knots(self):
         eps = 1e-8
         for knot in (P0, P1):
-            below = float(three_tangle_ghzw(knot - eps))
-            above = float(three_tangle_ghzw(knot + eps))
+            below = three_tangle_ghzw(knot - eps)
+            above = three_tangle_ghzw(knot + eps)
             assert abs(above - below) < 1e-6
 
     def test_mixture_tangle_monotone_past_onset(self):
         grid = np.linspace(P0, 1.0, 101)
-        vals = [float(three_tangle_ghzw(p)) for p in grid]
+        vals = [three_tangle_ghzw(p) for p in grid]
         assert all(b - a > -1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_reduced_concurrence_thresholds(self):
         c_ab, c_ac, c_bc = reduced_concurrences_qc(0.18)
-        assert float(c_ab) == 0.0
+        assert c_ab == 0.0
         c_ab, _, _ = reduced_concurrences_qc(0.17)
-        assert float(c_ab) > 0.0
+        assert c_ab > 0.0
         _, c_ac, c_bc = reduced_concurrences_qc(0.34)
-        assert float(c_ac) == float(c_bc) == 0.0
+        assert c_ac == c_bc == 0.0
         _, c_ac, _ = reduced_concurrences_qc(0.33)
-        assert float(c_ac) > 0.0
+        assert c_ac > 0.0
 
     def test_reduced_concurrence_frozen_point(self):
         _, c_ac, c_bc = reduced_concurrences_qc(0.2)
-        assert float(c_ac) == pytest.approx(0.21927526343546258, abs=1e-12)
-        assert float(c_ac) == float(c_bc)
+        assert c_ac == pytest.approx(0.21927526343546258, abs=1e-12)
+        assert c_ac == c_bc
 
     def test_reduced_concurrence_endpoint(self):
         c_ab, c_ac, _ = reduced_concurrences_qc(0.0)
-        assert float(c_ab) == pytest.approx(0.5, abs=1e-15)
-        assert float(c_ac) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert c_ab == pytest.approx(0.5, abs=1e-15)
+        assert c_ac == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 11))
     def test_reduced_concurrences_match_wootters(self, p):
         rho = channel_mixture_state(p)
         c_ab, c_ac, c_bc = reduced_concurrences_qc(p)
         pairs = [
-            (float(c_ab), partial_trace(rho.matrix, [3])),
-            (float(c_ac), partial_trace(rho.matrix, [2])),
-            (float(c_bc), partial_trace(rho.matrix, [1])),
+            (c_ab, partial_trace(rho.matrix, [3])),
+            (c_ac, partial_trace(rho.matrix, [2])),
+            (c_bc, partial_trace(rho.matrix, [1])),
         ]
         for closed, reduced in pairs:
-            assert abs(closed - float(concurrence_wootters(reduced))) < 1e-9
+            assert abs(closed - concurrence_wootters(reduced)) < 1e-9
 
     def test_global_measure_endpoints(self):
-        assert float(c_abc_mixture(0.0)) == pytest.approx(1.0, abs=1e-12)
-        assert float(c_abc_mixture(1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert c_abc_mixture(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert c_abc_mixture(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_global_measure_dead_window(self):
         for p in np.linspace(1 / 3 + 1e-6, P0 - 1e-6, 25):
-            assert float(c_abc_mixture(p)) == 0.0
+            assert c_abc_mixture(p) == 0.0
 
     def test_channel_state_rejects_bad_weight(self):
         with pytest.raises(ValueError):

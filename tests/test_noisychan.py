@@ -87,8 +87,8 @@ class TestEntanglementDecay:
     def _pairwise(self, kt):
         m = epsilon_x_w(kt).matrix
         return (
-            float(concurrence_wootters(partial_trace(m, [3]))),
-            float(concurrence_wootters(partial_trace(m, [2]))),
+            concurrence_wootters(partial_trace(m, [3])),
+            concurrence_wootters(partial_trace(m, [2])),
         )
 
     def test_monotone_decay(self):
@@ -123,7 +123,7 @@ class TestZeroTangleEnsemble:
             ens = zero_tangle_ensemble(kt)
             assert np.abs(ens.reconstruct() - epsilon_x_w(kt).matrix).max() <= 1e-15, kt
             assert sum(w for w, _ in ens.members) == pytest.approx(1.0, abs=1e-15)
-            assert all(float(three_tangle_pure(psi)) == 0.0 for _, psi in ens.members), kt
+            assert all(three_tangle_pure(psi) == 0.0 for _, psi in ens.members), kt
             assert ens.average(three_tangle_pure) == 0.0
 
     def test_zero_time_is_w_alone(self):
@@ -173,9 +173,9 @@ class TestChannelReport:
     def test_zero_time_report(self):
         rep = channel_report(0.0)
         assert rep.matches_pure_w
-        assert float(rep.concurrence_ab) == pytest.approx(0.5, abs=1e-9)
-        assert float(rep.concurrence_ac) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-        assert float(rep.concurrence_bc) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        assert rep.concurrence_ab == pytest.approx(0.5, abs=1e-9)
+        assert rep.concurrence_ac == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        assert rep.concurrence_bc == pytest.approx(1 / math.sqrt(2), abs=1e-9)
         assert rep.tangle_upper_bound == 0.0
         assert rep.tangle_bound_converged
         assert rep.tangle_exact
@@ -183,9 +183,9 @@ class TestChannelReport:
     def test_decohered_report(self):
         rep = channel_report(0.5)
         assert not rep.matches_pure_w
-        assert float(rep.concurrence_ab) == 0.0
-        assert float(rep.concurrence_ac) == 0.0
-        assert float(rep.concurrence_bc) == 0.0
+        assert rep.concurrence_ab == 0.0
+        assert rep.concurrence_ac == 0.0
+        assert rep.concurrence_bc == 0.0
         assert rep.kappa_t == 0.5
         assert rep.params.kappa_t == 0.5
         assert rep.tangle_upper_bound == 0.0

@@ -17,14 +17,12 @@ from tritangle.qcore import (
     density_report,
     ghz_state,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
     kron,
     load_state_file,
     partial_trace,
     random_density_matrix,
     random_pure_state,
     save_state_file,
-    sqrt_psd,
     validate_density,
     w_state,
 )
@@ -114,16 +112,18 @@ class TestPartialTrace:
 
 class TestEigen:
     def test_diagonal_descending(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])), [3, 2, 1])
+        vals, vecs = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
+        assert np.allclose(vals, [3, 2, 1])
+        assert np.allclose(np.abs(vecs), np.eye(3)[:, [0, 2, 1]])
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(m)
+            hermitian_eigensystem(m)
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
-            hermitian_eigenvalues(np.eye(32))
+            hermitian_eigensystem(np.eye(32))
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)
@@ -134,28 +134,6 @@ class TestEigen:
         vals, vecs = hermitian_eigensystem(h)
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-10
-
-
-class TestSqrtPsd:
-    def test_diagonal(self):
-        s = sqrt_psd(np.diag([0.64, 0.36]))
-        assert np.allclose(s, np.diag([0.8, 0.6]), atol=1e-14)
-
-    @given(seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_square_reconstructs(self, seed):
-        rng = np.random.default_rng(seed)
-        rho = random_density_matrix(2, 3, rng)
-        s = sqrt_psd(rho)
-        assert np.abs(s @ s - rho.matrix).max() < 1e-9
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive"):
-            sqrt_psd(np.diag([1.5, -0.5]))
-
-    def test_clamps_tiny_negative(self):
-        s = sqrt_psd(np.diag([1.0, -1e-11]))
-        assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 class TestDensityValidation:
@@ -378,7 +356,7 @@ class TestStates:
         psi = random_pure_state(3, rng)
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
         rho = random_density_matrix(2, 2, rng)
-        vals = hermitian_eigenvalues(rho.matrix)
+        vals, _ = hermitian_eigensystem(rho.matrix)
         assert np.sum(vals > 1e-10) == 2
 
 
@@ -441,6 +419,13 @@ class TestStateFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"num_qubits": 1, "matrix": [0.5, 0, 0, 0.5]}))
         with pytest.raises(ValueError, match="must be a list"):
+            load_state_file(path)
+
+    def test_rejects_both_amplitudes_and_matrix(self, tmp_path):
+        path = tmp_path / "bad.json"
+        payload = {"num_qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "matrix": 5}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="exactly one of amplitudes or matrix"):
             load_state_file(path)
 
     def test_rejects_bool_num_qubits(self, tmp_path):

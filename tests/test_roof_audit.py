@@ -28,13 +28,13 @@ def patched(monkeypatch, search_offset=0.0, lp_offset=0.0, seen=None):
     def search(p, measure, cfg):
         if seen is not None:
             seen.append(p)
-        return types.SimpleNamespace(upper_bound=float(three_tangle_ghzw(p)) + search_offset)
+        return types.SimpleNamespace(upper_bound=three_tangle_ghzw(p) + search_offset)
 
     monkeypatch.setattr(audit, "minimize_roof", search)
     monkeypatch.setattr(
         audit,
         "roof_rank2",
-        lambda p, measure: types.SimpleNamespace(upper_bound=float(three_tangle_ghzw(p)) + lp_offset),
+        lambda p, measure: types.SimpleNamespace(upper_bound=three_tangle_ghzw(p) + lp_offset),
     )
     return audit
 
