@@ -14,11 +14,10 @@ import numpy as np
 from .checks import SUITES
 from .convexroof import RoofConfig, minimize_roof, numerical_rank, roof_rank2
 from .entanglement import (
-    Cut,
     c_abc_mixture,
     concurrence_pure2,
     concurrence_wootters,
-    cut_concurrence_pure,
+    cut_concurrences,
     eof_from_concurrence,
     groverian_from_concurrence,
     monogamy_residual,
@@ -97,6 +96,15 @@ def _emit_rows(args, rows: list[dict], csv_columns=None, summary: dict | None = 
     _emit(_csv(columns, [[row[c] for c in columns] for row in rows], trailer), args.out)
 
 
+def _emit_record(args, record: dict, csv_record: dict | None = None) -> None:
+    """Write one record: JSON is the dict, CSV a header and one row, of csv_record when given."""
+    if args.format == "json":
+        _emit(json.dumps(record, indent=2), args.out)
+        return
+    row = record if csv_record is None else csv_record
+    _emit(_csv(list(row), [list(row.values())]), args.out)
+
+
 def _grid(args) -> np.ndarray:
     # The p grid of fig1 and fig4.
     if args.steps < 2 or not (0.0 <= args.start < args.stop <= 1.0):
@@ -163,13 +171,14 @@ def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
             "eof": eof_from_concurrence(c),
         }
     if isinstance(state, PureState) and state.num_qubits == 3:
+        cut_ab_c, cut_ac_b, cut_bc_a = cut_concurrences(state)
         return {
             "num_qubits": 3,
             "pure": True,
             "tau3": three_tangle_pure(state),
-            "cut_ab_c": cut_concurrence_pure(state, Cut.AB_C),
-            "cut_ac_b": cut_concurrence_pure(state, Cut.AC_B),
-            "cut_bc_a": cut_concurrence_pure(state, Cut.BC_A),
+            "cut_ab_c": cut_ab_c,
+            "cut_ac_b": cut_ac_b,
+            "cut_bc_a": cut_bc_a,
             "monogamy_residual": monogamy_residual(state),
         }
     if isinstance(state, DensityMatrix) and state.num_qubits == 3:
@@ -206,10 +215,7 @@ def cmd_measures(args) -> int:
         return _usage_error(
             f"no measures defined for a {state.num_qubits}-qubit state (need 2 or 3 qubits)"
         )
-    if args.format == "csv":
-        _emit(_csv(list(payload), [list(payload.values())]), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2), args.out)
+    _emit_record(args, payload)
     return EXIT_OK
 
 
@@ -236,14 +242,11 @@ def cmd_teleport(args) -> int:
             [[float(v.real), float(v.imag)] for v in row] for row in report.rho_out.matrix
         ],
     }
-    if args.format == "csv":
-        row = {k: v for k, v in payload.items() if k != "rho_out"}
-        for i in range(2):
-            for j in range(2):
-                row[f"rho_out_{i}{j}_re"], row[f"rho_out_{i}{j}_im"] = payload["rho_out"][i][j]
-        _emit(_csv(list(row), [list(row.values())]), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2), args.out)
+    row = {k: v for k, v in payload.items() if k != "rho_out"}
+    for i in range(2):
+        for j in range(2):
+            row[f"rho_out_{i}{j}_re"], row[f"rho_out_{i}{j}_im"] = payload["rho_out"][i][j]
+    _emit_record(args, payload, row)
     return EXIT_OK
 
 
@@ -292,8 +295,7 @@ def cmd_validate(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = [check for name in names for check in SUITES[name](args.seed)]
     passed = all(c["passed"] for c in checks)
-    payload = {"suite": args.suite, "checks": checks, "passed": passed}
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit_record(args, {"suite": args.suite, "checks": checks, "passed": passed})
     if not passed:
         first = next(c["name"] for c in checks if not c["passed"])
         print(f"validation failed: {first}", file=sys.stderr)

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entanglement import GhzwMixtureParams, channel_mixture_state, ghzw_superposition
+from .entanglement import GhzwMixtureParams, _components, channel_mixture_state, ghzw_superposition
 from .qcore import DensityMatrix, PureState, hermitian_eigensystem, validate_density
 from .tolerances import TOLERANCES
 
@@ -118,6 +118,13 @@ class Ensemble:
         """Largest entry of |reconstruct() - rho|."""
         return float(np.abs(self.reconstruct() - rho.matrix).max())
 
+    def checked(self, rho: DensityMatrix, atol: float = TOLERANCES.reconstruction_atol) -> "Ensemble":
+        """This ensemble, once its reconstruction error against rho is at most atol; raises otherwise."""
+        err = self.reconstruction_error(rho)
+        if not err <= atol:  # NaN fails too
+            raise ValueError(f"ensemble fails to reconstruct the state: error {err:.3e}")
+        return self
+
     def average(self, measure: Callable[[PureState], float]) -> float:
         return float(sum(w * measure(psi) for w, psi in self.members))
 
@@ -151,11 +158,7 @@ def _ensemble_from_rows(rho: DensityMatrix, rows: np.ndarray) -> Ensemble:
         w = float(weights[j])
         if w > TOLERANCES.weight_drop:
             members.append((w, PureState(rho.num_qubits, rows[j] / math.sqrt(w))))
-    ens = Ensemble(tuple(members))
-    err = ens.reconstruction_error(rho)
-    if err > TOLERANCES.reconstruction_atol:
-        raise ValueError(f"decomposition fails to reconstruct the state: error {err:.3e}")
-    return ens
+    return Ensemble(tuple(members)).checked(rho)
 
 
 def _scan_levels() -> tuple:
@@ -739,11 +742,5 @@ def optimal_ghzw_ensemble(p: float, params: GhzwMixtureParams | None = None) -> 
             members.append((w_branch, ghzw_superposition(g.p0, 2.0 * math.pi * n / 3.0, g)))
     w_rest = 1.0 - p / g.p0
     if w_rest > drop:
-        amps = np.zeros(8, dtype=complex)
-        amps[1], amps[2], amps[4] = g.c, g.d, g.f
-        members.append((w_rest, PureState(3, amps)))
-    ens = Ensemble(tuple(members))
-    err = ens.reconstruction_error(channel_mixture_state(p, g))
-    if err > 1e-10:
-        raise ValueError(f"ensemble fails to reproduce the mixture: error {err:.3e}")
-    return ens
+        members.append((w_rest, PureState(3, _components(g)[1])))
+    return Ensemble(tuple(members)).checked(channel_mixture_state(p, g), atol=1e-10)

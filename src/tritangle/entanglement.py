@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -113,45 +112,33 @@ def _tangle_form(w: np.ndarray) -> np.ndarray:
     return u * u - 4.0 * (p * q + s * t) + 4.0 * d3
 
 
-def _tangle_raw(w: np.ndarray) -> np.ndarray:
-    return 4.0 * np.abs(_tangle_form(w))
-
-
 def three_tangle_pure(psi: PureState) -> float:
     """Three-party tangle of a pure three-qubit state.
 
     4|d1 - 2 d2 + 4 d3| where d1 sums the squared products of amplitudes
     on complementary index pairs, d2 the six cross products of those
     pairs, and d3 the two "diagonal-free" quartic products (evaluated in
-    the factored form of :func:`_tangle_raw`).  Zero on product and
+    the factored form of :func:`_tangle_form`).  Zero on product and
     W-type states, one on the balanced GHZ state.
     """
     if psi.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
-    return _unit_value(_tangle_raw(psi.amplitudes[np.newaxis, :])[0], "three_tangle")
+    return _unit_value(_TANGLE_FORM.score(_tangle_form(psi.amplitudes[np.newaxis, :]), None)[0], "three_tangle")
 
 
-class Cut(Enum):
-    """Bipartitions of three qubits: the label right of | is the lone qubit."""
-
-    AB_C = "AB|C"
-    AC_B = "AC|B"
-    BC_A = "BC|A"
-
-    @property
-    def lone_qubit(self) -> int:
-        return {"AB|C": 3, "AC|B": 2, "BC|A": 1}[self.value]
-
-
-def cut_concurrence_pure(psi: PureState, cut: Cut) -> float:
-    """Concurrence across a 2-vs-1 cut: 2 sqrt(det rho_lone)."""
-    if psi.num_qubits != 3:
-        raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
-    lone = cut.lone_qubit
-    traced = [q for q in (1, 2, 3) if q != lone]
-    r = partial_trace(psi.density(), traced).matrix
+def _cut_concurrence(rho: DensityMatrix, lone: int) -> float:
+    # 2 sqrt(det rho_lone): a pure three-qubit rho's concurrence across the cut that leaves qubit lone alone.
+    r = partial_trace(rho, [q for q in (1, 2, 3) if q != lone]).matrix
     det = float(np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]))
     return _unit_value(2.0 * math.sqrt(max(0.0, det)), "cut_concurrence")
+
+
+def cut_concurrences(psi: PureState) -> tuple[float, float, float]:
+    """Concurrences 2 sqrt(det rho_lone) of a pure three-qubit state across AB|C, AC|B and BC|A, in that order."""
+    if psi.num_qubits != 3:
+        raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
+    rho = psi.density()
+    return tuple(_cut_concurrence(rho, lone) for lone in (3, 2, 1))
 
 
 def pairwise_concurrences(rho) -> tuple[float, float, float]:
@@ -169,8 +156,9 @@ def monogamy_residual(psi: PureState) -> float:
     """
     if psi.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {psi.num_qubits} qubits")
-    c_cut = cut_concurrence_pure(psi, Cut.AB_C)
-    _, c_ac, c_bc = pairwise_concurrences(psi.density())
+    rho = psi.density()
+    c_cut = _cut_concurrence(rho, 3)
+    _, c_ac, c_bc = pairwise_concurrences(rho)
     return c_cut * c_cut - c_ac * c_ac - c_bc * c_bc
 
 
@@ -232,15 +220,25 @@ def ghzw_params(a: float, b: float, c: float, d: float, f: float) -> GhzwMixture
     vanishes (the scale s is undefined there).
     """
     tol = TOLERANCES.norm_atol
-    if abs(a * a + b * b - 1.0) > tol:
+    # Written as not (x <= tol) so that NaN fails too.
+    if not (abs(a * a + b * b - 1.0) <= tol):
         raise ValueError(f"a^2 + b^2 = {a * a + b * b!r}, expected 1")
-    if abs(c * c + d * d + f * f - 1.0) > tol:
+    if not (abs(c * c + d * d + f * f - 1.0) <= tol):
         raise ValueError(f"c^2 + d^2 + f^2 = {c * c + d * d + f * f!r}, expected 1")
     denom = a * a * b
     if abs(denom) <= 1e-12:
         raise ValueError("a^2 * b = 0: the scale s = 4cdf/(a^2 b) is undefined")
     s = 4.0 * c * d * f / denom
     return _with_break_points(a, b, c, d, f, s, 4.0 * (a * b) ** 2, float(np.cbrt(s) ** 2))
+
+
+def _components(g: GhzwMixtureParams) -> tuple[np.ndarray, np.ndarray]:
+    # The amplitudes of the GHZ-type a|000> + b|111> and the W-type c|001> + d|010> + f|100>.
+    ghz_vec = np.zeros(8, dtype=complex)
+    ghz_vec[0], ghz_vec[7] = g.a, g.b
+    w_vec = np.zeros(8, dtype=complex)
+    w_vec[1], w_vec[2], w_vec[4] = g.c, g.d, g.f
+    return ghz_vec, w_vec
 
 
 def _check_unit_interval(p, name: str = "p"):
@@ -259,15 +257,8 @@ def _check_unit_interval(p, name: str = "p"):
 def ghzw_superposition(p: float, phi: float = 0.0, params: GhzwMixtureParams | None = None) -> PureState:
     """sqrt(p)|GHZ-type> - sqrt(1-p) e^{i phi}|W-type> for the given amplitudes."""
     p = _check_unit_interval(p)
-    g = params or GhzwMixtureParams.standard()
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = math.sqrt(p) * g.a
-    amps[7] = math.sqrt(p) * g.b
-    wfac = -math.sqrt(1.0 - p) * np.exp(1j * phi)
-    amps[1] = wfac * g.c
-    amps[2] = wfac * g.d
-    amps[4] = wfac * g.f
-    return PureState(3, amps)
+    ghz_vec, w_vec = _components(params or GhzwMixtureParams.standard())
+    return PureState(3, math.sqrt(p) * ghz_vec - math.sqrt(1.0 - p) * np.exp(1j * phi) * w_vec)
 
 
 def ghzw_pure_tangle(p: float, phi: float = 0.0, params: GhzwMixtureParams | None = None) -> float:
@@ -315,7 +306,7 @@ def reduced_concurrences_qc(p: float) -> tuple[float, float, float]:
 
 
 def c_abc_mixture(p: float) -> float:
-    """Cut concurrence of the standard mixture across AB|C.
+    """The AB|C cut concurrence of the standard mixture.
 
     sqrt(C^2_AC + C^2_BC + tau3(p)).  Equals 1 at both endpoints and
     vanishes identically on [1/3, p0] where every contribution is zero.
@@ -328,11 +319,7 @@ def c_abc_mixture(p: float) -> float:
 def _mixture_matrix(p, params: GhzwMixtureParams | None) -> np.ndarray:
     # The mixture for a float p, or the stack (P, 8, 8) of them for a 1-D p.
     p = _check_unit_interval(p)
-    g = params or GhzwMixtureParams.standard()
-    ghz_vec = np.zeros(8, dtype=complex)
-    ghz_vec[0], ghz_vec[7] = g.a, g.b
-    w_vec = np.zeros(8, dtype=complex)
-    w_vec[1], w_vec[2], w_vec[4] = g.c, g.d, g.f
+    ghz_vec, w_vec = _components(params or GhzwMixtureParams.standard())
     if isinstance(p, np.ndarray):
         p = p[..., None, None]
     return p * np.outer(ghz_vec, ghz_vec.conj()) + (1.0 - p) * np.outer(w_vec, w_vec.conj())
@@ -399,15 +386,16 @@ class RoofForm:
     def score(self, values: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
         """Contributions of rows with these form values and weights.
 
-        A row whose weight is at most 1e-12 contributes zero when the
-        contribution divides by the weight.  ``weights=None`` means unit
+        A row whose weight is at most ``weight_drop``, a row an ensemble
+        would drop, contributes zero when the contribution divides by the
+        weight.  ``weights=None`` means unit
         weights: the contribution is then the scaled modulus.
         """
         raw = np.abs(values)
         raw *= self.scale
         if weights is None or not self.per_weight:
             return raw
-        return np.divide(raw, weights, out=np.zeros(raw.shape), where=weights > 1e-12)
+        return np.divide(raw, weights, out=np.zeros(raw.shape), where=weights > TOLERANCES.weight_drop)
 
     def pair_coefficients(self, wj: np.ndarray, wk: np.ndarray) -> np.ndarray:
         """Coefficients h_0..h_d of form(x wj + y wk) = sum_n h_n x^(d-n) y^n.
@@ -440,11 +428,10 @@ class RoofForm:
 
 _CONCURRENCE_FORM = RoofForm(_concurrence_form, degree=2, scale=2.0, per_weight=False)
 _TANGLE_FORM = RoofForm(_tangle_form, degree=4, scale=4.0, per_weight=True)
-_tangle_contrib = _TANGLE_FORM.contrib
 
 concurrence_pure2.roof_form = _CONCURRENCE_FORM
 concurrence_pure2.roof_contrib = _CONCURRENCE_FORM.contrib
 concurrence_pure2.roof_contrib_dim = 4
 three_tangle_pure.roof_form = _TANGLE_FORM
-three_tangle_pure.roof_contrib = _tangle_contrib
+three_tangle_pure.roof_contrib = _TANGLE_FORM.contrib
 three_tangle_pure.roof_contrib_dim = 8

@@ -34,7 +34,6 @@ import numpy as np
 from .convexroof import Ensemble
 from .entanglement import pairwise_concurrences, three_tangle_pure
 from .qcore import DensityMatrix, DensityReport, PureState, density_report, w_state
-from .tolerances import TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,7 @@ def _checked_zero_ensemble(kt: float, rho: DensityMatrix) -> Ensemble:
         weight = (1.0 - flip) ** (3 - ones) * flip**ones
         if weight > 0.0:
             members.append((weight, PureState(3, w[np.arange(8) ^ s])))
-    ens = Ensemble(tuple(members))
-    err = ens.reconstruction_error(rho)
-    if err > TOLERANCES.reconstruction_atol:
-        raise ValueError(f"ensemble fails to reconstruct the decohered state: error {err:.3e}")
+    ens = Ensemble(tuple(members)).checked(rho)
     if any(three_tangle_pure(psi) != 0.0 for _, psi in ens.members):
         raise ValueError("a bit-flipped W state has nonzero tangle")
     return ens

@@ -275,7 +275,7 @@ def _require_hermitian(h, tols: Tolerances) -> np.ndarray:
     if m.shape[0] > _EIG_MAX_DIM:
         raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {_EIG_MAX_DIM}")
     herm = float(np.abs(m - m.conj().T).max())
-    if herm > tols.eigh_hermitian_atol:
+    if not (herm <= tols.eigh_hermitian_atol):  # NaN fails too
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {herm:.3e}")
     return 0.5 * (m + m.conj().T)
 

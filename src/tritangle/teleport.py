@@ -38,8 +38,6 @@ from .qcore import DensityMatrix, PureState, _check_density, kron, partial_trace
 from .tolerances import TOLERANCES
 
 _RT2 = math.sqrt(2.0)
-# Fidelities may overshoot [0, 1] by this much from rounding.
-_FIDELITY_SLACK = 1e-12
 
 
 class SchemeKind(Enum):
@@ -103,7 +101,7 @@ class TeleportScheme:
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
         dev = unitarity_deviation(u)
-        if dev > 1e-12:
+        if not (dev <= 1e-12):  # NaN fails too
             raise ValueError(f"circuit matrix is not unitary: deviation {dev:.3e}")
         object.__setattr__(self, "unitary", u)
 
@@ -134,7 +132,8 @@ class TeleportReport:
 
 def _check_fidelities(fids) -> None:
     f = np.asarray(fids, dtype=float)
-    bad = f[~((f >= -_FIDELITY_SLACK) & (f <= 1.0 + _FIDELITY_SLACK))]  # NaN is bad too
+    slack = TOLERANCES.measure_clamp  # rounding may overshoot [0, 1], as it may for a measure
+    bad = f[~((f >= -slack) & (f <= 1.0 + slack))]  # NaN is bad too
     if bad.size:
         raise ValueError(f"fidelity {float(bad[0])!r} outside [0, 1]")
 

@@ -13,7 +13,7 @@ import pytest
 import tritangle
 from tritangle import checks, cli
 from tritangle.entanglement import channel_mixture_state, three_tangle_ghzw
-from tritangle.qcore import DensityMatrix, PureState, ghz_state, random_density_matrix, save_state_file
+from tritangle.qcore import DensityMatrix, PureState, ghz_state, random_density_matrix, random_pure_state, save_state_file
 from tritangle.teleport import SchemeKind
 
 
@@ -184,6 +184,22 @@ class TestMeasures:
         assert payload["tau3"] == pytest.approx(1.0, abs=1e-12)
         assert payload["cut_ab_c"] == pytest.approx(1.0, abs=1e-12)
         assert payload["monogamy_residual"] == pytest.approx(1.0, abs=1e-7)
+
+    def test_pure_three_qubit_builds_its_density_at_most_twice(self, tmp_path, capsys, monkeypatch):
+        # Once for the cut concurrences, once for the monogamy residual.
+        path = tmp_path / "pure3.json"
+        save_state_file(path, random_pure_state(3, np.random.default_rng(3)))
+        builds = []
+        density = PureState.density
+
+        def counted(psi):
+            builds.append(psi)
+            return density(psi)
+
+        monkeypatch.setattr(PureState, "density", counted)
+        code, _, _ = run(["measures", str(path)], capsys)
+        assert code == 0
+        assert len(builds) <= 2
 
     def test_mixed_three_qubit(self, mixture_file, capsys):
         code, out, _ = run(

@@ -113,6 +113,16 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="same qubits"):
             Ensemble(((0.5, up), (0.5, bell)))
 
+    def test_checked_passes_the_state_it_rebuilds_and_no_other(self):
+        up = PureState.from_amplitudes([1.0, 0.0])
+        down = PureState.from_amplitudes([0.0, 1.0])
+        ens = Ensemble(((0.25, up), (0.75, down)))
+        assert ens.checked(DensityMatrix(1, np.diag([0.25, 0.75]))) is ens
+        with pytest.raises(ValueError, match="fails to reconstruct the state"):
+            ens.checked(up.density())
+        with pytest.raises(ValueError, match="fails to reconstruct the state"):
+            ens.checked(up.density(), atol=math.nan)
+
 
 class TestMinimizeRoof:
     def test_pure_state_is_fixed_point(self):

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritangle.entanglement import (
-    Cut,
     GhzwMixtureParams,
     c_abc_mixture,
     channel_mixture_stack,
     channel_mixture_state,
     concurrence_pure2,
     concurrence_wootters,
-    cut_concurrence_pure,
+    cut_concurrences,
     eof_from_concurrence,
     ghzw_params,
     ghzw_pure_tangle,
@@ -26,9 +25,8 @@ from tritangle.entanglement import (
     reduced_concurrences_qc,
     three_tangle_ghzw,
     three_tangle_pure,
-    _tangle_contrib,
+    _TANGLE_FORM,
     _tangle_form,
-    _tangle_raw,
 )
 from tritangle.qcore import (
     DensityMatrix,
@@ -89,9 +87,7 @@ class TestMeasureValue:
             pytest.param(eof_from_concurrence, (0.6,), id="eof_from_concurrence"),
             pytest.param(groverian_from_concurrence, (0.6,), id="groverian_from_concurrence"),
             pytest.param(three_tangle_pure, (random_pure_state(3, np.random.default_rng(2)),), id="three_tangle_pure"),
-            pytest.param(
-                cut_concurrence_pure, (random_pure_state(3, np.random.default_rng(3)), Cut.AC_B), id="cut_concurrence_pure"
-            ),
+            pytest.param(cut_concurrences, (random_pure_state(3, np.random.default_rng(3)),), id="cut_concurrences"),
             pytest.param(three_tangle_ghzw, (0.3,), id="three_tangle_ghzw-zero"),
             pytest.param(three_tangle_ghzw, (0.65,), id="three_tangle_ghzw-middle"),
             pytest.param(three_tangle_ghzw, (0.9,), id="three_tangle_ghzw-linear"),
@@ -205,20 +201,26 @@ class TestThreeTangle:
         assert abs(residual - three_tangle_pure(psi)) < 1e-8
 
     def test_cut_concurrence_ghz(self):
-        for cut in Cut:
-            assert cut_concurrence_pure(ghz_state(), cut) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        assert cut_concurrences(ghz_state()) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
     def test_cut_concurrence_w(self):
         # lone LSB keeps the 1/sqrt(2) amplitude balanced against the rest
-        assert cut_concurrence_pure(w_state(), Cut.AB_C) == pytest.approx(
-            1.0, abs=1e-12
-        )
-        for cut in (Cut.AC_B, Cut.BC_A):
-            assert cut_concurrence_pure(w_state(), cut) == pytest.approx(
-                math.sqrt(3) / 2, abs=1e-12
-            )
+        assert cut_concurrences(w_state()) == pytest.approx((1.0, math.sqrt(3) / 2, math.sqrt(3) / 2), abs=1e-12)
+
+    def test_cut_concurrences_are_two_root_det_of_each_lone_qubit(self):
+        # 2 sqrt(max(0, det rho_lone)) written out, for lone qubits 3, 2, 1 in turn.
+        rng = np.random.default_rng(16)
+        for psi in [random_pure_state(3, rng) for _ in range(20)] + [ghz_state(), w_state()]:
+            expected = []
+            for traced in ([1, 2], [1, 3], [2, 3]):
+                r = partial_trace(psi.density(), traced).matrix
+                det = float(np.real(r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]))
+                expected.append(2.0 * math.sqrt(max(0.0, det)))
+            assert cut_concurrences(psi) == tuple(expected)
+
+    def test_cut_concurrences_rejects_other_sizes(self):
+        with pytest.raises(ValueError, match="3-qubit"):
+            cut_concurrences(bell_state())
 
 
 def expanded_tangle_raw(w):
@@ -237,6 +239,11 @@ def expanded_tangle_raw(w):
     return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
+def tangle_raw(w):
+    # The tangle of each row, 4 |form|, unnormalized rows taken as they are.
+    return _TANGLE_FORM.score(_tangle_form(w), None)
+
+
 class TestTangleKernel:
     def random_rows(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -245,28 +252,28 @@ class TestTangleKernel:
 
     def test_matches_expanded_hyperdeterminant(self):
         w = self.random_rows(1000, 11)
-        assert np.abs(_tangle_raw(w) - expanded_tangle_raw(w)).max() <= 1e-14
+        assert np.abs(tangle_raw(w) - expanded_tangle_raw(w)).max() <= 1e-14
 
     def test_ghz_and_w_rows(self):
         rows = np.stack([ghz_state().amplitudes, w_state().amplitudes])
-        assert _tangle_raw(rows)[0] == pytest.approx(1.0, abs=1e-14)
-        assert _tangle_raw(rows)[1] <= 1e-15
+        assert tangle_raw(rows)[0] == pytest.approx(1.0, abs=1e-14)
+        assert tangle_raw(rows)[1] <= 1e-15
 
     def test_homogeneous_of_degree_four(self):
         w = self.random_rows(200, 12)
         lam = 0.7 * np.exp(0.3j)
-        assert np.allclose(_tangle_raw(lam * w), abs(lam) ** 4 * _tangle_raw(w), rtol=1e-13, atol=0.0)
+        assert np.allclose(tangle_raw(lam * w), abs(lam) ** 4 * tangle_raw(w), rtol=1e-13, atol=0.0)
 
     def test_contrib_is_weight_times_tangle(self):
         w = self.random_rows(50, 13) * np.linspace(0.1, 2.0, 50)[:, None]
         weights = np.sum(np.abs(w) ** 2, axis=1)
         expected = [wt * three_tangle_pure(PureState(3, row / math.sqrt(wt))) for wt, row in zip(weights, w)]
-        assert np.allclose(_tangle_contrib(w), expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(_TANGLE_FORM.contrib(w), expected, rtol=1e-12, atol=0.0)
 
     def test_contrib_of_negligible_row_is_zero(self):
         w = np.zeros((2, 8), dtype=complex)
         w[1, 0] = 1e-7
-        assert np.array_equal(_tangle_contrib(w), [0.0, 0.0])
+        assert np.array_equal(_TANGLE_FORM.contrib(w), [0.0, 0.0])
 
 
 class TestRoofForm:
@@ -284,10 +291,6 @@ class TestRoofForm:
         assert three_tangle_pure.roof_form.per_weight
         assert (concurrence_pure2.roof_form.degree, concurrence_pure2.roof_form.scale) == (2, 2.0)
         assert not concurrence_pure2.roof_form.per_weight
-
-    def test_raw_tangle_is_scaled_form(self):
-        w = TestTangleKernel().random_rows(100, 14)
-        assert np.array_equal(_tangle_raw(w), 4.0 * np.abs(_tangle_form(w)))
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
     def test_roof_contrib_is_weight_times_measure(self, measure):
@@ -392,6 +395,11 @@ class TestMixtureFamily:
     def test_params_factory_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ghzw_params(1.0, 1.0, 1 / math.sqrt(2), 0.5, 0.5)
+
+    @pytest.mark.parametrize("amplitudes", [(math.nan, 0.5, 0.5, 0.5, 0.5**0.5), (0.6, 0.8, math.nan, 0.6, 0.8)])
+    def test_params_factory_rejects_nan(self, amplitudes):
+        with pytest.raises(ValueError):
+            ghzw_params(*amplitudes)
 
     def test_superposition_endpoints(self):
         assert three_tangle_pure(ghzw_superposition(1.0)) == pytest.approx(

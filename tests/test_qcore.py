@@ -125,6 +125,10 @@ class TestEigen:
         with pytest.raises(ValueError, match="dimension"):
             hermitian_eigensystem(np.eye(32))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigensystem(np.full((2, 2), np.nan))
+
     @given(seeds)
     @settings(max_examples=50, deadline=None)
     def test_eigensystem_reconstructs(self, seed):

@@ -69,6 +69,10 @@ class TestCircuitMatrices:
         with pytest.raises(ValueError, match="not unitary"):
             TeleportScheme(SchemeKind.GHZ, u)
 
+    def test_nan_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            TeleportScheme(SchemeKind.GHZ, np.full((16, 16), np.nan))
+
 
 class TestChannelState:
     def test_endpoints_are_projectors(self):
