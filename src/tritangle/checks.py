@@ -78,14 +78,12 @@ def average_fidelity_gap(average) -> float:
     """Worst |average(scheme, p) - closed-form average fidelity| over both schemes at 11 p in [0, 1].
 
     average is avg_fidelity (the quadrature) or avg_fidelity_entanglement,
-    called once per scheme on all 11 weights.
+    called once on both schemes and all 11 weights.
     """
     ps = np.linspace(0.0, 1.0, 11)
-    worst = 0.0
-    for kind in SchemeKind:
-        closed = [avg_fidelity_closed(kind, p) for p in ps]
-        worst = max(worst, float(np.abs(average(scheme_unitary(kind), ps) - closed).max()))
-    return worst
+    closed = [[avg_fidelity_closed(kind, p) for p in ps] for kind in SchemeKind]
+    values = average(tuple(scheme_unitary(kind) for kind in SchemeKind), ps)
+    return float(np.abs(values - closed).max())
 
 
 def monogamy_extremes(n: int, rng: np.random.Generator) -> tuple[float, float]:

@@ -134,7 +134,7 @@ def cmd_fig1(args) -> int:
 def cmd_fig4(args) -> int:
     """Sweep of closed-form and quadrature average fidelities, plus thresholds."""
     grid = _grid(args)
-    ghz, w = (avg_fidelity(scheme_unitary(k), grid) for k in (SchemeKind.GHZ, SchemeKind.W))
+    ghz, w = avg_fidelity((scheme_unitary(SchemeKind.GHZ), scheme_unitary(SchemeKind.W)), grid)
     rows = []
     for p, fbar_ghz, fbar_w in zip(grid, ghz, w):
         p = float(p)

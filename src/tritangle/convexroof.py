@@ -415,7 +415,9 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
 # the columns that every LP starts from.  Temporaries stay near 1 MB.
 _LP_GRID = (61, 120)
 # Cutting-plane rounds, and grid minima of tau - l refined in each round.
-_LP_ROUNDS = 10
+# The deepest cut shrinks only about 4x per round, and about 1% of random
+# rank-2 states need 11-13 rounds.
+_LP_ROUNDS = 16
 _LP_CUTS = 8
 # Simplex pivots per solve, and the reduced cost (and violation of the dual
 # plane) that counts as negative.
@@ -612,7 +614,7 @@ def roof_rank2(rho, measure) -> Rank2Roof:
     plane l(n) = y.(1, n), each cutting round refines the lowest local
     minima of tau - l on the grid, and the members (where tau - l is zero),
     and adds those more than 1e-10 below l as columns, until none is
-    (converged) or 10 rounds have run.
+    (converged) or 16 rounds have run.
 
     The returned ensemble is checked to reconstruct rho, and its average
     of measure is the upper bound, as for :func:`minimize_roof`.  Rank 1

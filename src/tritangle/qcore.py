@@ -163,11 +163,12 @@ def density_report(matrix, tols: Tolerances = TOLERANCES) -> DensityReport:
 _NOT_A_DENSITY = DensityReport(False, np.inf, np.inf, -np.inf, False, False, False)
 
 
-def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances, stacked: bool = False) -> None:
+def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances, stacked: bool = False, label=None) -> None:
     # Raises on the first invariant that density_report finds violated; for
-    # a stack (P, d, d), on the first failing member, whose index the
-    # message names.  With the qubit count and the side checked here, a
-    # failed shape in the report means a non-finite entry.
+    # a stack (P, d, d), on the first failing member, which the message
+    # names as label(index), or by its index without a label.  With the
+    # qubit count and the side checked here, a failed shape in the report
+    # means a non-finite entry.
     if not (1 <= num_qubits <= _MAX_QUBITS):
         raise DensityValidationError("shape", np.inf, f"num_qubits must be in 1..{_MAX_QUBITS}, got {num_qubits}")
     d = 2**num_qubits
@@ -182,7 +183,7 @@ def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances, stacked: bo
             return
         i = int(np.argmin(ok))
         rep = DensityReport(*(getattr(rep, f.name)[i] for f in fields(DensityReport)))
-        where = f"member {i}: "
+        where = f"{label(i) if label else f'member {i}'}: "
     if not rep.shape_ok:
         raise DensityValidationError("shape", np.inf, f"{where}matrix entries must be finite")
     if not rep.hermitian_ok:

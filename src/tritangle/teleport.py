@@ -14,12 +14,14 @@ from the same circuit unitary; :func:`avg_fidelity` reads every quadrature
 node's fidelity off J, on a rule fixed at 32 x 16 nodes (cos theta x phi),
 and :func:`avg_fidelity_entanglement` gives the exact average
 (2 F_e + 1)/3 from the entanglement fidelity F_e of J.
-All three take one weight or an array of them.  An array is swept in
-chunks: per chunk one stack of channel states, one batched pass of its
-4P operators |i><j| x rho_channel(p) through the circuit, one stacked
-check of the P Choi states, and one einsum over all P x nodes
-fidelities.  Every weight is still simulated and checked on its own
-terms, and its value is bitwise the one it gets alone.
+All three take one weight or an array of them, and one scheme or a tuple
+of schemes.  An array is swept in chunks: per chunk one stack of channel
+states, shared by every scheme; one batched pass of its operators
+|i><j| x rho_channel(p) through the stacked circuit unitaries; one
+stacked check of all the Choi states; and, for the quadrature, one
+product of the flattened Choi states with a fixed table of the nodes'
+16 terms.  Every weight is still simulated and checked on its own terms,
+and its value is bitwise the one it gets alone, with any scheme beside it.
 :func:`teleport_output` keeps the explicit circuit for single inputs and
 serves as the oracle for the channel form.
 """
@@ -101,7 +103,7 @@ class TeleportScheme:
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
         dev = unitarity_deviation(u)
-        if not (dev <= 1e-12):  # NaN fails too
+        if not (dev <= TOLERANCES.unitarity_atol):  # NaN fails too
             raise ValueError(f"circuit matrix is not unitary: deviation {dev:.3e}")
         object.__setattr__(self, "unitary", u)
 
@@ -196,9 +198,11 @@ _PHI_NODES = 16
 
 @cache
 def _quadrature() -> tuple[np.ndarray, np.ndarray]:
-    """(weights, node_vectors), read-only: the Gauss-Legendre weights in
-    cos(theta), and conj(psi) x psi for the input state psi at each node,
-    shape (_COS_THETA_NODES, _PHI_NODES, 4).
+    """(weights, node_table), read-only: the Gauss-Legendre weights in
+    cos(theta), and the (16, _COS_THETA_NODES * _PHI_NODES) table whose
+    column for the input state psi at a node is conj(v) v^T, flattened,
+    with v = conj(psi) x psi.  A Choi state J, flattened, times the table
+    gives <v|J|v> at every node, phi running fastest.
 
     Built on first use, so that importing the package does not import
     numpy.polynomial.
@@ -208,96 +212,116 @@ def _quadrature() -> tuple[np.ndarray, np.ndarray]:
     # input_state(theta, phi) on the grid, cos(theta) = node
     half = 0.5 * np.arccos(nodes)[:, None]
     psi = np.stack([np.cos(half) * np.exp(0.5j * phis), np.sin(half) * np.exp(-0.5j * phis)], axis=-1)
-    vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(*psi.shape[:-1], 4)
+    vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(-1, 4)
+    table = np.ascontiguousarray(np.einsum("nr,ns->rsn", vec.conj(), vec).reshape(16, -1))
     weights.flags.writeable = False
-    vec.flags.writeable = False
-    return weights, vec
+    table.flags.writeable = False
+    return weights, table
 
 
 # Weights per batch of a sweep.  Each weight holds four 16 x 16 circuit
-# operators, so a chunk bounds the memory of a sweep of any length.
+# operators per scheme, so a chunk bounds the memory of a sweep of any length.
 _SWEEP_CHUNK = 64
 
 
-def _choi_states(scheme: TeleportScheme, channel: np.ndarray) -> np.ndarray:
-    """Choi states (P, 4, 4) of the protocol for a stack of channel states (P, 8, 8).
+def _choi_states(schemes: tuple[TeleportScheme, ...], channel: np.ndarray, first: int) -> np.ndarray:
+    """Choi states (S * P, 4, 4) of S schemes for a stack of channel states (P, 8, 8).
 
-    The 4P operators |i><j| x rho_channel go through the circuit unitary
-    in one batch.  Every J is checked as a density matrix, which checks
-    that its Lambda_p is completely positive; every input marginal must
-    be I/2, which checks that Lambda_p preserves the trace.
+    Scheme by scheme, weight running fastest.  The 4P operators
+    |i><j| x rho_channel go through all S circuit unitaries in one batch.
+    Every J is checked as a density matrix, which checks that its Lambda_p
+    is completely positive, and a failing one is named by its scheme and
+    its weight's index in the sweep (first is the index of channel[0]);
+    every input marginal must be I/2, which checks that Lambda_p preserves
+    the trace.
     """
     n = channel.shape[0]
+    u = np.stack([scheme.unitary for scheme in schemes])[:, None, None, None]
     basis = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # basis[i, j] = |i><j|
     joint = np.einsum("ijab,pkl->pijakbl", basis, channel).reshape(n, 2, 2, 16, 16)
-    evolved = scheme.unitary @ joint @ scheme.unitary.conj().T
+    evolved = u @ joint @ u.conj().swapaxes(-1, -2)
     # Trace out the input and the sender's two channel qubits.
-    out = np.einsum("pijmamb->pijab", evolved.reshape(n, 2, 2, 8, 2, 8, 2))
-    choi = 0.5 * out.transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
-    _check_density(choi, 2, TOLERANCES, stacked=True)
-    marginal = np.einsum("piaja->pij", choi.reshape(n, 2, 2, 2, 2))
+    out = np.einsum("spijmamb->spijab", evolved.reshape(-1, n, 2, 2, 8, 2, 8, 2))
+    choi = 0.5 * out.transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4, 4)
+
+    def label(i):
+        return f"{schemes[i // n].kind.value} scheme, weight {first + i % n}"
+
+    _check_density(choi, 2, TOLERANCES, stacked=True, label=label)
+    marginal = np.einsum("piaja->pij", choi.reshape(-1, 2, 2, 2, 2))
     dev = float(np.abs(marginal - 0.5 * np.eye(2)).max(initial=0.0))
     if dev > TOLERANCES.trace_atol:
         raise ValueError(f"receiver map does not preserve the trace: deviation {dev:.3e}")
     return choi
 
 
-def _sweep(scheme: TeleportScheme, p, score) -> np.ndarray:
-    # score(J) for the Choi stack J of the weights p, _SWEEP_CHUNK weights
-    # at a time, as one array of p's shape (plus score's own axes).  Every
-    # weight is simulated through the circuit (channel_mixture_stack checks
-    # its range); a float p is a sweep of one, and an empty p one empty chunk.
+def _sweep(schemes: TeleportScheme | tuple[TeleportScheme, ...], p, score) -> np.ndarray:
+    # score(J) for the Choi stack J (S * P, 4, 4) of the schemes at the
+    # weights p, _SWEEP_CHUNK weights at a time, as one array of p's shape
+    # (plus score's own axes), after a leading scheme axis when schemes is
+    # a tuple.  Every weight is simulated through each circuit
+    # (channel_mixture_stack checks its range); a float p is a sweep of
+    # one, and an empty p one empty chunk.
+    group = schemes if isinstance(schemes, tuple) else (schemes,)
     flat = np.ravel(p)
-    parts = [
-        score(_choi_states(scheme, channel_mixture_stack(flat[lo : lo + _SWEEP_CHUNK])))
-        for lo in range(0, max(flat.size, 1), _SWEEP_CHUNK)
-    ]
-    return np.concatenate(parts).reshape(np.shape(p) + parts[0].shape[1:])
+    parts = []
+    for lo in range(0, max(flat.size, 1), _SWEEP_CHUNK):
+        choi = _choi_states(group, channel_mixture_stack(flat[lo : lo + _SWEEP_CHUNK]), lo)
+        value = score(choi)
+        parts.append(value.reshape(len(group), -1, *value.shape[1:]))
+    out = np.concatenate(parts, axis=1).reshape((len(group),) + np.shape(p) + parts[0].shape[2:])
+    return out if isinstance(schemes, tuple) else out[0]
 
 
-def receiver_channel(scheme: TeleportScheme, p):
+def receiver_channel(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
     """Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocol.
 
     Lambda_p maps the input qubit to the receiver's output at channel
-    weight p.  A DensityMatrix for a float p; for an array of weights the
-    stack (..., 4, 4) of their Choi states, each checked as
+    weight p.  A DensityMatrix for one scheme and a float p; otherwise the
+    stack (..., 4, 4) of Choi states over p's shape, led by a scheme axis
+    when scheme is a tuple of schemes, each checked as
     :func:`_choi_states` checks it.
     """
     choi = _sweep(scheme, p, lambda choi: choi)
-    return DensityMatrix(2, choi) if np.ndim(p) == 0 else choi
+    return DensityMatrix(2, choi) if choi.ndim == 2 else choi
 
 
-def avg_fidelity(scheme: TeleportScheme, p):
+def avg_fidelity(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
     """(1/4pi) integral of the fidelity over all input directions.
 
     The rule is fixed at 32 Gauss-Legendre nodes in cos(theta) times 16
     uniform nodes in phi.  The fidelity of input psi is
     F(psi) = 2 <conj(psi) x psi| J |conj(psi) x psi>
-    with J the Choi state of :func:`receiver_channel`, evaluated for all
-    nodes and weights at once; every node's fidelity must lie in [0, 1].
-    A float for a float p, else an array of p's shape, whose every entry
-    is bitwise the value for that weight alone.
+    with J the Choi state of :func:`receiver_channel`; every node's
+    fidelity, for all weights and schemes of a chunk, comes from one
+    product of the flattened Choi states with the node table of
+    :func:`_quadrature`, and must lie in [0, 1].  A float for one scheme
+    and a float p; otherwise an array of p's shape, led by a scheme axis
+    when scheme is a tuple of schemes.  Every entry is bitwise the value
+    for that scheme and weight alone.
     """
-    weights, vec = _quadrature()
+    weights, table = _quadrature()
 
     def average(choi):
-        fids = 2.0 * np.real(np.einsum("...r,prs,...s->p...", vec.conj(), choi, vec))
+        # One (1, 16) @ (16, nodes) product per Choi state, and one dot
+        # product per average: a 2-D product may round a row differently
+        # by its place in the batch.
+        fids = 2.0 * np.real(choi.reshape(-1, 1, 16) @ table)
         _check_fidelities(fids)
-        # One dot product per weight: a (P, n) @ (n,) product may round a
-        # row differently by its place in the batch.
-        return (fids.sum(axis=2)[:, None, :] @ weights)[:, 0] / (2.0 * _PHI_NODES)
+        per_cos = fids.reshape(-1, _COS_THETA_NODES, _PHI_NODES).sum(axis=2)
+        return (per_cos[:, None, :] @ weights)[:, 0] / (2.0 * _PHI_NODES)
 
     fbar = _sweep(scheme, p, average)
-    return float(fbar) if np.ndim(p) == 0 else fbar
+    return float(fbar) if fbar.ndim == 0 else fbar
 
 
-def avg_fidelity_entanglement(scheme: TeleportScheme, p):
+def avg_fidelity_entanglement(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
     """Exact average fidelity (2 F_e + 1)/3, F_e = <Phi+| J |Phi+>.
 
     F_e is the entanglement fidelity of the receiver's channel, read off
     its Choi state J (Horodecki et al., PRA 60, 1888 (1999); Nielsen,
-    PLA 303, 249 (2002)).  A float for a float p, else an array of p's
-    shape, as for :func:`avg_fidelity`.
+    PLA 303, 249 (2002)).  Takes and returns what :func:`avg_fidelity`
+    does.
     """
     phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / _RT2
 
@@ -306,7 +330,7 @@ def avg_fidelity_entanglement(scheme: TeleportScheme, p):
         return (2.0 * f_e + 1.0) / 3.0
 
     fbar = _sweep(scheme, p, exact)
-    return float(fbar) if np.ndim(p) == 0 else fbar
+    return float(fbar) if fbar.ndim == 0 else fbar
 
 
 def avg_fidelity_closed(kind, p: float) -> float:

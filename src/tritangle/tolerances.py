@@ -22,6 +22,9 @@ class Tolerances:
     # spectral routines
     eigh_hermitian_atol: float = 1e-10   # hermiticity required of eigensolver input
 
+    # circuits
+    unitarity_atol: float = 1e-12     # max |U U^dag - I| entrywise for a circuit matrix
+
     # measure values
     measure_clamp: float = 1e-12      # [-clamp, 0) -> 0 and (1, 1+clamp] -> 1
 

@@ -613,6 +613,14 @@ class TestRoofRank2:
         assert not res.converged and res.rounds == 1
         assert res.upper_bound >= three_tangle_ghzw(0.7) - 1e-10
 
+    @pytest.mark.parametrize("seed", [40, 108])
+    def test_states_past_ten_rounds_converge(self, seed):
+        # Cutting rounds converge only linearly; these random states need 11.
+        rho = random_density_matrix(3, 2, np.random.default_rng(seed))
+        res = roof_rank2(rho, three_tangle_pure)
+        self.assert_valid(rho, res, three_tangle_pure)
+        assert res.converged and res.rounds > 10
+
     def test_pivot_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(convexroof, "_LP_PIVOTS", 1)
         rho = channel_mixture_state(0.7)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tritangle import teleport
 from tritangle.entanglement import GhzwMixtureParams, channel_mixture_state
-from tritangle.qcore import DensityMatrix, ghz_state, w_state
+from tritangle.qcore import DensityMatrix, DensityValidationError, ghz_state, w_state
 from tritangle.teleport import (
     CriticalValues,
     SchemeKind,
@@ -27,6 +27,7 @@ from tritangle.teleport import (
     scheme_unitary,
     teleport_output,
 )
+from tritangle.tolerances import TOLERANCES, Tolerances
 
 RT2 = math.sqrt(2.0)
 
@@ -68,6 +69,13 @@ class TestCircuitMatrices:
         u[0, 0] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match="not unitary"):
             TeleportScheme(SchemeKind.GHZ, u)
+
+    def test_unitarity_bound_is_the_tolerance_field(self, monkeypatch):
+        assert TOLERANCES.unitarity_atol == 1e-12
+        u = scheme_unitary("ghz").unitary.copy()
+        u[0, 0] *= 1.0 + 1e-9
+        monkeypatch.setattr(teleport, "TOLERANCES", Tolerances(unitarity_atol=1e-8))
+        assert TeleportScheme(SchemeKind.GHZ, u).unitary[0, 0] == u[0, 0]
 
     def test_nan_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -161,15 +169,19 @@ class TestTeleportOutput:
 
 class TestAverageFidelity:
     def test_quadrature_tables_built_once(self):
-        weights, vec = teleport._quadrature()
+        weights, table = teleport._quadrature()
         assert teleport._quadrature() is teleport._quadrature()
         nodes, expected = np.polynomial.legendre.leggauss(32)
         assert np.array_equal(weights, expected)
-        assert vec.shape == (32, 16, 4)
-        assert not weights.flags.writeable and not vec.flags.writeable
-        # input_state is the oracle for every node's vector.
-        amps = input_state(math.acos(nodes[5]), 2.0 * math.pi * 3 / 16).amplitudes
-        assert np.allclose(vec[5, 3], np.kron(amps.conj(), amps), atol=1e-15)
+        assert table.shape == (16, 512)
+        assert not weights.flags.writeable and not table.flags.writeable
+        # input_state is the oracle for every node's vector v, and the
+        # table's column at a node is the outer product conj(v) v^T.
+        for i in range(32):
+            for k in range(16):
+                amps = input_state(math.acos(nodes[i]), 2.0 * math.pi * k / 16).amplitudes
+                vec = np.kron(amps.conj(), amps)
+                assert np.abs(table[:, 16 * i + k] - np.outer(vec.conj(), vec).ravel()).max() <= 1e-15
 
     @pytest.mark.parametrize("kind", ["ghz", "w"])
     def test_default_quadrature_is_the_32_by_16_rule(self, kind):
@@ -250,9 +262,31 @@ class TestReceiverChannel:
 
     def test_avg_fidelity_rejects_fidelity_out_of_range(self, monkeypatch):
         choi = receiver_channel(scheme_unitary("w"), 0.0)
-        monkeypatch.setattr(teleport, "_choi_states", lambda scheme, channel: 1.5 * choi.matrix[None])
+        monkeypatch.setattr(teleport, "_choi_states", lambda schemes, channel, first: 1.5 * choi.matrix[None])
         with pytest.raises(ValueError, match="outside"):
             avg_fidelity(scheme_unitary("w"), 0.0)
+
+    def test_failing_choi_state_names_its_scheme_and_weight(self, monkeypatch):
+        ghz, w = scheme_unitary("ghz"), scheme_unitary("w")
+        ps = np.full(teleport._SWEEP_CHUNK + 10, 0.5)
+        # Every W-side Choi state has trace 3/2; the GHZ side passes.
+        scaled = SimpleNamespace(kind=SchemeKind.W, unitary=math.sqrt(1.5) * w.unitary)
+        with pytest.raises(DensityValidationError, match="^w scheme, weight 0: trace differs"):
+            receiver_channel((ghz, scaled), ps)
+        # A channel state of trace 3/2 at one weight in the second chunk
+        # fails both schemes there; the first scheme is named.
+        stack = teleport.channel_mixture_stack
+        ps[teleport._SWEEP_CHUNK + 6] = 0.25
+
+        def skewed(p):
+            return stack(p) * np.where(p == 0.25, 1.5, 1.0)[:, None, None]
+
+        monkeypatch.setattr(teleport, "channel_mixture_stack", skewed)
+        for schemes in ((ghz, w), (w, ghz)):
+            match = f"^{schemes[0].kind.value} scheme, weight {teleport._SWEEP_CHUNK + 6}: trace differs"
+            for sweep in (receiver_channel, avg_fidelity, avg_fidelity_entanglement):
+                with pytest.raises(DensityValidationError, match=match):
+                    sweep(schemes, ps)
 
     def test_report_rejects_fidelity_out_of_range(self):
         rho = DensityMatrix(1, np.eye(2) / 2)
@@ -289,17 +323,29 @@ SWEEP_LENGTHS = sorted({1, teleport._SWEEP_CHUNK - 1, teleport._SWEEP_CHUNK, tel
 @given(
     st.sampled_from(SWEEP_LENGTHS).flatmap(
         lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
-    st.sampled_from(["ghz", "w"]),
 )
 @settings(max_examples=10, deadline=None)
-def test_sweep_entries_are_the_single_weight_values(ps, kind):
+def test_sweep_entries_are_the_single_weight_values(ps):
     # Bitwise: a weight's value must not depend on the sweep it sits in,
-    # its place in a chunk, or the chunk boundaries.
-    scheme = scheme_unitary(kind)
+    # its place in a chunk, the chunk boundaries, or the scheme beside it
+    # in a two-scheme pass.
+    schemes = (scheme_unitary("ghz"), scheme_unitary("w"))
+    ps = np.array(ps)
     for average in (avg_fidelity, avg_fidelity_entanglement):
-        swept = average(scheme, np.array(ps))
-        assert swept.shape == (len(ps),)
-        assert [x.hex() for x in swept.tolist()] == [average(scheme, p).hex() for p in ps]
+        both = average(schemes, ps)
+        assert both.shape == (2, len(ps))
+        for scheme, row in zip(schemes, both):
+            hexes = [x.hex() for x in row.tolist()]
+            assert [x.hex() for x in average(scheme, ps).tolist()] == hexes
+            assert [average(scheme, p).hex() for p in ps] == hexes
+        # A float weight gives one value per scheme.
+        assert [x.hex() for x in average(schemes, float(ps[0])).tolist()] == [row[0].hex() for row in both.tolist()]
+    stacks = receiver_channel(schemes, ps)
+    assert stacks.shape == (2, len(ps), 4, 4)
+    assert receiver_channel(schemes, float(ps[0])).tobytes() == stacks[:, 0].tobytes()
+    for scheme, stack in zip(schemes, stacks):
+        assert receiver_channel(scheme, ps).tobytes() == stack.tobytes()
+        assert all(receiver_channel(scheme, p).matrix.tobytes() == choi.tobytes() for p, choi in zip(ps, stack))
 
 
 class TestCriticalValues:
