@@ -16,7 +16,7 @@ import numpy as np
 
 from .convexroof import RoofConfig, minimize_roof, optimal_ghzw_ensemble, roof_rank2
 from .entanglement import (
-    GhzwMixtureParams,
+    P0,
     channel_mixture_state,
     concurrence_pure2,
     concurrence_wootters,
@@ -200,8 +200,7 @@ def _roof(seed: int) -> list[dict]:
     detail = f"max reconstruction error {worst_recon:.3e}, max member tangle {worst_tangle:.3e}"
     checks.append(_check("noisy_zero_ensemble", passed, detail))
 
-    p0 = GhzwMixtureParams.standard().p0
-    _, worst = ensemble_extremes((optimal_ghzw_ensemble(p), channel_mixture_state(p)) for p in (0.0, 0.2, 0.4, p0))
+    _, worst = ensemble_extremes((optimal_ghzw_ensemble(p), channel_mixture_state(p)) for p in (0.0, 0.2, 0.4, P0))
     checks.append(_check("zero_tangle_ensembles", worst <= ZERO_ENSEMBLE_BAND, f"max member tangle {worst:.3e}"))
     return checks
 

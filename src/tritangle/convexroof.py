@@ -51,8 +51,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entanglement import GhzwMixtureParams, _components, channel_mixture_state, ghzw_superposition
-from .qcore import DensityMatrix, PureState, hermitian_eigensystem, validate_density
+from .entanglement import P0, channel_mixture_state, ghzw_superposition
+from .qcore import DensityMatrix, PureState, hermitian_eigensystem, validate_density, w_state
 from .tolerances import TOLERANCES
 
 
@@ -724,25 +724,26 @@ def roof_rank2(rho, measure) -> Rank2Roof:
     return Rank2Roof(ensemble.average(measure), ensemble, converged, rounds, pivots)
 
 
-def optimal_ghzw_ensemble(p: float, params: GhzwMixtureParams | None = None) -> Ensemble:
-    """Zero-tangle decomposition of the GHZ/W mixture for p below p0.
+def optimal_ghzw_ensemble(p: float) -> Ensemble:
+    """Zero-tangle decomposition of the GHZ/W mixture for p below P0.
 
-    Spreads weight p/(3 p0) over the three tangle-free superpositions at
-    relative phases 2 pi n / 3 and the rest on the W-type member; every
+    Spreads weight p/(3 P0) over the three tangle-free superpositions at
+    relative phases 2 pi n / 3 and the rest on the W member; every
     member has vanishing tangle and the mixture is reproduced exactly.
     """
-    g = params or GhzwMixtureParams.standard()
     p = float(p)
-    if not (0.0 <= p <= g.p0 + 1e-12):
-        raise ValueError(f"p must lie in [0, p0 = {g.p0:.6f}], got {p!r}")
-    p = min(p, g.p0)
+    # Roundoff past P0 (a P0 taken by another route) is moved onto P0; no Tolerances field bounds a weight.
+    if not (0.0 <= p <= P0 + 1e-12):
+        raise ValueError(f"p must lie in [0, p0 = {P0:.6f}], got {p!r}")
+    p = min(p, P0)
     drop = TOLERANCES.weight_drop
     members = []
-    w_branch = p / (3.0 * g.p0)
+    w_branch = p / (3.0 * P0)
     for n in range(3):
         if w_branch > drop:
-            members.append((w_branch, ghzw_superposition(g.p0, 2.0 * math.pi * n / 3.0, g)))
-    w_rest = 1.0 - p / g.p0
+            members.append((w_branch, ghzw_superposition(P0, 2.0 * math.pi * n / 3.0)))
+    w_rest = 1.0 - p / P0
     if w_rest > drop:
-        members.append((w_rest, PureState(3, _components(g)[1])))
-    return Ensemble(tuple(members)).checked(channel_mixture_state(p, g), atol=1e-10)
+        members.append((w_rest, w_state()))
+    # Exact, so held ten times tighter than the reconstruction_atol a searched ensemble gets.
+    return Ensemble(tuple(members)).checked(channel_mixture_state(p), atol=1e-10)

@@ -2,15 +2,16 @@
 
 Covers pure and mixed two-qubit concurrence, entanglement of formation,
 the Grover-search based measure, the three-party tangle of pure states,
-and the piecewise tangle of rank-2 mixtures of a GHZ-type with a W-type
-state, together with the reduced concurrences of the standard mixture.
+and the piecewise tangle of the paper's channel, the rank-2 mixture of
+the balanced GHZ state with the W state (|100> + |010> + sqrt2|001>)/2,
+together with that mixture's reduced concurrences.  Its break points are
+the constants P0, P1 and T1.
 Every measure returns a float in [0, 1]: a value outside by at most
 ``measure_clamp`` is clamped to the bound, and one further out raises.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,10 +22,12 @@ from .qcore import (
     DensityMatrix,
     PureState,
     _check_density,
+    ghz_state,
     hermitian_eigensystem,
     kron,
     partial_trace,
     validate_density,
+    w_state,
 )
 from .tolerances import TOLERANCES
 
@@ -166,79 +169,24 @@ def monogamy_residual(psi: PureState) -> float:
 
 
 def _signed_middle(p: float, s: float) -> float:
-    # p^2 - sqrt(p (1-p)^3) s: the middle branch of the mixture's tangle, in
-    # units of tau3_ghz and before the absolute value.
+    # p^2 - sqrt(p (1-p)^3) s: the middle branch of the mixture's tangle,
+    # before the absolute value.
     return p * p - math.sqrt(p * (1.0 - p) ** 3) * s
 
 
-@dataclass(frozen=True)
-class GhzwMixtureParams:
-    """Amplitudes of the two rank-2 mixture components, plus derived scales.
-
-    The GHZ-type component is a|000> + b|111> and the W-type component
-    c|001> + d|010> + f|100>.  Derived: s = 4cdf/(a^2 b), the GHZ-member
-    tangle tau3_ghz = 4 a^2 b^2, the zero-tangle boundary p0, the
-    convexification point p1, and the tangle value t1 at p1.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    f: float
-    s: float
-    tau3_ghz: float
-    p0: float
-    p1: float
-    t1: float
-
-    @classmethod
-    @functools.cache
-    def standard(cls) -> "GhzwMixtureParams":
-        """Balanced GHZ with the (1/sqrt2, 1/2, 1/2) W component; s = 2 exactly.
-
-        Derived once, on the first call; every call returns that instance.
-        """
-        rt2 = 1.0 / math.sqrt(2.0)
-        s = 2.0
-        return _with_break_points(rt2, rt2, rt2, 0.5, 0.5, s, 1.0, float(np.cbrt(s * s)))
-
-
-def _with_break_points(a, b, c, d, f, s, tau3_ghz, s23) -> GhzwMixtureParams:
-    # The parameters with their break points, from s and s23 = s^(2/3):
-    # p0, the convexification point p1 (never below p0) and t1 at p1.
-    p0 = s23 / (1.0 + s23)
-    p1 = max(p0, 0.5 + 0.5 / math.sqrt(1.0 + s * s))
-    t1 = tau3_ghz * abs(_signed_middle(p1, s))
-    return GhzwMixtureParams(a, b, c, d, f, s, tau3_ghz, p0, p1, t1)
-
-
-def ghzw_params(a: float, b: float, c: float, d: float, f: float) -> GhzwMixtureParams:
-    """Build mixture parameters from the five component amplitudes.
-
-    Requires a^2 + b^2 = 1 and c^2 + d^2 + f^2 = 1; raises if a^2 b
-    vanishes (the scale s is undefined there).
-    """
-    tol = TOLERANCES.norm_atol
-    # Written as not (x <= tol) so that NaN fails too.
-    if not (abs(a * a + b * b - 1.0) <= tol):
-        raise ValueError(f"a^2 + b^2 = {a * a + b * b!r}, expected 1")
-    if not (abs(c * c + d * d + f * f - 1.0) <= tol):
-        raise ValueError(f"c^2 + d^2 + f^2 = {c * c + d * d + f * f!r}, expected 1")
-    denom = a * a * b
-    if abs(denom) <= 1e-12:
-        raise ValueError("a^2 * b = 0: the scale s = 4cdf/(a^2 b) is undefined")
-    s = 4.0 * c * d * f / denom
-    return _with_break_points(a, b, c, d, f, s, 4.0 * (a * b) ** 2, float(np.cbrt(s) ** 2))
-
-
-def _components(g: GhzwMixtureParams) -> tuple[np.ndarray, np.ndarray]:
-    # The amplitudes of the GHZ-type a|000> + b|111> and the W-type c|001> + d|010> + f|100>.
-    ghz_vec = np.zeros(8, dtype=complex)
-    ghz_vec[0], ghz_vec[7] = g.a, g.b
-    w_vec = np.zeros(8, dtype=complex)
-    w_vec[1], w_vec[2], w_vec[4] = g.c, g.d, g.f
-    return ghz_vec, w_vec
+# The paper's channel mixes the balanced GHZ state a|000> + b|111> with the
+# W state c|001> + d|010> + f|100> = (|100> + |010> + sqrt2|001>)/2.  Its
+# interference strength s = 4cdf/(a^2 b) is 2 and its GHZ member's tangle 1.
+_S = 2.0
+_GHZ, _W = ghz_state().amplitudes, w_state().amplitudes
+_GHZ_PROJ, _W_PROJ = (np.outer(v, v.conj()) for v in (_GHZ, _W))
+_GHZ_PROJ.flags.writeable = _W_PROJ.flags.writeable = False
+_S23 = float(np.cbrt(_S * _S))
+# The weight where the mixture's tangle leaves zero, the convexification
+# point, and the tangle there.
+P0 = _S23 / (1.0 + _S23)
+P1 = 0.5 + 0.5 / math.sqrt(1.0 + _S * _S)
+T1 = abs(_signed_middle(P1, _S))
 
 
 def _check_unit_interval(p, name: str = "p"):
@@ -254,46 +202,51 @@ def _check_unit_interval(p, name: str = "p"):
     return p
 
 
-def ghzw_superposition(p: float, phi: float = 0.0, params: GhzwMixtureParams | None = None) -> PureState:
-    """sqrt(p)|GHZ-type> - sqrt(1-p) e^{i phi}|W-type> for the given amplitudes."""
+def _check_finite(x, name: str) -> float:
+    """x as a float; it must be finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def ghzw_superposition(p: float, phi: float = 0.0) -> PureState:
+    """sqrt(p)|GHZ> - sqrt(1-p) e^{i phi}|W> for the paper's GHZ and W states."""
     p = _check_unit_interval(p)
-    ghz_vec, w_vec = _components(params or GhzwMixtureParams.standard())
-    return PureState(3, math.sqrt(p) * ghz_vec - math.sqrt(1.0 - p) * np.exp(1j * phi) * w_vec)
+    phi = _check_finite(phi, "phi")
+    return PureState(3, math.sqrt(p) * _GHZ - math.sqrt(1.0 - p) * np.exp(1j * phi) * _W)
 
 
-def ghzw_pure_tangle(p: float, phi: float = 0.0, params: GhzwMixtureParams | None = None) -> float:
+def ghzw_pure_tangle(p: float, phi: float = 0.0) -> float:
     """Tangle of the superposition in closed form.
 
-    tau3_ghz * |p^2 - sqrt(p (1-p)^3) s e^{3 i phi}|; the relative phase
+    |p^2 - sqrt(p (1-p)^3) s e^{3 i phi}| with s = 2; the relative phase
     enters only through its third harmonic, so the zero set consists of
-    the W-type axis and three lines at phi = 2 pi n / 3.
+    the W axis and three lines at phi = 2 pi n / 3.
     """
     p = _check_unit_interval(p)
-    g = params or GhzwMixtureParams.standard()
-    return g.tau3_ghz * abs(_signed_middle(p, g.s * np.exp(3j * phi)))
+    phi = _check_finite(phi, "phi")
+    return abs(_signed_middle(p, _S * np.exp(3j * phi)))
 
 
-def three_tangle_ghzw(p: float, params: GhzwMixtureParams | None = None) -> float:
-    """Tangle of the weighted mixture p (GHZ-type) + (1-p) (W-type).
+def three_tangle_ghzw(p: float) -> float:
+    """Tangle of the weighted mixture p |GHZ><GHZ| + (1-p) |W><W|.
 
-    Piecewise in the mixing weight: identically zero up to p0, the
-    superposition value tau3_ghz |p^2 - sqrt(p (1-p)^3) s| between p0
-    and p1, then the straight segment joining (p1, t1) to (1, tau3_ghz).
-    Continuous at both break points.
+    Piecewise in the mixing weight: identically zero up to P0, the
+    superposition value |p^2 - 2 sqrt(p (1-p)^3)| between P0 and P1, then
+    the straight segment joining (P1, T1) to (1, 1).  Continuous at both
+    break points.
     """
     p = _check_unit_interval(p)
-    g = params or GhzwMixtureParams.standard()
-    if p <= g.p0:
+    if p <= P0:
         return 0.0
-    if p <= g.p1:
-        return _unit_value(g.tau3_ghz * abs(_signed_middle(p, g.s)), "three_tangle")
-    mid = _signed_middle(g.p1, g.s)
-    val = g.tau3_ghz * ((p - g.p1) / (1.0 - g.p1) + (1.0 - p) / (1.0 - g.p1) * mid)
-    return _unit_value(val, "three_tangle")
+    if p <= P1:
+        return _unit_value(abs(_signed_middle(p, _S)), "three_tangle")
+    return _unit_value((p - P1) / (1.0 - P1) + (1.0 - p) / (1.0 - P1) * T1, "three_tangle")
 
 
 def reduced_concurrences_qc(p: float) -> tuple[float, float, float]:
-    """Pairwise concurrences of the standard mixture's two-qubit reductions.
+    """Pairwise concurrences of the channel mixture's two-qubit reductions.
 
     C_AB = max(0, (1 - p - 2 sqrt(p))/2), positive only below 3 - 2 sqrt(2);
     C_AC = C_BC = max(0, ((1 - p) - sqrt(p (1 + p)))/sqrt(2)), positive only
@@ -306,36 +259,35 @@ def reduced_concurrences_qc(p: float) -> tuple[float, float, float]:
 
 
 def c_abc_mixture(p: float) -> float:
-    """The AB|C cut concurrence of the standard mixture.
+    """The AB|C cut concurrence of the channel mixture.
 
     sqrt(C^2_AC + C^2_BC + tau3(p)).  Equals 1 at both endpoints and
-    vanishes identically on [1/3, p0] where every contribution is zero.
+    vanishes identically on [1/3, P0] where every contribution is zero.
     """
     p = _check_unit_interval(p)
     _, c_ac, c_bc = reduced_concurrences_qc(p)
     return _unit_value(math.sqrt(c_ac**2 + c_bc**2 + three_tangle_ghzw(p)), "cut_concurrence")
 
 
-def _mixture_matrix(p, params: GhzwMixtureParams | None) -> np.ndarray:
+def _mixture_matrix(p) -> np.ndarray:
     # The mixture for a float p, or the stack (P, 8, 8) of them for a 1-D p.
     p = _check_unit_interval(p)
-    ghz_vec, w_vec = _components(params or GhzwMixtureParams.standard())
     if isinstance(p, np.ndarray):
         p = p[..., None, None]
-    return p * np.outer(ghz_vec, ghz_vec.conj()) + (1.0 - p) * np.outer(w_vec, w_vec.conj())
+    return p * _GHZ_PROJ + (1.0 - p) * _W_PROJ
 
 
-def channel_mixture_state(p: float, params: GhzwMixtureParams | None = None) -> DensityMatrix:
-    """Rank-2 mixture p |GHZ-type><GHZ-type| + (1-p) |W-type><W-type|."""
-    return DensityMatrix(3, _mixture_matrix(p, params))
+def channel_mixture_state(p: float) -> DensityMatrix:
+    """The paper's channel: the rank-2 mixture p |GHZ><GHZ| + (1-p) |W><W|."""
+    return DensityMatrix(3, _mixture_matrix(p))
 
 
-def channel_mixture_stack(p, params: GhzwMixtureParams | None = None) -> np.ndarray:
+def channel_mixture_stack(p) -> np.ndarray:
     """The mixtures of :func:`channel_mixture_state` at each weight of a 1-D p, as a (P, 8, 8) stack.
 
     Every member is checked as a density matrix, as the single state is.
     """
-    stack = _mixture_matrix(np.atleast_1d(p), params)
+    stack = _mixture_matrix(np.atleast_1d(p))
     _check_density(stack, 3, TOLERANCES, stacked=True)
     stack.flags.writeable = False
     return stack

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexroof import Ensemble
-from .entanglement import pairwise_concurrences, three_tangle_pure
-from .qcore import DensityMatrix, DensityReport, PureState, density_report, w_state
+from .entanglement import _W, _W_PROJ, pairwise_concurrences, three_tangle_pure
+from .qcore import DensityMatrix, DensityReport, PureState, density_report
+from .tolerances import TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,10 @@ class NoiseParams:
         alphas = (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
         if not all(x >= 0.0 for x in (*alphas, self.beta_plus, self.beta_minus)):
             raise ValueError("alpha and beta coefficients must be non-negative")
-        if abs(sum(alphas) - 4.0) > 1e-12:
+        # The two sums make the trace one, so they are held to trace_atol.
+        if abs(sum(alphas) - 4.0) > TOLERANCES.trace_atol:
             raise ValueError(f"alpha sum {sum(alphas)!r} differs from 4")
-        if abs(self.beta_plus + self.beta_minus - 2.0) > 1e-12:
+        if abs(self.beta_plus + self.beta_minus - 2.0) > TOLERANCES.trace_atol:
             raise ValueError(f"beta sum {self.beta_plus + self.beta_minus!r} differs from 2")
 
 
@@ -147,13 +149,12 @@ def _checked_zero_ensemble(kt: float, rho: DensityMatrix) -> Ensemble:
     # The bit-flip ensemble at a validated kt, checked against rho, the
     # decohered state at the same kt.
     flip = -0.5 * math.expm1(-2.0 * kt)
-    w = w_state().amplitudes
     members = []
     for s in range(8):
         ones = bin(s).count("1")
         weight = (1.0 - flip) ** (3 - ones) * flip**ones
         if weight > 0.0:
-            members.append((weight, PureState(3, w[np.arange(8) ^ s])))
+            members.append((weight, PureState(3, _W[np.arange(8) ^ s])))
     ens = Ensemble(tuple(members)).checked(rho)
     if any(three_tangle_pure(psi) != 0.0 for _, psi in ens.members):
         raise ValueError("a bit-flipped W state has nonzero tangle")
@@ -187,8 +188,8 @@ def channel_report(kappa_t: float) -> ChannelReport:
     rho = epsilon_x_w(kappa_t)
     params = noise_params(kappa_t)
     report = density_report(rho.matrix)
-    w_proj = np.outer(w_state().amplitudes, w_state().amplitudes.conj())
-    matches = bool(np.abs(rho.matrix - w_proj).max() <= 1e-12)
+    # Roundoff-level, as the admission tolerances are; reconstruction_atol (1e-9) would let states near W match.
+    matches = bool(np.abs(rho.matrix - _W_PROJ).max() <= 1e-12)
     c_ab, c_ac, c_bc = pairwise_concurrences(rho)
     tangle = _checked_zero_ensemble(params.kappa_t, rho).average(three_tangle_pure)
     return ChannelReport(

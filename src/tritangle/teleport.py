@@ -35,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .entanglement import GhzwMixtureParams, _check_unit_interval, channel_mixture_stack, channel_mixture_state
+from .entanglement import P0, P1, _check_finite, _check_unit_interval, channel_mixture_stack, channel_mixture_state
 from .qcore import DensityMatrix, PureState, _check_density, kron, partial_trace
 from .tolerances import TOLERANCES
 
@@ -182,6 +182,7 @@ def teleport_output(scheme: TeleportScheme, theta: float, phi: float, p: float) 
 def fidelity_ghz_closed(theta: float, p: float) -> float:
     """((3 + 5p) - (1 - p) cos 2 theta)/8."""
     p = _check_unit_interval(p)
+    theta = _check_finite(theta, "theta")
     return ((3.0 + 5.0 * p) - (1.0 - p) * math.cos(2.0 * theta)) / 8.0
 
 
@@ -362,8 +363,7 @@ def critical_values() -> CriticalValues:
     transcription slips in the closed forms: their gap is linear in p, so
     its root follows from the gap at p = 0 and p = 1.
     """
-    params = GhzwMixtureParams.standard()
-    f_ghz = avg_fidelity_closed(SchemeKind.GHZ, params.p0)
+    f_ghz = avg_fidelity_closed(SchemeKind.GHZ, P0)
     f_w = avg_fidelity_closed(SchemeKind.W, 1.0 / 3.0)
     p_star = 7.0 / 13.0
 
@@ -373,4 +373,4 @@ def critical_values() -> CriticalValues:
     root = gap(0.0) / (gap(0.0) - gap(1.0))
     if abs(root - p_star) > TOLERANCES.weight_sum_atol:
         raise RuntimeError(f"fidelity crossing {root!r} disagrees with 7/13")
-    return CriticalValues(f_ghz, f_w, p_star, params.p0, params.p1)
+    return CriticalValues(f_ghz, f_w, p_star, P0, P1)

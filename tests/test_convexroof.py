@@ -35,7 +35,8 @@ from tritangle.convexroof import (
     roof_rank2,
 )
 from tritangle.entanglement import (
-    GhzwMixtureParams,
+    P0,
+    P1,
     channel_mixture_state,
     concurrence_pure2,
     concurrence_wootters,
@@ -179,8 +180,7 @@ class TestOptimalGhzwEnsemble:
         assert three_tangle_pure(psi) <= 1e-12
 
     def test_onset_point_is_three_phases(self):
-        g = GhzwMixtureParams.standard()
-        ens = optimal_ghzw_ensemble(g.p0)
+        ens = optimal_ghzw_ensemble(P0)
         assert ens.size == 3
         assert all(w == pytest.approx(1 / 3, abs=1e-12) for w, _ in ens.members)
 
@@ -534,16 +534,15 @@ class TestRoofRank2:
         assert res.upper_bound == res.ensemble.average(measure)
 
     def test_mixture_matches_closed_form_on_every_branch(self):
-        g = GhzwMixtureParams.standard()
         ps = np.linspace(0.02, 0.95, 50)
-        assert (ps < g.p0).sum() >= 10 and ((ps > g.p0) & (ps < g.p1)).sum() >= 5 and (ps > g.p1).sum() >= 10
+        assert (ps < P0).sum() >= 10 and ((ps > P0) & (ps < P1)).sum() >= 5 and (ps > P1).sum() >= 10
         for p in ps:
             rho = channel_mixture_state(p)
             res = roof_rank2(rho, three_tangle_pure)
             self.assert_valid(rho, res, three_tangle_pure)
             gap = res.upper_bound - three_tangle_ghzw(p)
             assert -1e-10 <= gap <= 1e-8, (p, gap)
-            if p < g.p0:
+            if p < P0:
                 assert gap <= 1e-12, (p, gap)
             assert res.converged, p
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tritangle import entanglement
 from tritangle.entanglement import (
-    GhzwMixtureParams,
     c_abc_mixture,
     channel_mixture_stack,
     channel_mixture_state,
@@ -16,7 +16,6 @@ from tritangle.entanglement import (
     concurrence_wootters,
     cut_concurrences,
     eof_from_concurrence,
-    ghzw_params,
     ghzw_pure_tangle,
     ghzw_superposition,
     groverian_from_concurrence,
@@ -343,63 +342,40 @@ class TestRoofForm:
 
 class TestMixtureFamily:
     def test_standard_parameters(self):
-        g = GhzwMixtureParams.standard()
-        assert g.s == 2.0
-        assert g.tau3_ghz == 1.0
-        assert g.p0 == pytest.approx(P0, abs=1e-12)
-        assert g.p1 == pytest.approx(P1, abs=1e-12)
-        assert g.t1 == pytest.approx(T1, abs=1e-12)
-        assert GhzwMixtureParams.standard() is g
+        assert entanglement.P0 == pytest.approx(P0, abs=1e-12)
+        assert entanglement.P1 == pytest.approx(P1, abs=1e-12)
+        assert entanglement.T1 == pytest.approx(T1, abs=1e-12)
+        # The interference strength s = 4cdf/(a^2 b) of the GHZ amplitudes
+        # a|000> + b|111> and the W amplitudes c|001> + d|010> + f|100>.
+        a, b = ghz_state().amplitudes[[0, 7]].real
+        c, d, f = w_state().amplitudes[[1, 2, 4]].real
+        assert abs(4.0 * c * d * f / (a * a * b) - 2.0) <= 1e-15
+
+    def test_constants_are_pinned(self):
+        # Bit patterns taken while the constants were still derived by a
+        # parameter factory; a change in the order of the arithmetic shows up here.
+        assert entanglement.P0.hex() == "0x1.3a1e37a7436ddp-1"
+        assert entanglement.P1.hex() == "0x1.727c9716ffb76p-1"
+        assert entanglement.T1.hex() == "0x1.1b06d1d200911p-2"
 
     def test_mixture_tangle_values_are_pinned(self):
-        # Bit patterns of the standard mixture's tangle, taken before its
-        # branches shared one helper; a change in the order of the
-        # arithmetic shows up here.
-        g = GhzwMixtureParams.standard()
-        assert g.p1.hex() == "0x1.727c9716ffb76p-1"
-        assert g.t1.hex() == "0x1.1b06d1d200911p-2"
+        # Bit patterns of the mixture's tangle, taken before its branches
+        # shared one helper; a change in the order of the arithmetic shows up here.
         pinned = {
-            g.p0: "0x0.0p+0",
-            g.p1: "0x1.1b06d1d200911p-2",
+            entanglement.P0: "0x0.0p+0",
+            entanglement.P1: "0x1.1b06d1d200911p-2",
             0.7: "0x1.b869c0d48174ep-3",
             0.9: "0x1.79f4e7a7b3578p-1",
             1.0: "0x1.0000000000000p+0",
         }
         for p, bits in pinned.items():
             assert three_tangle_ghzw(p).hex() == bits
-        h = ghzw_params(0.6, 0.8, 0.6, 0.48, 0.64)
-        assert h.p1.hex() == "0x1.5d254ee2b3618p-1"
-        assert h.t1.hex() == "0x1.43db275e29b1cp-4"
-        assert three_tangle_ghzw(0.95, h).hex() == "0x1.940c6cc145052p-1"
 
-    def test_params_factory_matches_standard(self):
-        r2 = 1 / math.sqrt(2)
-        g = ghzw_params(r2, r2, r2, 0.5, 0.5)
-        std = GhzwMixtureParams.standard()
-        assert g.s == pytest.approx(std.s, abs=1e-12)
-        assert g.p0 == pytest.approx(std.p0, abs=1e-12)
-
-    def test_params_factory_unit_interference(self):
-        # a, b, c chosen so the interference strength lands exactly at 1,
-        # which pushes the tangle onset down to p = 1/2
-        a = b = 1 / math.sqrt(2)
-        c = 0.5
-        df = a * a * b / (4 * c)
-        ssum = math.sqrt(0.75 + 2 * df)
-        disc = math.sqrt(ssum * ssum - 4 * df)
-        d, f = (ssum + disc) / 2, (ssum - disc) / 2
-        g = ghzw_params(a, b, c, d, f)
-        assert g.s == pytest.approx(1.0, abs=1e-12)
-        assert g.p0 == pytest.approx(0.5, abs=1e-12)
-
-    def test_params_factory_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            ghzw_params(1.0, 1.0, 1 / math.sqrt(2), 0.5, 0.5)
-
-    @pytest.mark.parametrize("amplitudes", [(math.nan, 0.5, 0.5, 0.5, 0.5**0.5), (0.6, 0.8, math.nan, 0.6, 0.8)])
-    def test_params_factory_rejects_nan(self, amplitudes):
-        with pytest.raises(ValueError):
-            ghzw_params(*amplitudes)
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("closed_form", [ghzw_pure_tangle, ghzw_superposition])
+    def test_rejects_non_finite_phase(self, closed_form, phi):
+        with pytest.raises(ValueError, match="phi"):
+            closed_form(0.7, phi)
 
     def test_superposition_endpoints(self):
         assert three_tangle_pure(ghzw_superposition(1.0)) == pytest.approx(

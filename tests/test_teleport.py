@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritangle import teleport
-from tritangle.entanglement import GhzwMixtureParams, channel_mixture_state
+from tritangle.entanglement import P0, P1, channel_mixture_state
 from tritangle.qcore import DensityMatrix, DensityValidationError, ghz_state, w_state
 from tritangle.teleport import (
     CriticalValues,
@@ -162,6 +162,11 @@ class TestTeleportOutput:
             for phi in np.linspace(0.0, 2 * math.pi, 4):
                 assert abs(teleport_output(scheme, theta, phi, p).fidelity - closed) <= 1e-10
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_ghz_closed_form_rejects_non_finite_angle(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            fidelity_ghz_closed(theta, 0.5)
+
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             teleport_output(scheme_unitary("ghz"), 0.5, 0.5, 1.5)
@@ -218,8 +223,6 @@ class TestAverageFidelity:
 class TestReceiverChannel:
     """The Choi-state form of the protocol against the explicit circuit."""
 
-    PARAMS = GhzwMixtureParams.standard()
-
     @staticmethod
     def _choi_fidelity(choi: DensityMatrix, theta: float, phi: float) -> float:
         amps = input_state(theta, phi).amplitudes
@@ -227,7 +230,7 @@ class TestReceiverChannel:
         return 2.0 * float(np.real(np.vdot(vec, choi.matrix @ vec)))
 
     @pytest.mark.parametrize("kind", ["ghz", "w"])
-    @pytest.mark.parametrize("p", [0.0, 0.3, PARAMS.p0, PARAMS.p1, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.3, P0, P1, 1.0])
     def test_node_fidelities_match_circuit(self, kind, p):
         scheme = scheme_unitary(kind)
         choi = receiver_channel(scheme, p)
@@ -357,6 +360,15 @@ class TestCriticalValues:
         assert cv.p_star == 7 / 13
         assert cv.p0 == pytest.approx(0.6135117904356906, abs=1e-12)
         assert cv.p1 == pytest.approx(0.7236067977499789, abs=1e-12)
+
+    def test_values_are_pinned(self):
+        # Bit patterns taken while p0 and p1 were still derived by a parameter factory.
+        cv = critical_values()
+        assert cv.f_ghz.hex() == "0x1.8c91a076e7555p-1"
+        assert cv.f_w.hex() == "0x1.aaaaaaaaaaaabp-1"
+        assert cv.p_star.hex() == "0x1.13b13b13b13b1p-1"
+        assert cv.p0.hex() == "0x1.3a1e37a7436ddp-1"
+        assert cv.p1.hex() == "0x1.727c9716ffb76p-1"
 
     def test_thresholds_beat_classical_bound(self):
         cv = critical_values()
