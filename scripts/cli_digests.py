@@ -1,4 +1,4 @@
-"""Print a digest of the CLI's stdout, stderr and exit code on a fixed list of commands.
+"""Digest the CLI's stdout, stderr and exit code on a fixed list of commands, or record them.
 
 Each command runs in-process through `tritangle.cli.main`, from inside a
 temporary directory that holds state files written from fixed seeds, so
@@ -10,12 +10,21 @@ Two checkouts print the same lines exactly when their CLI output is
 byte-identical on these commands, so comparing them is one `diff`:
 
     PYTHONPATH=src python3 scripts/cli_digests.py > after.txt
+
+With --write it records the parsed output of every command instead, with
+the numpy version it ran on, in tests/golden/cli.json, the golden file that
+tests/test_cli_digests.py compares the CLI against:
+
+    PYTHONPATH=src python3 scripts/cli_digests.py --write
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
+import pathlib
 import shlex
 import sys
 import tempfile
@@ -27,6 +36,7 @@ from tritangle.entanglement import channel_mixture_state
 from tritangle.qcore import PureState, ghz_state, random_density_matrix, random_pure_state, save_state_file
 
 DIGEST_HEX = 16
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" / "cli.json"
 
 
 def _states() -> dict:
@@ -40,6 +50,7 @@ def _states() -> dict:
         "rank3.json": random_density_matrix(3, 3, rng(2)),
         "pure3.json": random_pure_state(3, rng(3)),
         "ghz.json": ghz_state(),
+        "ghz_rho.json": ghz_state().density(),
         "pure2.json": random_pure_state(2, rng(4)),
         "mixed2.json": random_density_matrix(2, 3, rng(5)),
         "bell.json": PureState.from_amplitudes([2**-0.5, 0, 0, 2**-0.5]),
@@ -71,6 +82,7 @@ COMMANDS = [
     ["measures", "pure2.json"],
     ["measures", "mixed2.json"],
     ["measures", "bell.json"],
+    ["measures", "ghz_rho.json"],
     ["validate", "all", "--seed", "42"],
     ["teleport", "ghz", "--p", "1.5"],
     ["fig1", "--steps", "1"],
@@ -93,26 +105,88 @@ def run(argv: list) -> tuple:
     return out.getvalue(), err.getvalue(), code
 
 
-def digest_lines() -> list:
-    """One digest line per command, run from a temporary directory of state files."""
+def outputs() -> list:
+    """(argv, stdout, stderr, exit code) per command, run from a temporary directory of state files."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, state in _states().items():
             save_state_file(os.path.join(tmp, name), state)
         os.chdir(tmp)
         try:
-            lines = []
-            for argv in COMMANDS:
-                out, err, code = run(argv)
-                lines.append(f"{_digest(out)} {_digest(err)} {code} {shlex.join(argv)}")
+            return [(argv, *run(argv)) for argv in COMMANDS]
         finally:
             os.chdir(home)
-    return lines
 
 
-def main() -> int:
-    for line in digest_lines():
-        print(line)
+def digest_line(argv: list, out: str, err: str, code) -> str:
+    return f"{_digest(out)} {_digest(err)} {code} {shlex.join(argv)}"
+
+
+def _cell(text: str):
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_stdout(text: str):
+    """stdout as data: None when empty, {"json": value}, or {"csv": {"header", "rows", "summary"}}.
+
+    CSV cells that read as numbers become ints or floats, the rest ("true",
+    "false") stay strings; a "# summary: " trailer line is parsed as JSON.
+    """
+    if not text:
+        return None
+    try:
+        return {"json": json.loads(text)}
+    except json.JSONDecodeError:
+        pass
+    header, *lines = text.splitlines()
+    summary = None
+    if lines and lines[-1].startswith("# summary: "):
+        summary = json.loads(lines.pop()[len("# summary: "):])
+    rows = [[_cell(c) for c in line.split(",")] for line in lines]
+    return {"csv": {"header": header.split(","), "rows": rows, "summary": summary}}
+
+
+def golden(results: list) -> dict:
+    """The golden record of outputs(): the numpy version and each command's parsed output."""
+    return {
+        "numpy": np.__version__,
+        "commands": [
+            {"argv": argv, "exit": code, "stderr": err, "stdout": parse_stdout(out)}
+            for argv, out, err, code in results
+        ],
+    }
+
+
+def _dump(value, indent: str = "") -> str:
+    # JSON with one line per list of scalars (a CSV row, an argv), so that a
+    # changed value shows as one changed line.
+    inner = indent + " "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_dump(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        items = [inner + _dump(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    return left + "\n" + ",\n".join(items) + "\n" + indent + right
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help=f"record the parsed outputs in {GOLDEN.name}")
+    args = parser.parse_args(argv)
+    results = outputs()
+    if args.write:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(_dump(golden(results)) + "\n", encoding="utf-8")
+        return 0
+    for result in results:
+        print(digest_line(*result))
     return 0
 
 
