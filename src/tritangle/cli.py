@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .checks import SUITES
-from .convexroof import RoofConfig, minimize_roof, numerical_rank, roof_rank2
+from .convexroof import RoofBound, RoofConfig, minimize_roof, numerical_rank, roof_rank2
 from .entanglement import (
     c_abc_mixture,
     concurrence_pure2,
@@ -152,6 +152,15 @@ def cmd_fig4(args) -> int:
     return EXIT_OK
 
 
+def _tangle_keys(tangle: RoofBound) -> dict:
+    # The tangle keys that measures and noisy both print, in this order.
+    return {
+        "tangle_upper_bound": tangle.upper_bound,
+        "tangle_bound_converged": tangle.converged,
+        "tangle_exact": tangle.exact,
+    }
+
+
 def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
     if isinstance(state, PureState) and state.num_qubits == 2:
         c = concurrence_pure2(state)
@@ -195,8 +204,7 @@ def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
             "concurrence_ab": c_ab,
             "concurrence_ac": c_ac,
             "concurrence_bc": c_bc,
-            "tangle_upper_bound": float(roof.upper_bound),
-            "tangle_bound_converged": roof.converged,
+            **_tangle_keys(roof),
         }
     return None
 
@@ -280,9 +288,7 @@ def cmd_noisy(args) -> int:
             "c_ab": r.concurrence_ab,
             "c_ac": r.concurrence_ac,
             "c_bc": r.concurrence_bc,
-            "tangle_upper_bound": r.tangle_upper_bound,
-            "tangle_bound_converged": r.tangle_bound_converged,
-            "tangle_exact": r.tangle_exact,
+            **_tangle_keys(r.tangle),
         }
         for r in reports
     ]
@@ -304,14 +310,14 @@ def cmd_validate(args) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for float flags: NaN and the infinities are usage errors."""
+    """argparse type for float flags: NaN and the infinities are usage errors, and -0 reads as 0."""
     try:
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return x
+    return x + 0.0
 
 
 def _capped_int(cap: int):

@@ -37,10 +37,11 @@ revised simplex on a grid seeded with the measure's zeros, with cutting
 planes at the local minima of the measure less the dual plane.  Its basic
 solution is a decomposition of at most 4 members.
 
-Everything here is an upper bound on the true convex roof, the average of
-the measure over an explicit decomposition; agreement with a closed form,
-never one method alone, is the validation signal.  The search stays the
-tests' independent oracle for the LP.
+Both return a :class:`RoofBound`: an upper bound on the true convex roof,
+the average of the measure over an explicit decomposition, which is exact
+only at rank 1, where the state is its own only decomposition.  Elsewhere
+agreement with a closed form, never one method alone, is the validation
+signal.  The search stays the tests' independent oracle for the LP.
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ class Ensemble:
         members = tuple((float(w), psi) for w, psi in self.members)
         if not members:
             raise ValueError("ensemble needs at least one member")
-        n = members[0][1].num_qubits
+        # Every member is a PureState before any num_qubits is read.
+        if not all(isinstance(psi, PureState) for _, psi in members) or len({psi.num_qubits for _, psi in members}) > 1:
+            raise ValueError("ensemble members must be pure states on the same qubits")
         total = 0.0
         for w, psi in members:
-            if not isinstance(psi, PureState) or psi.num_qubits != n:
-                raise ValueError("ensemble members must be pure states on the same qubits")
             if not (0.0 < w <= 1.0 + atol):
                 raise ValueError(f"member weight {w!r} outside (0, 1]")
             total += w
@@ -130,15 +131,27 @@ class Ensemble:
 
 
 @dataclass(frozen=True)
-class RoofResult:
+class RoofBound:
+    """A convex roof's value over an explicit decomposition, and how far to trust it.
+
+    upper_bound is best_ensemble.average(measure), never below the roof.
+    exact is True only where it is the roof by construction: at rank 1
+    (counted against rank_cutoff, as :func:`numerical_rank` counts it) and
+    for the decohered W state's bit-flip ensemble.  converged is the
+    solver's own stopping flag, and restarts_used the number of search
+    restarts (0 when no search ran).  stats holds the solver's counters:
+    restart_objectives and restart_converged (each restart's final
+    objective and flag, in restart order; best_ensemble comes from the
+    first restart of least objective) for :func:`minimize_roof`, rounds
+    and pivots for :func:`roof_rank2`.
+    """
+
     upper_bound: float
     best_ensemble: Ensemble
-    restarts_used: int
     converged: bool
-    # Each restart's final objective and convergence flag, in restart
-    # order; best_ensemble comes from the first restart of least objective.
-    restart_objectives: tuple
-    restart_converged: tuple
+    exact: bool
+    restarts_used: int
+    stats: dict
 
 
 def _rank_factor(rho: DensityMatrix):
@@ -363,7 +376,7 @@ def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
     return q[:, :r]
 
 
-def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
+def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofBound:
     """Upper bound on the convex roof of a pure-state measure.
 
     measure maps a PureState to a value and must carry a roof_form (an
@@ -398,15 +411,8 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofResult:
 
     best = int(np.argmin(objs))
     ensemble = _ensemble_from_rows(rho, rows[best])
-    upper = ensemble.average(measure)
-    return RoofResult(
-        upper,
-        ensemble,
-        cfg.restarts,
-        bool(converged[best]),
-        tuple(float(v) for v in objs),
-        tuple(bool(c) for c in converged),
-    )
+    stats = {"restart_objectives": tuple(float(v) for v in objs), "restart_converged": tuple(bool(c) for c in converged)}
+    return RoofBound(ensemble.average(measure), ensemble, bool(converged[best]), r == 1, cfg.restarts, stats)
 
 
 # --- rank 2: the roof as a linear program on the Bloch sphere ---------------
@@ -442,23 +448,6 @@ _LP_BORDER = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel
 # point of the dual plane between them at a quarter of that distance (one
 # column per cut would only halve the distance per round).
 _LP_PATCH = np.linspace(-1.0, 1.0, 9)
-
-
-@dataclass(frozen=True)
-class Rank2Roof:
-    """Convex roof of a state of rank <= 2, from :func:`roof_rank2`.
-
-    upper_bound is ensemble.average(measure).  converged is True when the
-    last cutting round found no point of the sphere more than 1e-10 below
-    the dual plane (the bound is then within 1e-10 of the roof), False when
-    the rounds (or a solve's pivots) ran out first.
-    """
-
-    upper_bound: float
-    ensemble: Ensemble
-    converged: bool
-    rounds: int
-    pivots: int
 
 
 def numerical_rank(rho) -> int:
@@ -599,7 +588,7 @@ def _refine(f, th: np.ndarray, ph: np.ndarray, cell: float):
     return th, ph, best
 
 
-def roof_rank2(rho, measure) -> Rank2Roof:
+def roof_rank2(rho, measure) -> RoofBound:
     """Convex roof of a pure-state measure at a state of rank <= 2, by LP.
 
     The pure states in the range of rho = l1 |e1><e1| + l2 |e2><e2| are the
@@ -614,11 +603,13 @@ def roof_rank2(rho, measure) -> Rank2Roof:
     plane l(n) = y.(1, n), each cutting round refines the lowest local
     minima of tau - l on the grid, and the members (where tau - l is zero),
     and adds those more than 1e-10 below l as columns, until none is
-    (converged) or 16 rounds have run.
+    (converged: no point of the sphere is then more than 1e-10 below the
+    dual plane, so the bound is within 1e-10 of the roof) or 16 rounds,
+    or a solve's pivots, have run out.
 
     The returned ensemble is checked to reconstruct rho, and its average
     of measure is the upper bound, as for :func:`minimize_roof`.  Rank 1
-    returns the state itself.  Raises ValueError above rank 2.
+    returns the state itself, exact.  Raises ValueError above rank 2.
     """
     if not isinstance(rho, DensityMatrix):
         rho = validate_density(rho)
@@ -628,7 +619,7 @@ def roof_rank2(rho, measure) -> Rank2Roof:
         raise ValueError(f"roof_rank2 needs a state of rank <= 2, got rank {r}")
     if r == 1:
         ensemble = _ensemble_from_rows(rho, factor)
-        return Rank2Roof(ensemble.average(measure), ensemble, True, 0, 0)
+        return RoofBound(ensemble.average(measure), ensemble, True, True, 0, {"rounds": 0, "pivots": 0})
 
     lam = np.sum(np.abs(factor) ** 2, axis=1)
     e1, e2 = factor / np.sqrt(lam)[:, np.newaxis]
@@ -721,7 +712,7 @@ def roof_rank2(rho, measure) -> Rank2Roof:
     members = np.cos(half)[:, np.newaxis] * e1 + (np.exp(1j * ph[basis]) * np.sin(half))[:, np.newaxis] * e2
     rows = np.sqrt(_basic_weights(a[:, basis], b, x))[:, np.newaxis] * members
     ensemble = _ensemble_from_rows(rho, rows)
-    return Rank2Roof(ensemble.average(measure), ensemble, converged, rounds, pivots)
+    return RoofBound(ensemble.average(measure), ensemble, converged, False, 0, {"rounds": rounds, "pivots": pivots})
 
 
 def optimal_ghzw_ensemble(p: float) -> Ensemble:

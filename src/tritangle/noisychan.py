@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexroof import Ensemble
+from .convexroof import Ensemble, RoofBound
 from .entanglement import _W, _W_PROJ, pairwise_concurrences, three_tangle_pure
 from .qcore import DensityMatrix, DensityReport, PureState, density_report
 from .tolerances import TOLERANCES
@@ -166,9 +166,8 @@ class ChannelReport:
     """Entanglement summary of the decohered state at one kappa*t.
 
     The pairwise concurrences are exact, and so is the tangle: it is zero
-    at every kappa*t, the average over :func:`zero_tangle_ensemble`.  It
-    keeps the name tangle_upper_bound, with tangle_bound_converged True,
-    since zero is also a bound; tangle_exact says that it is attained.
+    at every kappa*t, the average over :func:`zero_tangle_ensemble`, which
+    is its best_ensemble; no search runs.
     """
 
     kappa_t: float
@@ -178,9 +177,7 @@ class ChannelReport:
     concurrence_ab: float
     concurrence_ac: float
     concurrence_bc: float
-    tangle_upper_bound: float
-    tangle_bound_converged: bool
-    tangle_exact: bool
+    tangle: RoofBound
 
 
 def channel_report(kappa_t: float) -> ChannelReport:
@@ -191,7 +188,7 @@ def channel_report(kappa_t: float) -> ChannelReport:
     # Roundoff-level, as the admission tolerances are; reconstruction_atol (1e-9) would let states near W match.
     matches = bool(np.abs(rho.matrix - _W_PROJ).max() <= 1e-12)
     c_ab, c_ac, c_bc = pairwise_concurrences(rho)
-    tangle = _checked_zero_ensemble(params.kappa_t, rho).average(three_tangle_pure)
+    ens = _checked_zero_ensemble(params.kappa_t, rho)
     return ChannelReport(
         kappa_t=float(kappa_t),
         params=params,
@@ -200,7 +197,5 @@ def channel_report(kappa_t: float) -> ChannelReport:
         concurrence_ab=c_ab,
         concurrence_ac=c_ac,
         concurrence_bc=c_bc,
-        tangle_upper_bound=tangle,
-        tangle_bound_converged=True,
-        tangle_exact=True,
+        tangle=RoofBound(ens.average(three_tangle_pure), ens, converged=True, exact=True, restarts_used=0, stats={}),
     )

@@ -228,6 +228,7 @@ class TestMeasures:
             "concurrence_bc",
             "tangle_upper_bound",
             "tangle_bound_converged",
+            "tangle_exact",
         ]
         rank3 = tmp_path / "rank3.json"
         save_state_file(rank3, random_density_matrix(3, 3, np.random.default_rng(3)))
@@ -481,6 +482,21 @@ class TestUsageErrors:
         else:
             assert_one_line_usage_error(got, out, err)
             assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["noisy", "--kappa-t", "-0"],
+            ["noisy", "--kappa-t", "-0", "--format", "json"],
+            ["teleport", "w", "--p", "-0.0"],
+            ["teleport", "ghz", "--p", "0.5", "--phi=-0.0"],
+        ],
+        ids=["kappa-t-csv", "kappa-t-json", "p", "phi"],
+    )
+    def test_negative_zero_is_echoed_as_zero(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "-0.0" not in out
 
     def test_negative_exponent_with_equals_sign(self, capsys):
         code, out, _ = run_expecting_exit(["teleport", "ghz", "--p", "0.5", "--theta=-1e-3"], capsys)

@@ -77,6 +77,31 @@ def test_one_line_per_command_with_the_expected_exit_code(digests, results):
             assert (err, code) == (empty, "0") and out != empty
 
 
+TANGLE_KEYS = ["tangle_upper_bound", "tangle_bound_converged", "tangle_exact"]
+
+
+def test_measures_and_noisy_print_one_tangle_shape(results):
+    # Every three-qubit mixed `measures` output and every `noisy` JSON row
+    # ends in the same three tangle keys; only a rank-1 state is exact.
+    exact = {}
+    for argv, out, _, _ in results:
+        if argv[0] == "noisy" and "json" in argv:
+            rows = json.loads(out)["rows"]
+            assert rows and all(list(row)[-3:] == TANGLE_KEYS and row["tangle_exact"] is True for row in rows)
+        if argv[0] == "measures" and "--format" not in argv and out:
+            payload = json.loads(out)
+            if payload["num_qubits"] == 3 and not payload["pure"]:
+                assert list(payload)[-3:] == TANGLE_KEYS, argv
+                exact[argv[1]] = payload["tangle_exact"]
+    assert exact == {
+        "mix_0.3.json": False,
+        "mix_0.7.json": False,
+        "rank2.json": False,
+        "rank3.json": False,
+        "ghz_rho.json": True,
+    }
+
+
 def mismatches(got, want, tol=None, where="") -> list:
     """Where got differs from want: types, keys and their order, lengths and strings
     exactly; floats by float.hex, or within tol (math.isclose arguments) when given,

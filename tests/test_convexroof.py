@@ -114,6 +114,12 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="same qubits"):
             Ensemble(((0.5, up), (0.5, bell)))
 
+    def test_rejects_a_member_that_is_no_pure_state(self):
+        up = PureState.from_amplitudes([1.0, 0.0])
+        for members in (((1.0, "x"),), ((0.5, up), (0.5, "x"))):
+            with pytest.raises(ValueError, match="pure states"):
+                Ensemble(members)
+
     def test_checked_passes_the_state_it_rebuilds_and_no_other(self):
         up = PureState.from_amplitudes([1.0, 0.0])
         down = PureState.from_amplitudes([0.0, 1.0])
@@ -477,8 +483,8 @@ class TestLockstep:
         rho = channel_mixture_state(p)
         two = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=2, max_iters=200, seed=seed))
         three = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=3, max_iters=200, seed=seed))
-        assert three.restart_objectives[:2] == two.restart_objectives
-        assert three.restart_converged[:2] == two.restart_converged
+        for key in ("restart_objectives", "restart_converged"):
+            assert three.stats[key][:2] == two.stats[key]
 
     @pytest.mark.parametrize(
         "rho,measure", [(werner(0.7), concurrence_pure2), (channel_mixture_state(0.8), three_tangle_pure)]
@@ -486,10 +492,11 @@ class TestLockstep:
     def test_result_reports_every_restart(self, rho, measure):
         cfg = RoofConfig(restarts=3, max_iters=100)
         res = minimize_roof(rho, measure, cfg)
-        assert len(res.restart_objectives) == len(res.restart_converged) == 3
-        best = int(np.argmin(res.restart_objectives))
-        assert res.converged == res.restart_converged[best]
-        assert res.upper_bound == pytest.approx(min(res.restart_objectives), rel=1e-12, abs=0.0)
+        objectives, converged = res.stats["restart_objectives"], res.stats["restart_converged"]
+        assert len(objectives) == len(converged) == 3 == res.restarts_used
+        best = int(np.argmin(objectives))
+        assert res.converged == converged[best]
+        assert res.upper_bound == pytest.approx(min(objectives), rel=1e-12, abs=0.0)
         assert res.upper_bound == pytest.approx(res.best_ensemble.average(measure), rel=1e-12, abs=0.0)
 
     def test_stacked_calls_are_chunked(self, monkeypatch):
@@ -510,7 +517,7 @@ class TestLockstep:
         monkeypatch.setattr(convexroof, "_SCAN_CHUNK", 5)
         chunked = minimize_roof(rho, three_tangle_pure, cfg)
         assert sizes and max(sizes) == 5 and min(sizes) >= 1
-        assert chunked.restart_objectives == whole.restart_objectives
+        assert chunked.stats["restart_objectives"] == whole.stats["restart_objectives"]
 
 
 def basis_mixture(num_qubits, weights):
@@ -529,9 +536,10 @@ class TestRoofRank2:
     """The rank-2 roof as an LP: a real ensemble, checked against closed forms."""
 
     def assert_valid(self, rho, res, measure):
-        assert res.ensemble.size <= 4
-        assert res.ensemble.reconstruction_error(rho) <= TOLERANCES.reconstruction_atol
-        assert res.upper_bound == res.ensemble.average(measure)
+        assert res.best_ensemble.size <= 4
+        assert res.best_ensemble.reconstruction_error(rho) <= TOLERANCES.reconstruction_atol
+        assert res.upper_bound == res.best_ensemble.average(measure)
+        assert res.restarts_used == 0
 
     def test_mixture_matches_closed_form_on_every_branch(self):
         ps = np.linspace(0.02, 0.95, 50)
@@ -551,7 +559,7 @@ class TestRoofRank2:
         rho = psi.density()
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
-        assert res.ensemble.size == 1 and res.converged and res.rounds == 0
+        assert res.best_ensemble.size == 1 and res.converged and res.stats == {"rounds": 0, "pivots": 0}
         assert res.upper_bound == pytest.approx(three_tangle_pure(psi), abs=1e-14)
 
     def test_equal_eigenvalues(self):
@@ -586,7 +594,7 @@ class TestRoofRank2:
         assert not np.any(three_tangle_pure.roof_form.pair_coefficients(e[0], e[1]))
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
-        assert res.upper_bound == 0.0 and res.converged and res.rounds == 1
+        assert res.upper_bound == 0.0 and res.converged and res.stats["rounds"] == 1
 
     @pytest.mark.parametrize("w", [0.8, 0.2])
     def test_rejects_rank_above_two(self, w):
@@ -609,7 +617,7 @@ class TestRoofRank2:
         rho = channel_mixture_state(0.7)
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
-        assert not res.converged and res.rounds == 1
+        assert not res.converged and res.stats["rounds"] == 1
         assert res.upper_bound >= three_tangle_ghzw(0.7) - 1e-10
 
     @pytest.mark.parametrize("seed", [40, 108])
@@ -618,14 +626,14 @@ class TestRoofRank2:
         rho = random_density_matrix(3, 2, np.random.default_rng(seed))
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
-        assert res.converged and res.rounds > 10
+        assert res.converged and res.stats["rounds"] > 10
 
     def test_pivot_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(convexroof, "_LP_PIVOTS", 1)
         rho = channel_mixture_state(0.7)
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
-        assert not res.converged and res.pivots == 1
+        assert not res.converged and res.stats["pivots"] == 1
 
     @settings(max_examples=12, deadline=None)
     @given(seed=seeds, num_qubits=st.sampled_from([2, 3]), rank=st.sampled_from([1, 2]))
@@ -649,6 +657,27 @@ class TestRoofRank2:
             # The search at the budget of `measures`.
             search = minimize_roof(rho, measure, RoofConfig(restarts=2, max_iters=200, seed=seed % 1000))
             assert res.upper_bound <= search.upper_bound + 1e-8
+
+
+class TestExact:
+    """A bound is labelled exact only at rank 1, where the state is its own only decomposition."""
+
+    def test_rank_one_is_exact_for_both_solvers(self):
+        psi = PureState(3, (ghz_state().amplitudes + np.eye(8)[1]) / math.sqrt(2.0))
+        lp = roof_rank2(psi.density(), three_tangle_pure)
+        search = minimize_roof(psi.density(), three_tangle_pure, RoofConfig(restarts=1, max_iters=5))
+        assert lp.exact and search.exact
+        assert (lp.restarts_used, search.restarts_used) == (0, 1)
+        assert search.upper_bound == pytest.approx(three_tangle_pure(psi), abs=1e-14)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_higher_rank_is_a_bound(self, rank):
+        rho = random_density_matrix(3, rank, np.random.default_rng(rank))
+        assert numerical_rank(rho) == rank
+        search = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=1, max_iters=5))
+        assert not search.exact
+        if rank == 2:
+            assert not roof_rank2(rho, three_tangle_pure).exact
 
 
 def per_point_gap(form, h, y, th, ph):

@@ -163,7 +163,7 @@ class TestChannelReport:
         monkeypatch.setattr(noisychan, "epsilon_x_w", counted)
         for kt in (0.0, 0.7, 2.5):
             calls.clear()
-            assert channel_report(kt).tangle_exact
+            assert channel_report(kt).tangle.exact
             assert calls == [kt]
         # The public ensemble still checks against the state it builds.
         calls.clear()
@@ -176,9 +176,9 @@ class TestChannelReport:
         assert rep.concurrence_ab == pytest.approx(0.5, abs=1e-9)
         assert rep.concurrence_ac == pytest.approx(1 / math.sqrt(2), abs=1e-9)
         assert rep.concurrence_bc == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-        assert rep.tangle_upper_bound == 0.0
-        assert rep.tangle_bound_converged
-        assert rep.tangle_exact
+        assert rep.tangle.upper_bound == 0.0
+        assert rep.tangle.converged
+        assert rep.tangle.exact
 
     def test_decohered_report(self):
         rep = channel_report(0.5)
@@ -188,5 +188,7 @@ class TestChannelReport:
         assert rep.concurrence_bc == 0.0
         assert rep.kappa_t == 0.5
         assert rep.params.kappa_t == 0.5
-        assert rep.tangle_upper_bound == 0.0
-        assert rep.tangle_exact
+        assert rep.tangle.upper_bound == 0.0
+        assert rep.tangle.exact
+        # All eight bit flips carry weight once kt > 0; no search ran.
+        assert rep.tangle.best_ensemble.size == 8 and rep.tangle.restarts_used == 0
