@@ -434,7 +434,11 @@ _LP_TOL = 1e-12
 _LP_DEPTH = 1e-10
 # Local refinement of a cut: 9 x 9 offsets spanning one grid cell around the
 # best point so far, shrinking fourfold per level, to steps of about 5e-8 rad
-# (one row per level).
+# (one row per level).  The widest level, in patch widths, also places the
+# 9 x 9 columns added around a cut.  A patch spans the cut's distance to the
+# nearest member, so it straddles the contact point of the dual plane
+# between them at a quarter of that distance (one column per cut would only
+# halve the distance per round).
 _LP_REFINE = np.linspace(-1.0, 1.0, 9) / 4.0 ** np.arange(10)[:, np.newaxis]
 # Stencils a refinement may score beyond one per level.  A center whose best
 # point lands on the border of its stencil steps back a level instead of on,
@@ -443,11 +447,6 @@ _LP_REFINE = np.linspace(-1.0, 1.0, 9) / 4.0 ** np.arange(10)[:, np.newaxis]
 _LP_WALK = 8
 # The border of the 9 x 9 stencil, in its flat order.
 _LP_BORDER = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
-# Offsets, in patch widths, of the columns added around a cut.  A patch
-# spans the cut's distance to the nearest member, so it straddles the contact
-# point of the dual plane between them at a quarter of that distance (one
-# column per cut would only halve the distance per round).
-_LP_PATCH = np.linspace(-1.0, 1.0, 9)
 
 
 def numerical_rank(rho) -> int:
@@ -455,18 +454,6 @@ def numerical_rank(rho) -> int:
     if not isinstance(rho, DensityMatrix):
         rho = validate_density(rho)
     return _rank_factor(rho)[0]
-
-
-def _sphere_values(form, h: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    # The measure at Bloch angles (th, ph), broadcast together: the unit
-    # vector cos(th/2) e1 + e^{i ph} sin(th/2) e2 has form value
-    # sum_n h_n cos^(d-n)(th/2) sin^n(th/2) e^{i n ph}.
-    n = np.arange(form.degree + 1)
-    c = np.cos(0.5 * th)[..., np.newaxis]
-    s = np.sin(0.5 * th)[..., np.newaxis]
-    mono = c ** (form.degree - n) * s**n
-    values = np.einsum("...n,...n->...", mono * h, np.exp(1j * ph[..., np.newaxis] * n))
-    return form.score(values, None)
 
 
 def _bloch_columns(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -528,18 +515,6 @@ def _grid_minima(f: np.ndarray) -> np.ndarray:
     low[0, 1:] = low[-1, 1:] = False
     idx = np.flatnonzero(low)
     return idx[np.argsort(f.ravel()[idx], kind="stable")]
-
-
-def _stencil(th: np.ndarray, ph: np.ndarray, width, offsets: np.ndarray):
-    # The points (th + width o, ph + width o') for every pair of offsets
-    # (o, o'), around each of K centers, width a scalar or one per center:
-    # two (K, offsets.size^2) arrays.
-    w = np.broadcast_to(width, th.shape)[:, np.newaxis, np.newaxis]
-    t, p = np.broadcast_arrays(
-        th[:, np.newaxis, np.newaxis] + w * offsets[:, np.newaxis],
-        ph[:, np.newaxis, np.newaxis] + w * offsets,
-    )
-    return t.reshape(th.size, -1), p.reshape(th.size, -1)
 
 
 def _plane_gap_table(form, h: np.ndarray, y: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -623,10 +598,13 @@ def roof_rank2(rho, measure) -> RoofBound:
 
     lam = np.sum(np.abs(factor) ** 2, axis=1)
     e1, e2 = factor / np.sqrt(lam)[:, np.newaxis]
-    h = form.pair_coefficients(e1, e2)
+    h = form.pair_coefficients(e1[np.newaxis], e2[np.newaxis])[0]
+    zero = np.zeros(4)
 
     def tau(th, ph):
-        return _sphere_values(form, h, th, ph)
+        # tau on K polar (K, a) by azimuthal (K, b) tables, flattened
+        # theta-major: the gap to the zero plane.
+        return _plane_gap_table(form, h, zero, th, ph).ravel()
 
     gt, gp = _LP_GRID
     grid_th = np.linspace(0.0, math.pi, gt)
@@ -642,8 +620,7 @@ def roof_rank2(rho, measure) -> RoofBound:
     th = np.concatenate((np.repeat(grid_th, gp), root_th))
     ph = np.concatenate((np.tile(grid_ph, gt), root_ph))
     a = _bloch_columns(th, ph)
-    # The grid is scored as a product of a theta table and a phi table.
-    c = np.concatenate((tau(grid_th[:, np.newaxis], grid_ph).ravel(), tau(root_th, root_ph)))
+    c = np.concatenate((tau(grid_th[np.newaxis], grid_ph[np.newaxis]), tau(root_th[:, np.newaxis], root_ph[:, np.newaxis])))
     b = np.array([1.0, 0.0, 0.0, (lam[0] - lam[1]) / (lam[0] + lam[1])])
     # North pole, south pole and the equator at phi = 0 and pi/2: the
     # eigendecomposition, plus two members of zero weight.
@@ -658,7 +635,8 @@ def roof_rank2(rho, measure) -> RoofBound:
         # close members is narrower than a grid cell), refined, each with
         # the width of its patch, its distance to the nearest member
         # (support columns), at most one cell; a cut within the patch of a
-        # lower one is dropped.  None if a column is below the plane (y is
+        # lower one is dropped.  Returns the patches' (K, 9) polar and
+        # azimuthal tables, or None if a column is below the plane (y is
         # then no dual solution).
         reduced = c - y @ a
         if reduced.min() < -_LP_TOL:
@@ -672,7 +650,8 @@ def roof_rank2(rho, measure) -> RoofBound:
         for i in np.argsort(f):
             if f[i] < -_LP_DEPTH and all(np.linalg.norm(n[:, i] - n[:, k]) > width[k] for k in keep):
                 keep.append(i)
-        return cut_th[keep], cut_ph[keep], width[keep]
+        offsets = width[keep, np.newaxis] * _LP_REFINE[0]
+        return cut_th[keep, np.newaxis] + offsets, cut_ph[keep, np.newaxis] + offsets
 
     pivots = 0
     converged = False
@@ -699,11 +678,12 @@ def roof_rank2(rho, measure) -> RoofBound:
         if not new[0].size:
             converged = True
             break
-        new_th, new_ph = (v.ravel() for v in _stencil(*new, _LP_PATCH))
+        new_th = np.repeat(new[0], _LP_REFINE.shape[1], axis=1).ravel()
+        new_ph = np.tile(new[1], _LP_REFINE.shape[1]).ravel()
         th = np.concatenate((th, new_th))
         ph = np.concatenate((ph, new_ph))
         a = np.concatenate((a, _bloch_columns(new_th, new_ph)), axis=1)
-        c = np.concatenate((c, tau(new_th, new_ph)))
+        c = np.concatenate((c, tau(*new)))
     else:
         x, _, steps, _ = _simplex(a, c, b, basis)
         pivots += steps

@@ -357,12 +357,11 @@ class RoofForm:
         with t = |wj| / |wk| so that each carries an error relative to its
         own scale |wj|^(d-n) |wk|^n; a zero row gives exact zeros.
 
-        Rows of shape (dim,) give shape (d + 1,); (B, dim) stacks of B pairs
-        give (B, d + 1), with all B (d + 3) form values in one call.
+        Takes (B, dim) stacks of B pairs and gives (B, d + 1), with all
+        B (d + 3) form values in one call.
         """
         d = self.degree
-        single = np.ndim(wj) == 1
-        ends = np.stack((np.atleast_2d(wj), np.atleast_2d(wk)), axis=1)
+        ends = np.stack((wj, wk), axis=1)
         parts = ends.view(np.float64)
         sq = np.sum(parts * parts, axis=2)
         t = np.sqrt(np.divide(sq[:, 0], sq[:, 1], out=np.ones(sq.shape[0]), where=sq.all(axis=1)))
@@ -375,7 +374,7 @@ class RoofForm:
         h = (self._inverse_dft @ samples[:, :, np.newaxis])[:, :, 0]
         h /= t[:, np.newaxis] ** np.arange(d + 1)
         h[:, 0], h[:, d] = values[:, 0], values[:, 1]
-        return h[0] if single else h
+        return h
 
 
 _CONCURRENCE_FORM = RoofForm(_concurrence_form, degree=2, scale=2.0, per_weight=False)

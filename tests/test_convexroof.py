@@ -27,8 +27,6 @@ from tritangle.convexroof import (
     _plane_gap_table,
     _refine,
     _round_robin,
-    _sphere_values,
-    _stencil,
     minimize_roof,
     numerical_rank,
     optimal_ghzw_ensemble,
@@ -582,7 +580,7 @@ class TestRoofRank2:
         # and one root is at the pole; the roof is 0.
         rho = basis_mixture(num_qubits, weights)
         measure = MEASURES[num_qubits]
-        h = measure.roof_form.pair_coefficients(np.eye(2**num_qubits)[0], np.eye(2**num_qubits)[-1])
+        h = measure.roof_form.pair_coefficients(np.eye(2**num_qubits)[:1], np.eye(2**num_qubits)[-1:])[0]
         assert h[-1] == 0.0 and h[0] == 0.0 and np.abs(h).max() > 0.0
         res = roof_rank2(rho, measure)
         self.assert_valid(rho, res, measure)
@@ -591,7 +589,7 @@ class TestRoofRank2:
     def test_form_identically_zero_on_the_range(self):
         rho = basis_mixture(3, {0: 0.6, 1: 0.4})
         e = np.eye(8)
-        assert not np.any(three_tangle_pure.roof_form.pair_coefficients(e[0], e[1]))
+        assert not np.any(three_tangle_pure.roof_form.pair_coefficients(e[:1], e[1:2]))
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
         assert res.upper_bound == 0.0 and res.converged and res.stats["rounds"] == 1
@@ -680,9 +678,11 @@ class TestExact:
             assert not roof_rank2(rho, three_tangle_pure).exact
 
 
-def per_point_gap(form, h, y, th, ph):
-    # tau - l scored point by point, the reference for the tables.
-    return _sphere_values(form, h, th, ph) - np.tensordot(y, _bloch_columns(th, ph), axes=1)
+def per_point_gap(form, e1, e2, y, th, ph):
+    # tau - l scored point by point, the reference for the tables: tau is
+    # form.contrib of the unit vector cos(th/2) e1 + e^{i ph} sin(th/2) e2.
+    rows = np.cos(0.5 * th)[:, np.newaxis] * e1 + (np.exp(1j * ph) * np.sin(0.5 * th))[:, np.newaxis] * e2
+    return form.contrib(rows) - np.tensordot(y, _bloch_columns(th, ph), axes=1)
 
 
 class TestRefineTables:
@@ -691,41 +691,45 @@ class TestRefineTables:
     CELL = math.pi / 60
 
     def draw(self, measure, seed):
-        # Random form coefficients, plane and centers, two of them at the poles.
+        # A random orthonormal pair (e1, e2) with its form coefficients, a
+        # random plane and centers, two of them at the poles.
         rng = np.random.default_rng(seed)
-        d = measure.roof_form.degree
-        h = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        dim = measure.roof_contrib_dim
+        e1, e2 = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))[0].T
+        h = measure.roof_form.pair_coefficients(e1[np.newaxis], e2[np.newaxis])[0]
         y = rng.normal(size=4)
         th = np.concatenate(([0.0, math.pi], rng.uniform(0.0, math.pi, 6)))
         ph = rng.uniform(0.0, 2.0 * math.pi, 8)
-        return measure.roof_form, h, y, th, ph
+        return measure.roof_form, (e1, e2), h, y, th, ph
 
     @pytest.mark.parametrize("measure", [concurrence_pure2, three_tangle_pure], ids=["degree2", "degree4"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_entry_matches_per_point_scoring(self, measure, seed):
-        form, h, y, th, ph = self.draw(measure, seed)
+        form, pair, h, y, th, ph = self.draw(measure, seed)
         for offsets in _LP_REFINE:
             t_tab = th[:, np.newaxis] + self.CELL * offsets
             p_tab = ph[:, np.newaxis] + self.CELL * offsets
-            t, p = _stencil(th, ph, self.CELL, offsets)
             # Flat stencil index i 9 + j is (theta offset i, phi offset j).
-            assert np.array_equal(np.repeat(t_tab, offsets.size, axis=1), t)
-            assert np.array_equal(np.tile(p_tab, offsets.size), p)
+            t = np.repeat(t_tab, offsets.size, axis=1).ravel()
+            p = np.tile(p_tab, offsets.size).ravel()
             table = _plane_gap_table(form, h, y, t_tab, p_tab)
             assert table.shape == (th.size, offsets.size, offsets.size)
-            err = np.abs(table.reshape(th.size, -1) - per_point_gap(form, h, y, t, p)).max()
+            err = np.abs(table.ravel() - per_point_gap(form, *pair, y, t, p)).max()
             assert err <= 1e-14, err
         # The middle row of the widest level sits on the poles.
         assert (th[:2, np.newaxis] + self.CELL * _LP_REFINE[0])[:, 4].tolist() == [0.0, math.pi]
 
     @pytest.mark.parametrize("measure", [concurrence_pure2, three_tangle_pure], ids=["degree2", "degree4"])
     def test_refine_never_rises_and_reports_its_points(self, measure):
-        form, h, y, th, ph = self.draw(measure, 3)
-        start = per_point_gap(form, h, y, th, ph)
+        form, pair, h, y, th, ph = self.draw(measure, 3)
+        start = _plane_gap_table(form, h, y, th[:, np.newaxis], ph[:, np.newaxis])[:, 0, 0]
         cut_th, cut_ph, best = _refine(lambda t, p: _plane_gap_table(form, h, y, t, p), th, ph, self.CELL)
         assert (best <= start).all()
-        assert np.array_equal(best, _plane_gap_table(form, h, y, cut_th[:, np.newaxis], cut_ph[:, np.newaxis])[:, 0, 0])
-        assert np.abs(best - per_point_gap(form, h, y, cut_th, cut_ph)).max() <= 1e-14
+        # The same point scored as a (K, 1) table rounds its form sum in
+        # another order than in the 9 x 9 stencil, by a few ulps.
+        again = _plane_gap_table(form, h, y, cut_th[:, np.newaxis], cut_ph[:, np.newaxis])[:, 0, 0]
+        assert np.abs(best - again).max() <= 2e-15
+        assert np.abs(best - per_point_gap(form, *pair, y, cut_th, cut_ph)).max() <= 1e-14
 
     def test_refine_walks_past_its_first_stencil(self):
         # A bowl three cells from the start, where shrinking stencils alone

@@ -320,8 +320,9 @@ class TestRoofForm:
         for _ in range(200):
             wj, wk = self.random_pair(measure, rng)
             x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
-            h = form.pair_coefficients(wj, wk)
-            assert h.shape == (d + 1,)
+            h = form.pair_coefficients(wj[np.newaxis], wk[np.newaxis])
+            assert h.shape == (1, d + 1)
+            h = h[0]
             direct = form.form((x * wj + y * wk)[np.newaxis, :])[0]
             poly = sum(h[n] * x ** (d - n) * y**n for n in range(d + 1))
             assert abs(poly - direct) <= 1e-12 * abs(direct)
@@ -331,11 +332,11 @@ class TestRoofForm:
         # h_0 = form(wj) and h_d = form(wk); a zero row leaves one term.
         form = measure.roof_form
         wj, wk = self.random_pair(measure, np.random.default_rng(17))
-        h = form.pair_coefficients(wj, wk)
+        h = form.pair_coefficients(wj[np.newaxis], wk[np.newaxis])[0]
         ends = form.form(np.stack([wj, wk]))
         assert abs(h[0] - ends[0]) <= 1e-13 * abs(ends[0])
         assert abs(h[-1] - ends[1]) <= 1e-13 * abs(ends[1])
-        h = form.pair_coefficients(wj, np.zeros_like(wk))
+        h = form.pair_coefficients(wj[np.newaxis], np.zeros((1, wk.size), dtype=complex))[0]
         assert abs(h[0] - ends[0]) <= 1e-13 * abs(ends[0])
         assert np.abs(h[1:]).max() <= 1e-13 * abs(ends[0])
 
