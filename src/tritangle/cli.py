@@ -266,8 +266,6 @@ _NOISY_CSV_COLUMNS = ("kappa_t", "valid", "matches_pure_w", "c_ab", "c_ac", "c_b
 def cmd_noisy(args) -> int:
     """Report the decohered W state over one or a sweep of kappa*t values."""
     if args.kappa_t is not None:
-        if args.kappa_t < 0:
-            return _usage_error("kappa_t must be >= 0")
         kts = [args.kappa_t]
     else:
         if not (0 <= args.start < args.stop) or args.steps < 2:

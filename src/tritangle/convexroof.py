@@ -574,13 +574,15 @@ def roof_rank2(rho, measure) -> RoofBound:
     The measure must carry a roof_form (an entanglement.RoofForm) for the
     state dimension; tau is read off the form's pair coefficients of
     (e1, e2).  The columns are a 61 x 120 grid plus the zeros of tau (the
-    roots of the pair polynomial, which a grid misses).  With the dual
-    plane l(n) = y.(1, n), each cutting round refines the lowest local
-    minima of tau - l on the grid, and the members (where tau - l is zero),
-    and adds those more than 1e-10 below l as columns, until none is
-    (converged: no point of the sphere is then more than 1e-10 below the
-    dual plane, so the bound is within 1e-10 of the roof) or 16 rounds,
-    or a solve's pivots, have run out.
+    roots of the pair polynomial, polished by Newton steps, which a grid
+    misses).  With the dual plane l(n) = y.(1, n), each cutting round
+    refines the lowest local minima of tau - l on the grid, and the members
+    (where tau - l is zero), and adds those more than 1e-10 below l as
+    columns, until none is (converged) or 16 rounds, or a solve's pivots,
+    have run out.  converged is the cut search's flag, not a certificate:
+    the search looks only near grid minima and members, down to steps of
+    about 5e-8 rad, so a dip of tau - l narrower than that can escape it
+    and leave the bound more than 1e-10 above the roof.
 
     The returned ensemble is checked to reconstruct rho, and its average
     of measure is the upper bound, as for :func:`minimize_roof`.  Rank 1
@@ -613,9 +615,15 @@ def roof_rank2(rho, measure) -> RoofBound:
     # (2 atan|z|, arg z); a missing root (h_d = 0) is the south pole, a grid
     # point.  Coefficients below eps of the largest count as zero, which
     # moves tau by at most d eps of its scale and keeps the roots finite.
-    coef = h[::-1] / max(float(np.abs(h).max()), np.finfo(float).tiny)
-    coef[np.abs(coef) < np.finfo(float).eps] = 0.0
-    z = np.roots(coef)
+    # Each root is then polished by Newton steps on the unzeroed polynomial
+    # (where its derivative is nonzero): np.roots alone can leave tau at
+    # 1e-6 at a root (local-unitary images of the GHZ/W mixture).
+    full = h[::-1] / max(float(np.abs(h).max()), np.finfo(float).tiny)
+    slope = np.polyder(full)
+    z = np.roots(np.where(np.abs(full) < np.finfo(float).eps, 0.0, full))
+    for _ in range(3):
+        dp = np.polyval(slope, z)
+        z = z - np.divide(np.polyval(full, z), dp, out=np.zeros(z.shape, complex), where=dp != 0)
     root_th, root_ph = 2.0 * np.arctan(np.abs(z)), np.angle(z)
     th = np.concatenate((np.repeat(grid_th, gp), root_th))
     ph = np.concatenate((np.tile(grid_ph, gt), root_ph))

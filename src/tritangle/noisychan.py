@@ -115,17 +115,9 @@ _ENTRIES = [
 def epsilon_x_w(kappa_t: float) -> DensityMatrix:
     """The decohered W state at kappa*t, assembled from the symbol table."""
     params = noise_params(kappa_t)
-    coeff = {
-        "alpha1": params.alpha1,
-        "alpha2": params.alpha2,
-        "alpha3": params.alpha3,
-        "alpha4": params.alpha4,
-        "beta_plus": params.beta_plus,
-        "beta_minus": params.beta_minus,
-    }
     m = np.zeros((8, 8))
     for row, col, symbol, factor in _ENTRIES:
-        value = factor * coeff[symbol] / 16.0
+        value = factor * getattr(params, symbol) / 16.0
         m[row - 1, col - 1] = value
         m[col - 1, row - 1] = value
     return DensityMatrix(3, m.astype(complex))

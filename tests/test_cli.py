@@ -213,6 +213,22 @@ class TestMeasures:
         assert payload["tangle_upper_bound"] <= 1e-3
         assert payload["tangle_bound_converged"] is True
 
+    def test_local_image_prints_the_same_concurrences(self, tmp_path, capsys):
+        # Pairwise concurrences are local-unitary invariants.
+        rng = np.random.default_rng(6)
+        rho = random_density_matrix(3, 2, rng)
+        u = np.ones((1, 1))
+        for _ in range(3):
+            u = np.kron(u, np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
+        payloads = []
+        for name, state in [("rho.json", rho), ("image.json", DensityMatrix(3, u @ rho.matrix @ u.conj().T))]:
+            save_state_file(tmp_path / name, state)
+            code, out, _ = run(["measures", str(tmp_path / name)], capsys)
+            assert code == 0
+            payloads.append(json.loads(out))
+        for key in ["concurrence_ab", "concurrence_ac", "concurrence_bc"]:
+            assert abs(payloads[0][key] - payloads[1][key]) <= 1e-12, key
+
     def test_rank_two_takes_the_lp_and_rank_three_the_search(self, mixture_file, tmp_path, capsys, monkeypatch):
         calls = []
         search = cli.minimize_roof

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import tritangle.convexroof as convexroof
 from tritangle.convexroof import (
     _FORM_LEVELS,
+    _LP_DEPTH,
     _LP_REFINE,
     _SCAN_LEVELS,
     Ensemble,
@@ -655,6 +656,52 @@ class TestRoofRank2:
             # The search at the budget of `measures`.
             search = minimize_roof(rho, measure, RoofConfig(restarts=2, max_iters=200, seed=seed % 1000))
             assert res.upper_bound <= search.upper_bound + 1e-8
+
+
+def local_image(rho, rng, permute):
+    # U rho U^dagger for a Haar-random local unitary U = U_1 x ... x U_n,
+    # after a random permutation of the qubits when permute is set.
+    n = rho.num_qubits
+    m = rho.matrix
+    if permute:
+        perm = rng.permutation(n)
+        m = m.reshape((2,) * 2 * n).transpose(np.concatenate((perm, n + perm))).reshape(2**n, 2**n)
+    u = np.ones((1, 1))
+    for _ in range(n):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = np.kron(u, q * (np.diag(r) / np.abs(np.diag(r))))
+    return DensityMatrix(n, u @ m @ u.conj().T)
+
+
+class TestLocalImages:
+    """The LP's bound does not depend on the local frame, as the roof does not."""
+
+    def test_mixture_images_match_the_closed_form(self):
+        # Below P0 the tangle is exactly 0 and every image's roots must be
+        # found to full precision; a converged bound is within the cut depth.
+        rng = np.random.default_rng(1)
+        ps = np.concatenate((np.linspace(0.05, P0, 12), np.linspace(P0 + 0.01, 0.95, 12)))
+        misses = []
+        for p in ps:
+            rho = channel_mixture_state(p)
+            for k in range(6):
+                res = roof_rank2(local_image(rho, rng, permute=k % 2 == 1), three_tangle_pure)
+                gap = res.upper_bound - three_tangle_ghzw(p)
+                if res.converged and abs(gap) > _LP_DEPTH:
+                    misses.append((float(p), k, gap))
+        assert misses == []
+
+    @pytest.mark.parametrize("num_qubits,seeds", [(3, range(8)), (2, range(100, 104))])
+    def test_random_state_images_agree(self, num_qubits, seeds):
+        rng = np.random.default_rng(2)
+        measure = MEASURES[num_qubits]
+        for seed in seeds:
+            rho = random_density_matrix(num_qubits, 2, np.random.default_rng(seed))
+            bounds = [roof_rank2(rho, measure)]
+            bounds += [roof_rank2(local_image(rho, rng, permute=False), measure) for _ in range(3)]
+            values = [b.upper_bound for b in bounds if b.converged]
+            assert len(values) >= 2, seed
+            assert max(values) - min(values) <= 2 * _LP_DEPTH, (seed, values)
 
 
 class TestExact:
