@@ -628,7 +628,10 @@ def roof_rank2(rho, measure) -> RoofBound:
     th = np.concatenate((np.repeat(grid_th, gp), root_th))
     ph = np.concatenate((np.tile(grid_ph, gt), root_ph))
     a = _bloch_columns(th, ph)
-    c = np.concatenate((tau(grid_th[np.newaxis], grid_ph[np.newaxis]), tau(root_th[:, np.newaxis], root_ph[:, np.newaxis])))
+    # The grid is one 61 x 120 table, each root a 1 x 1 one.
+    c = np.concatenate(
+        (tau(grid_th[np.newaxis], grid_ph[np.newaxis]), tau(root_th[:, np.newaxis], root_ph[:, np.newaxis]))
+    )
     b = np.array([1.0, 0.0, 0.0, (lam[0] - lam[1]) / (lam[0] + lam[1])])
     # North pole, south pole and the equator at phi = 0 and pi/2: the
     # eigendecomposition, plus two members of zero weight.
