@@ -33,10 +33,27 @@ import numpy as np
 
 from tritangle import cli
 from tritangle.entanglement import channel_mixture_state
-from tritangle.qcore import PureState, ghz_state, random_density_matrix, random_pure_state, save_state_file
+from tritangle.qcore import DensityMatrix, PureState, ghz_state, random_density_matrix, random_pure_state, save_state_file
 
 DIGEST_HEX = 16
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" / "cli.json"
+
+
+# The image of mix_0.3.json has its qubits in this order of the original's:
+# (C, A, B).
+IMAGE_ORDER = (2, 0, 1)
+
+
+def _local_image(rho: DensityMatrix, rng: np.random.Generator) -> DensityMatrix:
+    # U rho' U^dagger: rho with its qubits in IMAGE_ORDER, under a
+    # Haar-random local unitary U = U_1 x U_2 x U_3.
+    order = np.array(IMAGE_ORDER)
+    m = rho.matrix.reshape((2,) * 6).transpose(np.concatenate((order, 3 + order))).reshape(8, 8)
+    u = np.ones((1, 1))
+    for _ in range(3):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = np.kron(u, q * (np.diag(r) / np.abs(np.diag(r))))
+    return DensityMatrix(3, u @ m @ u.conj().T)
 
 
 def _states() -> dict:
@@ -44,6 +61,7 @@ def _states() -> dict:
     rng = np.random.default_rng
     return {
         "mix_0.3.json": channel_mixture_state(0.3),
+        "mix_0.3_image.json": _local_image(channel_mixture_state(0.3), rng(6)),
         "mix_0.7.json": channel_mixture_state(0.7),
         "mix_0.9.json": channel_mixture_state(0.9),
         "rank2.json": random_density_matrix(3, 2, rng(1)),
@@ -71,6 +89,7 @@ COMMANDS = [
     ["teleport", "ghz", "--p", "0.3"],
     ["teleport", "w", "--p", "0.3", "--format", "csv"],
     ["measures", "mix_0.3.json"],
+    ["measures", "mix_0.3_image.json"],
     ["measures", "mix_0.7.json"],
     ["measures", "mix_0.9.json", "--format", "csv"],
     ["measures", "rank2.json"],

@@ -375,31 +375,6 @@ def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps
     )
 
 
-def _add_roof(parser: argparse.ArgumentParser, restarts: int, max_iters: int, scope: str = "") -> None:
-    # scope ends each help text: where the search runs, if not on every input.
-    parser.add_argument(
-        "--roof-restarts",
-        type=_capped_int(_MAX_ROOF_RESTARTS),
-        default=restarts,
-        help=f"decomposition-search restarts (default {restarts}; at most {_MAX_ROOF_RESTARTS}, "
-        f"since every restart's seed is drawn before the search starts){scope}",
-    )
-    parser.add_argument(
-        "--roof-max-iters",
-        type=_capped_int(_MAX_ROOF_ITERS),
-        default=max_iters,
-        help=f"decomposition-search sweep cap (default {max_iters}; at most {_MAX_ROOF_ITERS}, "
-        f"far above the tens of sweeps a search takes to converge){scope}",
-    )
-    parser.add_argument(
-        "--roof-ensemble-size",
-        type=_capped_int(_MAX_ROOF_ENSEMBLE),
-        default=None,
-        help=f"decomposition size (default: rank + 2; at most {_MAX_ROOF_ENSEMBLE}: a rank-r roof needs "
-        f"at most r^2 members, and a sweep visits every pair of members){scope}",
-    )
-
-
 def _fill_fig(func):
     # fig1 and fig4 take the same flags, a sweep over p in [0, 1].
     def fill(p: argparse.ArgumentParser) -> None:
@@ -418,7 +393,28 @@ def _fill_measures(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("state_file", help="path to a pure or mixed state file")
     search_runs = "runs only on three-qubit mixed states of rank >= 3"
-    _add_roof(p, 2, 200, f"; the search {search_runs}")
+    scope = f"; the search {search_runs}"
+    p.add_argument(
+        "--roof-restarts",
+        type=_capped_int(_MAX_ROOF_RESTARTS),
+        default=2,
+        help=f"decomposition-search restarts (default 2; at most {_MAX_ROOF_RESTARTS}, "
+        f"since every restart's seed is drawn before the search starts){scope}",
+    )
+    p.add_argument(
+        "--roof-max-iters",
+        type=_capped_int(_MAX_ROOF_ITERS),
+        default=200,
+        help=f"decomposition-search sweep cap (default 200; at most {_MAX_ROOF_ITERS}, "
+        f"far above the tens of sweeps a search takes to converge){scope}",
+    )
+    p.add_argument(
+        "--roof-ensemble-size",
+        type=_capped_int(_MAX_ROOF_ENSEMBLE),
+        default=None,
+        help=f"decomposition size (default: rank + 2; at most {_MAX_ROOF_ENSEMBLE}: a rank-r roof needs "
+        f"at most r^2 members, and a sweep visits every pair of members){scope}",
+    )
     _add_common(p, f"seed of the decomposition search, which {search_runs}")
     p.set_defaults(func=cmd_measures, default_format="json")
 

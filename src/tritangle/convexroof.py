@@ -156,7 +156,7 @@ class RoofBound:
 
 def _rank_factor(rho: DensityMatrix):
     # Rows of the returned factor are scaled eigenvectors: rho = C^T conj(C).
-    vals, vecs = hermitian_eigensystem(rho.matrix)
+    vals, vecs = hermitian_eigensystem(rho)
     r = int(np.sum(vals > TOLERANCES.rank_cutoff))
     if r == 0:
         raise ValueError("density matrix has no eigenvalue above the rank cutoff")
@@ -386,8 +386,7 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofBound:
     ValueError, as in :func:`roof_rank2`.  Deterministic for a fixed config.
     """
     cfg = cfg or RoofConfig()
-    if not isinstance(rho, DensityMatrix):
-        rho = validate_density(rho)
+    rho = validate_density(rho)
     r, factor = _rank_factor(rho)
     m = cfg.ensemble_size if cfg.ensemble_size is not None else r + 2
     if m < r:
@@ -451,8 +450,7 @@ _LP_BORDER = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel
 
 def numerical_rank(rho) -> int:
     """Rank as the roof routines count it: eigenvalues above rank_cutoff."""
-    if not isinstance(rho, DensityMatrix):
-        rho = validate_density(rho)
+    rho = validate_density(rho)
     return _rank_factor(rho)[0]
 
 
@@ -588,8 +586,7 @@ def roof_rank2(rho, measure) -> RoofBound:
     of measure is the upper bound, as for :func:`minimize_roof`.  Rank 1
     returns the state itself, exact.  Raises ValueError above rank 2.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = validate_density(rho)
+    rho = validate_density(rho)
     form = _roof_form(measure, rho, "roof_rank2")
     r, factor = _rank_factor(rho)
     if r > 2:

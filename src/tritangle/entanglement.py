@@ -54,8 +54,7 @@ def concurrence_pure2(psi: PureState) -> float:
     """Concurrence of a two-qubit pure state: 2|a00*a11 - a01*a10|."""
     if psi.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {psi.num_qubits} qubits")
-    a = psi.amplitudes
-    return _unit_value(2.0 * abs(a[0] * a[3] - a[1] * a[2]), "concurrence")
+    return _unit_value(_CONCURRENCE_FORM.score(_concurrence_form(psi.amplitudes[np.newaxis, :]), None)[0], "concurrence")
 
 
 def concurrence_wootters(rho) -> float:
@@ -70,11 +69,10 @@ def concurrence_wootters(rho) -> float:
     (pure states, two-state mixtures) come out accurate to ~1e-13 where
     the eigenvalue route loses ~1e-8.  Returns max(0, l1 - l2 - l3 - l4).
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = validate_density(rho)
+    rho = validate_density(rho)
     if rho.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit density matrix, got {rho.num_qubits} qubits")
-    vals, vecs = hermitian_eigensystem(rho.matrix)
+    vals, vecs = hermitian_eigensystem(rho)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     lam = np.linalg.svd(factor.T @ _SPIN_FLIP_4 @ factor, compute_uv=False)
     return _unit_value(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), "concurrence")

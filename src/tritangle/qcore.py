@@ -21,7 +21,6 @@ ComplexMatrix = np.ndarray
 
 _MAX_QUBITS = 4
 _DIMS = tuple(2**n for n in range(1, _MAX_QUBITS + 1))
-_EIG_MAX_DIM = 16
 
 
 class DensityValidationError(ValueError):
@@ -200,9 +199,11 @@ def _check_density(m: np.ndarray, num_qubits: int, tols: Tolerances, stacked: bo
 
 
 def validate_density(matrix, tols: Tolerances = TOLERANCES) -> DensityMatrix:
-    """Build a :class:`DensityMatrix` from a raw array.
+    """Build a :class:`DensityMatrix` from a raw array; return a ``DensityMatrix`` unchanged.
 
-    Passing ``tols`` validates against those tolerances instead of
+    A ``DensityMatrix`` was checked when it was built, so it is neither
+    copied nor checked again, whatever ``tols`` is.  Passing ``tols``
+    validates a raw array against those tolerances instead of
     :data:`~tritangle.tolerances.TOLERANCES` (the only way to accept, say, a slightly negative
     eigenvalue from an upstream numerical step).
 
@@ -211,13 +212,11 @@ def validate_density(matrix, tols: Tolerances = TOLERANCES) -> DensityMatrix:
     DensityValidationError
         Naming the violated invariant and the size of the violation.
     """
+    if isinstance(matrix, DensityMatrix):
+        return matrix
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DensityValidationError(
-            "shape", np.inf, f"expected a square matrix, got shape {m.shape}"
-        )
     try:
-        n = _num_qubits_for_dim(m.shape[0])
+        n = _num_qubits_for_dim(m.shape[0] if m.ndim else 0)
     except ValueError as exc:
         raise DensityValidationError("shape", np.inf, str(exc)) from None
     return DensityMatrix(n, m, tols)
@@ -269,22 +268,16 @@ def partial_trace(rho: Union[DensityMatrix, np.ndarray], traced_qubits: Iterable
     return DensityMatrix(k, reduced.reshape(2**k, 2**k))
 
 
-def _require_hermitian(h, tols: Tolerances) -> np.ndarray:
-    m = np.asarray(h, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > _EIG_MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {_EIG_MAX_DIM}")
-    herm = float(np.abs(m - m.conj().T).max())
-    if not (herm <= tols.eigh_hermitian_atol):  # NaN fails too
-        raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {herm:.3e}")
-    return 0.5 * (m + m.conj().T)
+def hermitian_eigensystem(rho):
+    """Eigenvalues (descending) and matching eigenvector columns of a density matrix.
 
-
-def hermitian_eigensystem(h, tols: Tolerances = TOLERANCES):
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    m = _require_hermitian(h, tols)
-    vals, vecs = np.linalg.eigh(m)
+    ``rho`` goes through :func:`validate_density`: a :class:`DensityMatrix`
+    was checked when it was built and is not checked again, and a raw array
+    is checked as a density matrix first.  ``eigh`` runs on the matrix's
+    Hermitian part.
+    """
+    m = validate_density(rho).matrix
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 

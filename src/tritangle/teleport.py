@@ -148,7 +148,8 @@ def _coerce_kind(kind) -> SchemeKind:
 
 def input_state(theta: float, phi: float) -> PureState:
     """cos(theta/2) e^{i phi/2} |0> + sin(theta/2) e^{-i phi/2} |1>."""
-    half = 0.5 * float(theta)
+    half = 0.5 * _check_finite(theta, "theta")
+    phi = _check_finite(phi, "phi")
     amps = np.array(
         [
             math.cos(half) * np.exp(0.5j * phi),

@@ -19,9 +19,6 @@ class Tolerances:
     trace_atol: float = 1e-12         # |tr rho - 1|
     psd_floor: float = -1e-10         # smallest eigenvalue still accepted
 
-    # spectral routines
-    eigh_hermitian_atol: float = 1e-10   # hermiticity required of eigensolver input
-
     # circuits
     unitarity_atol: float = 1e-12     # max |U U^dag - I| entrywise for a circuit matrix
 

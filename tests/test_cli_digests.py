@@ -10,6 +10,8 @@ import re
 import numpy as np
 import pytest
 
+from tritangle.convexroof import _LP_DEPTH
+
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
 USAGE_ERRORS = (
     ["teleport", "ghz", "--p", "1.5"],
@@ -95,11 +97,26 @@ def test_measures_and_noisy_print_one_tangle_shape(results):
                 exact[argv[1]] = payload["tangle_exact"]
     assert exact == {
         "mix_0.3.json": False,
+        "mix_0.3_image.json": False,
         "mix_0.7.json": False,
         "rank2.json": False,
         "rank3.json": False,
         "ghz_rho.json": True,
     }
+
+
+def test_mixture_image_keeps_the_mixture_relations(digests, results):
+    # The qubit-permuted local image of mix_0.3.json: its tangle is the
+    # mixture's, zero below P0, and its pairwise concurrences are the
+    # original's, relabelled by the permutation.
+    outs = {tuple(argv): out for argv, out, _, _ in results}
+    original, image = (json.loads(outs["measures", name]) for name in ("mix_0.3.json", "mix_0.3_image.json"))
+    assert 0.0 <= image["tangle_upper_bound"] <= _LP_DEPTH
+    key = {(0, 1): "concurrence_ab", (0, 2): "concurrence_ac", (1, 2): "concurrence_bc"}
+    order = digests.IMAGE_ORDER
+    for (i, j), name in key.items():
+        was = key[tuple(sorted((order[i], order[j])))]
+        assert abs(image[name] - original[was]) <= 1e-12, (name, was)
 
 
 def mismatches(got, want, tol=None, where="") -> list:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tritangle.convexroof as convexroof
+from tritangle.checks import MIXTURE_BAND
 from tritangle.convexroof import (
     _FORM_LEVELS,
     _LP_DEPTH,
@@ -690,6 +691,16 @@ class TestLocalImages:
                 if res.converged and abs(gap) > _LP_DEPTH:
                     misses.append((float(p), k, gap))
         assert misses == []
+
+    def test_search_on_mixture_images_stays_in_the_band(self):
+        # The search too: its gap to the closed form on an image of the
+        # mixture lies in the band that criterion 7 sets for the mixture.
+        rng = np.random.default_rng(3)
+        lo, hi = MIXTURE_BAND
+        for p, permute in [(0.3, False), (0.7, True)]:
+            image = local_image(channel_mixture_state(p), rng, permute)
+            res = minimize_roof(image, three_tangle_pure, RoofConfig(restarts=4, ensemble_size=4))
+            assert lo <= res.upper_bound - three_tangle_ghzw(p) <= hi, p
 
     @pytest.mark.parametrize("num_qubits,seeds", [(3, range(8)), (2, range(100, 104))])
     def test_random_state_images_agree(self, num_qubits, seeds):

@@ -112,32 +112,33 @@ class TestPartialTrace:
 
 class TestEigen:
     def test_diagonal_descending(self):
-        vals, vecs = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(vals, [3, 2, 1])
-        assert np.allclose(np.abs(vecs), np.eye(3)[:, [0, 2, 1]])
+        vals, vecs = hermitian_eigensystem(validate_density(np.diag([0.5, 0.2, 0.3, 0.0])))
+        assert np.allclose(vals, [0.5, 0.3, 0.2, 0.0])
+        assert np.allclose(np.abs(vecs), np.eye(4)[:, [0, 2, 1, 3]])
 
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(m)
+    @pytest.mark.parametrize(
+        "raw, invariant",
+        [
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "hermiticity"),
+            (np.eye(32) / 32, "shape"),
+            (np.full((2, 2), np.nan), "shape"),
+            (np.diag([3.0, 1.0, 2.0, 0.0]), "trace"),
+        ],
+        ids=["non_hermitian", "32x32", "nan", "not_unit_trace"],
+    )
+    def test_rejects_raw_non_density_input(self, raw, invariant):
+        # A raw array is checked as a density matrix before eigh sees it.
+        with pytest.raises(DensityValidationError) as err:
+            hermitian_eigensystem(raw)
+        assert err.value.invariant == invariant
 
-    def test_rejects_large_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
-            hermitian_eigensystem(np.eye(32))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(np.full((2, 2), np.nan))
-
-    @given(seeds)
+    @given(seeds, st.integers(min_value=1, max_value=8))
     @settings(max_examples=50, deadline=None)
-    def test_eigensystem_reconstructs(self, seed):
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        h = g + g.conj().T
-        vals, vecs = hermitian_eigensystem(h)
+    def test_eigensystem_reconstructs(self, seed, rank):
+        rho = random_density_matrix(3, rank, np.random.default_rng(seed))
+        vals, vecs = hermitian_eigensystem(rho)
         assert np.all(np.diff(vals) <= 1e-12)
-        assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-10
+        assert np.abs((vecs * vals) @ vecs.conj().T - rho.matrix).max() < 1e-14
 
 
 class TestDensityValidation:
@@ -159,9 +160,10 @@ class TestDensityValidation:
         assert err.value.invariant == "hermiticity"
 
     def test_shape_violation(self):
-        with pytest.raises(DensityValidationError) as err:
-            validate_density(np.eye(3) / 3)
-        assert err.value.invariant == "shape"
+        for raw in (np.eye(3) / 3, np.ones((4, 2)), np.ones(4), np.float64(1.0), np.ones((2, 2, 2))):
+            with pytest.raises(DensityValidationError) as err:
+                validate_density(raw)
+            assert err.value.invariant == "shape"
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_qubit_count_outside_range(self, n):
@@ -172,6 +174,12 @@ class TestDensityValidation:
     def test_accepts_valid(self):
         dm = validate_density(np.eye(4) / 4)
         assert dm.num_qubits == 2
+
+    def test_returns_a_density_matrix_unchanged(self):
+        # Checked when it was built: not copied or checked again, under any tolerances.
+        dm = random_density_matrix(2, 3, np.random.default_rng(0))
+        assert validate_density(dm) is dm
+        assert validate_density(dm, Tolerances(hermitian_atol=0.0)) is dm
 
     def test_report_flags(self):
         rep = density_report(np.diag([0.7, 0.4]))
@@ -360,7 +368,7 @@ class TestStates:
         psi = random_pure_state(3, rng)
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
         rho = random_density_matrix(2, 2, rng)
-        vals, _ = hermitian_eigensystem(rho.matrix)
+        vals, _ = hermitian_eigensystem(rho)
         assert np.sum(vals > 1e-10) == 2
 
 

@@ -1,6 +1,7 @@
 """Teleportation circuits, output fidelities, and the scheme crossover."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +121,17 @@ class TestInputState:
         amps = input_state(math.pi / 2, math.pi / 2).amplitudes
         assert np.angle(amps[0]) == pytest.approx(math.pi / 4)
         assert np.angle(amps[1]) == pytest.approx(-math.pi / 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["theta", "phi"])
+    def test_non_finite_angle_names_the_argument(self, name, bad):
+        angles = {"theta": 0.5, "phi": 0.5, name: bad}
+        scheme = scheme_unitary("ghz")
+        for call in (lambda: input_state(**angles), lambda: teleport_output(scheme, p=0.5, **angles)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    call()
 
 
 class TestTeleportOutput:
