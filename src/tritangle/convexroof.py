@@ -13,7 +13,8 @@ of the members, its rounds in random order), so the pairs of one round
 share no member and move independently; sweeps repeat until one stops
 paying.  The measure is given as a signed polynomial (the tangle, the
 two-qubit concurrence), so the scan scores its grid from the pair's
-polynomial coefficients and 2 x 2 Gram matrix, without rotating rows.
+binary form and 2 x 2 Gram matrix, without rotating rows, through the
+one evaluator that also scores the rank-2 linear program below.
 
 Measures whose pure-state value vanishes on curved families (the
 three-party tangle above all) produce a landscape where the summed
@@ -192,30 +193,50 @@ def _scan_levels() -> tuple:
 _SCAN_LEVELS = _scan_levels()
 
 
-def _form_levels(d: int) -> tuple:
-    # Tables that score a binary form of even degree d on every scan level.
-    # The monomials x^(d-n) y^n are products of d/2 entries of (x^2, x y, y^2):
-    # factor f of monomial n is entry min(2, max(0, n - 2 f)).  Per level:
-    # the theta and phi offsets, the theta offsets times i, e^{i n phi} at
-    # the phi offsets (d+1, Gp), e^{i phi} (Gp,) for the row weights, and
-    # the (theta, phi) offsets of each flat (theta-major) grid index (2, G).
-    n = np.arange(d + 1)
-    factors = tuple(np.minimum(2, np.maximum(0, n - 2 * f)) for f in range(d // 2))
-    levels = tuple(
-        (
-            th_off,
-            ph_off,
-            1j * th_off,
-            np.exp(1j * np.outer(n, ph_off)),
-            np.exp(1j * ph_off),
-            np.stack((np.repeat(th_off, ph_off.size), np.tile(ph_off, th_off.size))),
-        )
-        for th_off, ph_off in _SCAN_LEVELS
-    )
-    return 1j * n, factors, levels
+# i n for the powers n = 0..4 of e^{i phi}; the factors of (x^2, x y, y^2)
+# in (x, y), and of the quartic monomials x^(4-n) y^n in (x^2, x y, y^2).
+_I_N = 1j * np.arange(5)
+_QUADRATIC = (np.array([0, 0, 1]), np.array([0, 1, 1]))
+_QUARTIC = (np.array([0, 1, 2, 2, 2]), np.array([0, 0, 0, 1, 2]))
 
 
-_FORM_LEVELS = {d: _form_levels(d) for d in (2, 4)}
+def _turns(ph: np.ndarray) -> np.ndarray:
+    # e^{i n phi}, n = 0..4, at every phi of a (..., b) table: (..., 5, b).
+    return np.exp(ph[..., np.newaxis, :] * _I_N[:, np.newaxis])
+
+
+# Per scan level: the theta offsets times i, e^{i n phi} at the phi offsets
+# (5, Gp), and the (theta, phi) offsets of each flat (theta-major) grid
+# index (2, G).
+_SCAN_TABLES = tuple(
+    (1j * th_off, _turns(ph_off), np.stack((np.repeat(th_off, ph_off.size), np.tile(ph_off, th_off.size))))
+    for th_off, ph_off in _SCAN_LEVELS
+)
+
+
+def _binary_form(xy: np.ndarray, turns: np.ndarray, h: np.ndarray, gram) -> tuple:
+    # The form values sum_n h_n e^{i n phi} x^(d-n) y^n (degree d = 2 or 4)
+    # and the Gram quadratic x^2 gaa + x y Re(gab2 e^{i phi}) + y^2 gbb of
+    # gram = (gaa, gbb, gab2), on the product of K (x, y) and K phi tables:
+    # xy is real (..., K, a, 2), turns holds e^{i n phi}, (K, 5, b) or
+    # (5, b), h is (K, d+1) or (d+1,), and the Gram terms broadcast against
+    # (K, b); both results are (..., K, a, b).  The monomials are products
+    # of x^2, x y and y^2 themselves, so a point of small weight keeps its
+    # relative precision (sums of e^{i k theta} would not).
+    gaa, gbb, gab2 = gram
+    quad = xy.take(_QUADRATIC[0], axis=-1) * xy.take(_QUADRATIC[1], axis=-1)
+    mono = quad if h.shape[-1] == 3 else quad.take(_QUARTIC[0], axis=-1) * quad.take(_QUARTIC[1], axis=-1)
+    # mono is real, so its product with the coefficients' (re, im) pairs is
+    # the complex product, read back as complex values.
+    coef = h[..., np.newaxis] * turns[..., : h.shape[-1], :]
+    values = (mono @ coef.view(np.float64)).view(np.complex128)
+    tilt = (gab2 * turns[..., 1, :]).real
+    planes = np.empty((tilt.shape[0], 3, tilt.shape[1]))
+    planes[:, 0] = gaa
+    planes[:, 1] = tilt
+    planes[:, 2] = gbb
+    return values, quad @ planes
+
 
 # Pairs per stacked scan call.  A grid level's temporaries take about 10 KB
 # per pair on the 17 x 17 level, so a chunk of 64 keeps each below 1 MB
@@ -240,46 +261,16 @@ def _pair_terms(form, wj, wk):
 _ROW_TURNS = np.array([1.0, 1.0j])[:, np.newaxis, np.newaxis]
 
 
-def _level_scores(form, level, terms, th0: np.ndarray, ph0: np.ndarray) -> np.ndarray:
-    # Scores both rows of B pairs, each rotated to every (theta, phi) of a
-    # scan level around its own center (th0[b], ph0[b]), from the pairs'
-    # form coefficients and Gram terms; rows are never rotated.  Returns a
-    # (2, B, Gt, Gp) array: row j's contributions, then row k's.  Row j is
-    # c wj + s e^{i phi} wk and row k is -s e^{-i phi} wj + c wk, so their
-    # forms are sum_n h_n e^{i n phi} x^(d-n) y^n at (x, y) = (c, s) and
-    # (-s, c), up to a unit phase, and their weights are
-    # x^2 gaa + 2 x y Re(gab e^{i phi}) + y^2 gbb.  The monomials are
-    # products of cos and sin of theta themselves, so a row of small weight
-    # keeps its relative precision (sums of e^{i k theta} would not).
-    i_n, factors, _ = _FORM_LEVELS[form.degree]
-    i_th, phases, turn_p = level[2:5]
-    h, weights, gab2 = terms
-    e = np.exp((1j * th0)[:, np.newaxis] + i_th)
-    xy = (e * _ROW_TURNS).view(np.float64).reshape(2, e.shape[0], -1, 2)
-    quad = xy.take((0, 0, 1), axis=3) * xy.take((0, 1, 1), axis=3)
-    mono = quad.take(factors[0], axis=3)
-    for f in factors[1:]:
-        mono = mono * quad.take(f, axis=3)
-    # mono is real, so its product with the coefficients' (re, im) pairs is
-    # the complex product, read back as complex values.
-    turn = np.exp(ph0[:, np.newaxis] * i_n)
-    coef = (h * turn)[:, :, np.newaxis] * phases
-    values = (mono @ coef.view(np.float64)).view(np.complex128)
-    if not form.per_weight:
-        return form.score(values, None)
-    gram = np.empty((e.shape[0], 3, turn_p.size))
-    gram[:, ::2] = weights
-    gram[:, 1] = ((gab2 * turn[:, 1])[:, np.newaxis] * turn_p).real
-    return form.score(values, quad @ gram)
-
-
 def _form_scan(wj, wk, form, squared: bool):
     # Coarse-to-fine scan of the two-row rotation (theta, phi) for B pairs
-    # at once, stacked (B, dim), each level scored by _level_scores; the
-    # center (0, 0) is always a candidate, so a move never loses ground.
-    # Returns the best objective and its (theta, phi) per pair, each (B,).
-    terms = _pair_terms(form, wj, wk)
-    h, weights, _ = terms
+    # at once, stacked (B, dim); the center (0, 0) is always a candidate, so
+    # a move never loses ground.  Returns the best objective and its
+    # (theta, phi) per pair, each (B,).  Rows are never rotated: row j,
+    # c wj + s e^{i phi} wk, and row k, -s e^{-i phi} wj + c wk, are scored
+    # by _binary_form at (x, y) = (c, s) and its antipode (-s, c), up to a
+    # unit phase, with the phase of each level's center folded into h and
+    # the overlap, so that the level's own e^{i n phi} table serves.
+    h, weights, gab2 = _pair_terms(form, wj, wk)
     # h_0 and h_d are form(wj) and form(wk), so this is form.contrib of the pair.
     start = form.score(h[:, ::form.degree], weights[:, :, 0])
     if squared:
@@ -287,8 +278,14 @@ def _form_scan(wj, wk, form, squared: bool):
     best = start[:, 0] + start[:, 1]
     pick = np.arange(best.size)
     center = np.zeros((2, best.size))
-    for level in _FORM_LEVELS[form.degree][2]:
-        scores = _level_scores(form, level, terms, center[0], center[1])
+    gaa, gbb = weights[:, 0], weights[:, 1]
+    i_n = _I_N[: form.degree + 1]
+    for i_th, turns, offsets in _SCAN_TABLES:
+        e = np.exp((1j * center[0])[:, np.newaxis] + i_th)
+        xy = (e * _ROW_TURNS).view(np.float64).reshape(2, best.size, -1, 2)
+        turn = np.exp(center[1][:, np.newaxis] * i_n)
+        values, quad = _binary_form(xy, turns, h * turn, (gaa, gbb, (gab2 * turn[:, 1])[:, np.newaxis]))
+        scores = form.score(values, quad)
         if squared:
             scores *= scores
         vals = (scores[0] + scores[1]).reshape(best.size, -1)
@@ -296,7 +293,7 @@ def _form_scan(wj, wk, form, squared: bool):
         v = vals[pick, i]
         better = v < best
         best = np.where(better, v, best)
-        center = np.where(better, center + level[5][:, i], center)
+        center = np.where(better, center + offsets[:, i], center)
     return best, center[0], center[1]
 
 
@@ -380,7 +377,8 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofBound:
     """Upper bound on the convex roof of a pure-state measure.
 
     measure maps a PureState to a value and must carry a roof_form (an
-    entanglement.RoofForm), which scores the pair scans, and a roof_contrib
+    entanglement.RoofForm), whose binary form along a pair scores the pair
+    scans through the evaluator that :func:`roof_rank2` uses, and a roof_contrib
     kernel, which sums each sweep, on the state dimension roof_contrib_dim,
     as three_tangle_pure and concurrence_pure2 do; any other measure raises
     ValueError, as in :func:`roof_rank2`.  Deterministic for a fixed config.
@@ -518,18 +516,13 @@ def _grid_minima(f: np.ndarray) -> np.ndarray:
 def _plane_gap_table(form, h: np.ndarray, y: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
     # tau - l, with l(n) = y.(1, n), at every (th[k, i], ph[k, j]): a (K, a, b)
     # table from the (K, a) polar and (K, b) azimuthal tables of K centers.
-    # Both are separable: the form value is sum_n (h_n c^(d-n) s^n) e^{i n ph},
-    # one product of a theta table and a phi table, and l is
-    # y0 + y3 cos th + sin th (y1 cos ph + y2 sin ph), an outer sum.
-    n = np.arange(form.degree + 1)
-    c = np.cos(0.5 * th)
-    s = np.sin(0.5 * th)
-    mono = c[..., np.newaxis] ** (form.degree - n) * s[..., np.newaxis] ** n * h
-    turn = np.exp(1j * ph)
-    tau = form.score(mono @ turn[:, np.newaxis] ** n[:, np.newaxis], None)
-    tilt = ((y[1] - 1j * y[2]) * turn).real
-    polar = y[0] + y[3] * (c * c - s * s)
-    return tau - polar[:, :, np.newaxis] - (2.0 * s * c)[:, :, np.newaxis] * tilt[:, np.newaxis]
+    # The point is cos(th/2) e1 + e^{i ph} sin(th/2) e2, so tau is the pair's
+    # binary form at (x, y) = (cos th/2, sin th/2), and l, which is
+    # y0 + y3 cos th + sin th (y1 cos ph + y2 sin ph), is the quadratic of
+    # the Gram triple (y0 + y3, y0 - y3, 2 (y1 - i y2)).
+    xy = np.stack((np.cos(0.5 * th), np.sin(0.5 * th)), axis=-1)
+    values, plane = _binary_form(xy, _turns(ph), h, (y[0] + y[3], y[0] - y[3], 2.0 * (y[1] - 1j * y[2])))
+    return form.score(values, None) - plane
 
 
 def _refine(f, th: np.ndarray, ph: np.ndarray, cell: float):

@@ -291,12 +291,6 @@ def channel_mixture_stack(p) -> np.ndarray:
     return stack
 
 
-# Fast per-member evaluators for the decomposition optimizer.  Both exploit
-# homogeneity: on a subnormalized vector with weight = |w|^2, the raw
-# concurrence expression is already weight * C(normalized), and the raw
-# quartic tangle is weight^2 * tau(normalized).
-
-
 def _concurrence_form(w: np.ndarray) -> np.ndarray:
     return w[:, 0] * w[:, 3] - w[:, 1] * w[:, 2]
 

@@ -233,7 +233,7 @@ def partial_trace(rho: Union[DensityMatrix, np.ndarray], traced_qubits: Iterable
     Parameters
     ----------
     rho : DensityMatrix or array
-        State of n qubits.
+        State of n qubits; an array goes through :func:`validate_density`.
     traced_qubits : iterable of int
         1-based labels of the qubits to remove (qubit 1 is the most
         significant bit).  Surviving qubits keep their relative order.
@@ -243,11 +243,13 @@ def partial_trace(rho: Union[DensityMatrix, np.ndarray], traced_qubits: Iterable
     DensityMatrix
         Reduced state on the remaining qubits.
     """
-    if isinstance(rho, DensityMatrix):
-        n, m = rho.num_qubits, rho.matrix
-    else:
-        m = np.asarray(rho, dtype=complex)
-        n = _num_qubits_for_dim(m.shape[0])
+    rho = validate_density(rho)
+    return _trace_out(rho.matrix, rho.num_qubits, traced_qubits)
+
+
+def _trace_out(m: np.ndarray, n: int, traced_qubits: Iterable[int]) -> DensityMatrix:
+    # The partial trace of the n-qubit 2^n x 2^n matrix m, which is taken as
+    # it is; only the reduced state is checked, as a DensityMatrix.
     traced = sorted(set(int(q) for q in traced_qubits))
     if not traced:
         raise ValueError("traced_qubits must not be empty")

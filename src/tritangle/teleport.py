@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from .entanglement import P0, P1, _check_finite, _check_unit_interval, channel_mixture_stack, channel_mixture_state
-from .qcore import DensityMatrix, PureState, _check_density, kron, partial_trace
+from .qcore import DensityMatrix, PureState, _check_density, _trace_out, kron
 from .tolerances import TOLERANCES
 
 _RT2 = math.sqrt(2.0)
@@ -174,7 +174,9 @@ def teleport_output(scheme: TeleportScheme, theta: float, phi: float, p: float) 
     psi = input_state(theta, phi)
     joint = kron(psi.density().matrix, channel_mixture_state(p).matrix)
     evolved = scheme.unitary @ joint @ scheme.unitary.conj().T
-    rho_out = partial_trace(evolved, [1, 2, 3])
+    # The circuit product is reduced unchecked (checking it as a density
+    # matrix would add a fifth to this call); the one-qubit result is checked.
+    rho_out = _trace_out(evolved, 4, [1, 2, 3])
     amps = psi.amplitudes
     fid = float(np.real(np.vdot(amps, rho_out.matrix @ amps)))
     return TeleportReport(p, float(theta), float(phi), rho_out, fid)
@@ -184,7 +186,9 @@ def fidelity_ghz_closed(theta: float, p: float) -> float:
     """((3 + 5p) - (1 - p) cos 2 theta)/8."""
     p = _check_unit_interval(p)
     theta = _check_finite(theta, "theta")
-    return ((3.0 + 5.0 * p) - (1.0 - p) * math.cos(2.0 * theta)) / 8.0
+    # cos 2 theta as cos^2 - sin^2: 2 theta overflows for |theta| > 8.99e307.
+    c, s = math.cos(theta), math.sin(theta)
+    return ((3.0 + 5.0 * p) - (1.0 - p) * (c * c - s * s)) / 8.0
 
 
 def fidelity_w_closed(p: float) -> float:

@@ -359,6 +359,15 @@ class TestTeleport:
         assert header.split(",")[7] == "rho_out_00_re"
         assert row.split(",")[0] == "ghz"
 
+    def test_huge_finite_angle(self, capsys):
+        # 2 theta overflows to inf here; the closed form never forms it.
+        code, out, _ = run(["teleport", "ghz", "--p", "0.3", "--theta", "1e308"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        want = (3.0 + 5.0 * 0.3 - 0.7 * (1.0 - 2.0 * math.sin(1e308) ** 2)) / 8.0
+        assert payload["fidelity_closed"] == pytest.approx(want, abs=1e-15)
+        assert payload["fidelity"] == pytest.approx(payload["fidelity_closed"], abs=1e-12)
+
     def test_rejects_bad_weight(self, capsys):
         code, _, err = run(["teleport", "ghz", "--p", "1.5"], capsys)
         assert code == 2

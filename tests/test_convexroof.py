@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 import tritangle.convexroof as convexroof
 from tritangle.checks import MIXTURE_BAND
 from tritangle.convexroof import (
-    _FORM_LEVELS,
     _LP_DEPTH,
     _LP_REFINE,
     _SCAN_LEVELS,
+    _SCAN_TABLES,
     Ensemble,
     RoofConfig,
     _apply_pairs,
+    _binary_form,
     _bloch_columns,
     _form_scan,
     _grid_minima,
-    _level_scores,
     _pair_terms,
     _plane_gap_table,
     _refine,
@@ -282,11 +282,11 @@ class TestPairScan:
 
     def test_flat_offsets_follow_the_grid(self):
         # Flat index i of a level is theta offset i // Gp and phi offset i % Gp.
-        for d in (2, 4):
-            for level in _FORM_LEVELS[d][2]:
-                th_off, ph_off = level[0], level[1]
-                i = np.arange(th_off.size * ph_off.size)
-                assert np.array_equal(level[5], [th_off[i // ph_off.size], ph_off[i % ph_off.size]])
+        for (th_off, ph_off), (i_th, turns, offsets) in zip(_SCAN_LEVELS, _SCAN_TABLES, strict=True):
+            i = np.arange(th_off.size * ph_off.size)
+            assert np.array_equal(offsets, [th_off[i // ph_off.size], ph_off[i % ph_off.size]])
+            assert np.array_equal(i_th, 1j * th_off)
+            assert np.array_equal(turns, np.exp(1j * np.outer(np.arange(5), ph_off)))
 
     def test_stacked_rotation_matches_apply_pair(self):
         rng = np.random.default_rng(5)
@@ -368,15 +368,27 @@ class TestFormScan:
     def rotated_scores(pair, contrib, th, ph):
         return contrib(rotation_stack(th, ph) @ pair).reshape(2, th.size, ph.size)
 
+    @staticmethod
+    def level_scores(form, pairs, level, th0, ph0):
+        # Both rows of each pair rotated to every point of a scan level
+        # around its own center (th0[b], ph0[b]), scored by the one
+        # evaluator as the scan calls it: row j at (x, y) = (c, s), row k at
+        # (-s, c), the center's phases folded into h and the overlap.
+        i_th, turns, _ = level
+        h, weights, gab2 = _pair_terms(form, pairs[:, 0], pairs[:, 1])
+        e = np.exp(1j * th0[:, np.newaxis] + i_th)
+        xy = np.stack((e, 1j * e)).view(np.float64).reshape(2, *e.shape, 2)
+        turn = np.exp(1j * np.multiply.outer(ph0, np.arange(form.degree + 1)))
+        gram = (weights[:, 0], weights[:, 1], (gab2 * turn[:, 1])[:, np.newaxis])
+        return form.score(*_binary_form(xy, turns, h * turn, gram))
+
     def assert_scores_match(self, pairs, measure, centers):
         # All pairs are scored in one stack, each at its own center.
         form = measure.roof_form
-        terms = _pair_terms(form, pairs[:, 0], pairs[:, 1])
-        for level in _FORM_LEVELS[form.degree][2]:
-            th_off, ph_off = level[0], level[1]
+        for (th_off, ph_off), level in zip(_SCAN_LEVELS, _SCAN_TABLES, strict=True):
             for shift in range(len(centers)):
                 th0, ph0 = np.array([centers[(b + shift) % len(centers)] for b in range(len(pairs))]).T
-                got = _level_scores(form, level, terms, th0, ph0)
+                got = self.level_scores(form, pairs, level, th0, ph0)
                 assert got.shape == (2, len(pairs), th_off.size, ph_off.size)
                 for b, pair in enumerate(pairs):
                     want = self.rotated_scores(pair, measure.roof_contrib, th0[b] + th_off, ph0[b] + ph_off)
@@ -396,9 +408,7 @@ class TestFormScan:
         pair = self.pair_with_unit_weight(np.random.default_rng(32), measure.roof_contrib_dim)
         pair[1] = 0.0
         self.assert_scores_match(pair[np.newaxis], measure, [(0.0, 0.0), (0.41, -1.3)])
-        form = measure.roof_form
-        start = _level_scores(form, _FORM_LEVELS[form.degree][2][0], _pair_terms(form, pair[:1], pair[1:]),
-                              np.zeros(1), np.zeros(1))
+        start = self.level_scores(measure.roof_form, pair[np.newaxis], _SCAN_TABLES[0], np.zeros(1), np.zeros(1))
         assert np.all(start[1, 0, 8] == 0.0)
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
@@ -434,9 +444,7 @@ class TestFormScan:
     def test_start_is_the_pair_objective(self, measure, squared, monkeypatch):
         # With no grid levels the scan returns its start: the objective of
         # the unrotated pair, bitwise as the per-sweep totals compute it.
-        d = measure.roof_form.degree
-        i_n, factors, _ = _FORM_LEVELS[d]
-        monkeypatch.setitem(_FORM_LEVELS, d, (i_n, factors, ()))
+        monkeypatch.setattr(convexroof, "_SCAN_TABLES", ())
         rng = np.random.default_rng(34)
         pairs, starts = [], []
         for scale in (1.0, 0.3, 1e-3, 0.0):

@@ -58,6 +58,14 @@ class TestKron:
         assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() < 1e-13
 
 
+def not_hermitian():
+    # Neither Hermitian nor positive; its reduction over qubits 2 and 3
+    # would be the valid diag(1, 0).
+    m = np.diag([0.5, 0.5, 0, 0, 0, 0, 0.25, -0.25]).astype(complex)
+    m[0, 1] = 0.3
+    return m
+
+
 class TestPartialTrace:
     def test_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
@@ -99,6 +107,16 @@ class TestPartialTrace:
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0
         assert np.allclose(reduced.matrix, expected, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "make,invariant",
+        [(not_hermitian, "hermiticity"), (lambda: np.array(1.0), "shape"), (lambda: np.eye(8, 4), "shape")],
+        ids=["not-hermitian", "0-d", "8x4"],
+    )
+    def test_raw_input_is_checked(self, make, invariant):
+        with pytest.raises(DensityValidationError) as err:
+            partial_trace(make(), [2, 3])
+        assert err.value.invariant == invariant
 
     def test_bad_subsets(self):
         rho = ghz_state().density()
