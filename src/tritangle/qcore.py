@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, fields
+from functools import cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -236,7 +237,8 @@ def partial_trace(rho: Union[DensityMatrix, np.ndarray], traced_qubits: Iterable
         State of n qubits; an array goes through :func:`validate_density`.
     traced_qubits : iterable of int
         1-based labels of the qubits to remove (qubit 1 is the most
-        significant bit).  Surviving qubits keep their relative order.
+        significant bit), each a Python or numpy integer but not a bool.
+        Surviving qubits keep their relative order.
 
     Returns
     -------
@@ -244,30 +246,37 @@ def partial_trace(rho: Union[DensityMatrix, np.ndarray], traced_qubits: Iterable
         Reduced state on the remaining qubits.
     """
     rho = validate_density(rho)
-    return _trace_out(rho.matrix, rho.num_qubits, traced_qubits)
+    return validate_density(_trace_out(rho.matrix, rho.num_qubits, traced_qubits))
 
 
-def _trace_out(m: np.ndarray, n: int, traced_qubits: Iterable[int]) -> DensityMatrix:
-    # The partial trace of the n-qubit 2^n x 2^n matrix m, which is taken as
-    # it is; only the reduced state is checked, as a DensityMatrix.
-    traced = sorted(set(int(q) for q in traced_qubits))
+def _trace_out(m: np.ndarray, n: int, traced_qubits: Iterable[int]) -> np.ndarray:
+    # The partial trace of an n-qubit 2^n x 2^n matrix, or of each matrix of
+    # a stack (..., 2^n, 2^n), as a raw array of the same leading shape; m is
+    # taken as it is, and the caller checks the result.
+    labels = list(traced_qubits)
+    for q in labels:
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            raise ValueError(f"qubit labels must be integers, got {q!r}")
+    traced = sorted(set(map(int, labels)))
     if not traced:
         raise ValueError("traced_qubits must not be empty")
     if any(q < 1 or q > n for q in traced):
         raise ValueError(f"traced_qubits must be within 1..{n}, got {traced}")
     if len(traced) == n:
         raise ValueError("cannot trace out every qubit")
+    lead, side = m.shape[:-2], 2 ** (n - len(traced))
+    reduced = np.einsum(_trace_subscripts(n, tuple(traced)), m.reshape(lead + (2,) * (2 * n)))
+    return reduced.reshape(lead + (side, side))
 
-    keep = [q for q in range(1, n + 1) if q not in traced]
-    t = m.reshape([2] * (2 * n))
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + n + i) for i in range(n)]
-    for q in traced:
-        col[q - 1] = row[q - 1]
-    out_sub = "".join(row[q - 1] for q in keep) + "".join(col[q - 1] for q in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out_sub, t)
-    k = len(keep)
-    return DensityMatrix(k, reduced.reshape(2**k, 2**k))
+
+@cache
+def _trace_subscripts(n: int, traced: tuple[int, ...]) -> str:
+    # einsum subscripts of _trace_out: a traced qubit's column index is its
+    # row index, and leading stack axes ride along as "...".
+    row = "abcdefgh"[:n]
+    col = "".join(row[i] if i + 1 in traced else "abcdefgh"[n + i] for i in range(n))
+    keep = [i for i in range(n) if i + 1 not in traced]
+    return f"...{row}{col}->..." + "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
 
 
 def hermitian_eigensystem(rho):

@@ -14,14 +14,14 @@ from the same circuit unitary; :func:`avg_fidelity` reads every quadrature
 node's fidelity off J, on a rule fixed at 32 x 16 nodes (cos theta x phi),
 and :func:`avg_fidelity_entanglement` gives the exact average
 (2 F_e + 1)/3 from the entanglement fidelity F_e of J.
-All three take one weight or an array of them, and one scheme or a tuple
-of schemes.  An array is swept in chunks: per chunk one stack of channel
-states, shared by every scheme; one batched pass of its operators
-|i><j| x rho_channel(p) through the stacked circuit unitaries; one
-stacked check of all the Choi states; and, for the quadrature, one
-product of the flattened Choi states with a fixed table of the nodes'
-16 terms.  Every weight is still simulated and checked on its own terms,
-and its value is bitwise the one it gets alone, with any scheme beside it.
+All three take a tuple of S schemes and weights p of any shape and return
+an (S, *p.shape) array.  The weights are swept in chunks: per chunk one
+stack of channel states, shared by every scheme; one batched pass of its
+operators |i><j| x rho_channel(p) through the stacked circuit unitaries;
+one stacked partial trace and one stacked check of all the Choi states;
+and, for the quadrature, one product of the flattened Choi states with a
+fixed table of the nodes' 16 terms.  Every weight is still simulated and
+checked on its own terms, and its value is bitwise the one it gets alone.
 :func:`teleport_output` keeps the explicit circuit for single inputs and
 serves as the oracle for the channel form.
 """
@@ -176,7 +176,7 @@ def teleport_output(scheme: TeleportScheme, theta: float, phi: float, p: float) 
     evolved = scheme.unitary @ joint @ scheme.unitary.conj().T
     # The circuit product is reduced unchecked (checking it as a density
     # matrix would add a fifth to this call); the one-qubit result is checked.
-    rho_out = _trace_out(evolved, 4, [1, 2, 3])
+    rho_out = DensityMatrix(1, _trace_out(evolved, 4, (1, 2, 3)))
     amps = psi.amplitudes
     fid = float(np.real(np.vdot(amps, rho_out.matrix @ amps)))
     return TeleportReport(p, float(theta), float(phi), rho_out, fid)
@@ -247,52 +247,41 @@ def _choi_states(schemes: tuple[TeleportScheme, ...], channel: np.ndarray, first
     joint = np.einsum("ijab,pkl->pijakbl", basis, channel).reshape(n, 2, 2, 16, 16)
     evolved = u @ joint @ u.conj().swapaxes(-1, -2)
     # Trace out the input and the sender's two channel qubits.
-    out = np.einsum("spijmamb->spijab", evolved.reshape(-1, n, 2, 2, 8, 2, 8, 2))
-    choi = 0.5 * out.transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4, 4)
-
-    def label(i):
-        return f"{schemes[i // n].kind.value} scheme, weight {first + i % n}"
-
-    _check_density(choi, 2, TOLERANCES, stacked=True, label=label)
-    marginal = np.einsum("piaja->pij", choi.reshape(-1, 2, 2, 2, 2))
-    dev = float(np.abs(marginal - 0.5 * np.eye(2)).max(initial=0.0))
+    choi = 0.5 * _trace_out(evolved, 4, (1, 2, 3)).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4, 4)
+    _check_density(
+        choi, 2, TOLERANCES, stacked=True, label=lambda i: f"{schemes[i // n].kind.value} scheme, weight {first + i % n}"
+    )
+    dev = float(np.abs(_trace_out(choi, 2, (2,)) - 0.5 * np.eye(2)).max(initial=0.0))
     if dev > TOLERANCES.trace_atol:
         raise ValueError(f"receiver map does not preserve the trace: deviation {dev:.3e}")
     return choi
 
 
-def _sweep(schemes: TeleportScheme | tuple[TeleportScheme, ...], p, score) -> np.ndarray:
-    # score(J) for the Choi stack J (S * P, 4, 4) of the schemes at the
-    # weights p, _SWEEP_CHUNK weights at a time, as one array of p's shape
-    # (plus score's own axes), after a leading scheme axis when schemes is
-    # a tuple.  Every weight is simulated through each circuit
-    # (channel_mixture_stack checks its range); a float p is a sweep of
-    # one, and an empty p one empty chunk.
-    group = schemes if isinstance(schemes, tuple) else (schemes,)
+def _sweep(schemes: tuple[TeleportScheme, ...], p, score) -> np.ndarray:
+    # score(J) for the Choi stack J (S * P, 4, 4) of the S schemes at the
+    # weights p, _SWEEP_CHUNK weights at a time, as one (S, *p.shape) array
+    # plus score's own axes.  Every weight is simulated through each circuit
+    # (channel_mixture_stack checks its range); an empty p is one empty chunk.
     flat = np.ravel(p)
     parts = []
     for lo in range(0, max(flat.size, 1), _SWEEP_CHUNK):
-        choi = _choi_states(group, channel_mixture_stack(flat[lo : lo + _SWEEP_CHUNK]), lo)
+        choi = _choi_states(schemes, channel_mixture_stack(flat[lo : lo + _SWEEP_CHUNK]), lo)
         value = score(choi)
-        parts.append(value.reshape(len(group), -1, *value.shape[1:]))
-    out = np.concatenate(parts, axis=1).reshape((len(group),) + np.shape(p) + parts[0].shape[2:])
-    return out if isinstance(schemes, tuple) else out[0]
+        parts.append(value.reshape(len(schemes), -1, *value.shape[1:]))
+    return np.concatenate(parts, axis=1).reshape((len(schemes),) + np.shape(p) + parts[0].shape[2:])
 
 
-def receiver_channel(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
-    """Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocol.
+def receiver_channel(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
+    """Choi states J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocols.
 
     Lambda_p maps the input qubit to the receiver's output at channel
-    weight p.  A DensityMatrix for one scheme and a float p; otherwise the
-    stack (..., 4, 4) of Choi states over p's shape, led by a scheme axis
-    when scheme is a tuple of schemes, each checked as
-    :func:`_choi_states` checks it.
+    weight p.  The stack (S, *p.shape, 4, 4) of the S schemes' Choi states
+    at every weight, each checked as :func:`_choi_states` checks it.
     """
-    choi = _sweep(scheme, p, lambda choi: choi)
-    return DensityMatrix(2, choi) if choi.ndim == 2 else choi
+    return _sweep(schemes, p, lambda choi: choi)
 
 
-def avg_fidelity(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
+def avg_fidelity(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
     """(1/4pi) integral of the fidelity over all input directions.
 
     The rule is fixed at 32 Gauss-Legendre nodes in cos(theta) times 16
@@ -301,10 +290,9 @@ def avg_fidelity(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
     with J the Choi state of :func:`receiver_channel`; every node's
     fidelity, for all weights and schemes of a chunk, comes from one
     product of the flattened Choi states with the node table of
-    :func:`_quadrature`, and must lie in [0, 1].  A float for one scheme
-    and a float p; otherwise an array of p's shape, led by a scheme axis
-    when scheme is a tuple of schemes.  Every entry is bitwise the value
-    for that scheme and weight alone.
+    :func:`_quadrature`, and must lie in [0, 1].  Returns the array
+    (S, *p.shape) of the S schemes' averages; every entry is bitwise the
+    value for that scheme and weight alone.
     """
     weights, table = _quadrature()
 
@@ -317,11 +305,10 @@ def avg_fidelity(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
         per_cos = fids.reshape(-1, _COS_THETA_NODES, _PHI_NODES).sum(axis=2)
         return (per_cos[:, None, :] @ weights)[:, 0] / (2.0 * _PHI_NODES)
 
-    fbar = _sweep(scheme, p, average)
-    return float(fbar) if fbar.ndim == 0 else fbar
+    return _sweep(schemes, p, average)
 
 
-def avg_fidelity_entanglement(scheme: TeleportScheme | tuple[TeleportScheme, ...], p):
+def avg_fidelity_entanglement(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
     """Exact average fidelity (2 F_e + 1)/3, F_e = <Phi+| J |Phi+>.
 
     F_e is the entanglement fidelity of the receiver's channel, read off
@@ -335,8 +322,7 @@ def avg_fidelity_entanglement(scheme: TeleportScheme | tuple[TeleportScheme, ...
         f_e = np.real((phi_plus @ choi)[:, None, :] @ phi_plus)[:, 0]
         return (2.0 * f_e + 1.0) / 3.0
 
-    fbar = _sweep(scheme, p, exact)
-    return float(fbar) if fbar.ndim == 0 else fbar
+    return _sweep(schemes, p, exact)
 
 
 def avg_fidelity_closed(kind, p: float) -> float:

@@ -1,6 +1,7 @@
 """Core linear algebra: products, traces, eigenvalues, state validation."""
 
 import functools
+import itertools
 import json
 import math
 
@@ -126,6 +127,25 @@ class TestPartialTrace:
             partial_trace(rho, [1, 2, 3])
         with pytest.raises(ValueError):
             partial_trace(rho, [4])
+        # Labels are integers: neither a float, a bool nor a string is read as one.
+        for bad in (1.5, True, "2"):
+            with pytest.raises(ValueError, match=f"qubit labels must be integers, got {bad!r}"):
+                partial_trace(rho, [bad])
+        assert np.array_equal(partial_trace(rho, [np.int64(1)]).matrix, partial_trace(rho, [1]).matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_reduces_like_each_member(self, n):
+        # _trace_out on a (P, d, d) stack is bitwise partial_trace of each member.
+        rng = np.random.default_rng(30 + n)
+        members = [random_density_matrix(n, rank, rng) for rank in (1, 2, 2**n)]
+        stack = np.stack([rho.matrix for rho in members])
+        for size in range(1, n):
+            for traced in itertools.combinations(range(1, n + 1), size):
+                reduced = qcore._trace_out(stack, n, traced)
+                side = 2 ** (n - size)
+                assert reduced.shape == (len(members), side, side)
+                for rho, got in zip(members, reduced):
+                    assert got.tobytes() == partial_trace(rho, traced).matrix.tobytes()
 
 
 class TestEigen:

@@ -211,15 +211,15 @@ class TestAverageFidelity:
                 for u, w in zip(nodes, weights)
                 for k in range(16)
             )
-            assert abs(avg_fidelity(scheme, p) - total / 32) <= 1e-12
+            assert abs(avg_fidelity((scheme,), p)[0] - total / 32) <= 1e-12
 
     def test_ghz_average_numeric(self):
-        scheme = scheme_unitary("ghz")
-        assert abs(avg_fidelity(scheme, 1.0) - 1.0) <= 1e-9
-        assert abs(avg_fidelity(scheme, 0.5) - 8.5 / 12.0) <= 1e-9
+        schemes = (scheme_unitary("ghz"),)
+        assert abs(avg_fidelity(schemes, 1.0)[0] - 1.0) <= 1e-9
+        assert abs(avg_fidelity(schemes, 0.5)[0] - 8.5 / 12.0) <= 1e-9
 
     def test_w_average_numeric(self):
-        assert abs(avg_fidelity(scheme_unitary("w"), 0.5) - 0.75) <= 1e-9
+        assert abs(avg_fidelity((scheme_unitary("w"),), 0.5)[0] - 0.75) <= 1e-9
 
     def test_closed_form_anchors(self):
         assert avg_fidelity_closed("ghz", 0.0) == pytest.approx(5 / 12, abs=1e-15)
@@ -236,16 +236,17 @@ class TestReceiverChannel:
     """The Choi-state form of the protocol against the explicit circuit."""
 
     @staticmethod
-    def _choi_fidelity(choi: DensityMatrix, theta: float, phi: float) -> float:
+    def _choi_fidelity(choi: np.ndarray, theta: float, phi: float) -> float:
         amps = input_state(theta, phi).amplitudes
         vec = np.kron(amps.conj(), amps)
-        return 2.0 * float(np.real(np.vdot(vec, choi.matrix @ vec)))
+        return 2.0 * float(np.real(np.vdot(vec, choi @ vec)))
 
     @pytest.mark.parametrize("kind", ["ghz", "w"])
     @pytest.mark.parametrize("p", [0.0, 0.3, P0, P1, 1.0])
     def test_node_fidelities_match_circuit(self, kind, p):
         scheme = scheme_unitary(kind)
-        choi = receiver_channel(scheme, p)
+        choi = receiver_channel((scheme,), p)[0]
+        assert choi.shape == (4, 4)
         nodes, _ = np.polynomial.legendre.leggauss(teleport._COS_THETA_NODES)
         worst = 0.0
         for u in nodes:
@@ -261,11 +262,11 @@ class TestReceiverChannel:
         scheme = scheme_unitary(kind)
         phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / RT2
         for p in np.linspace(0.0, 1.0, 11):
-            f_e = float(np.real(phi_plus @ receiver_channel(scheme, p).matrix @ phi_plus))
+            f_e = float(np.real(phi_plus @ receiver_channel((scheme,), p)[0] @ phi_plus))
             exact = (2.0 * f_e + 1.0) / 3.0
-            assert exact == avg_fidelity_entanglement(scheme, p)
+            assert exact == avg_fidelity_entanglement((scheme,), p)[0]
             assert abs(exact - avg_fidelity_closed(kind, p)) <= 1e-12
-            assert abs(exact - avg_fidelity(scheme, p)) <= 1e-9
+            assert abs(exact - avg_fidelity((scheme,), p)[0]) <= 1e-9
 
     def test_rejects_map_that_loses_trace(self):
         # Weighting the input basis 3:1 keeps J Hermitian, PSD and of unit
@@ -273,13 +274,13 @@ class TestReceiverChannel:
         u = scheme_unitary("ghz").unitary
         skewed = SimpleNamespace(unitary=u @ np.kron(np.diag([math.sqrt(1.5), math.sqrt(0.5)]), np.eye(8)))
         with pytest.raises(ValueError, match="preserve the trace"):
-            receiver_channel(skewed, 0.4)
+            receiver_channel((skewed,), 0.4)
 
     def test_avg_fidelity_rejects_fidelity_out_of_range(self, monkeypatch):
-        choi = receiver_channel(scheme_unitary("w"), 0.0)
-        monkeypatch.setattr(teleport, "_choi_states", lambda schemes, channel, first: 1.5 * choi.matrix[None])
+        choi = receiver_channel((scheme_unitary("w"),), 0.0)
+        monkeypatch.setattr(teleport, "_choi_states", lambda schemes, channel, first: 1.5 * choi)
         with pytest.raises(ValueError, match="outside"):
-            avg_fidelity(scheme_unitary("w"), 0.0)
+            avg_fidelity((scheme_unitary("w"),), 0.0)
 
     def test_failing_choi_state_names_its_scheme_and_weight(self, monkeypatch):
         ghz, w = scheme_unitary("ghz"), scheme_unitary("w")
@@ -310,25 +311,27 @@ class TestReceiverChannel:
                 TeleportReport(0.5, 0.0, 0.0, rho, bad)
 
     def test_rejects_out_of_range(self):
-        scheme = scheme_unitary("ghz")
+        schemes = (scheme_unitary("ghz"),)
         for bad in (-0.01, 1.01, math.nan):
             # alone, and as one weight among good ones
             for p in (bad, np.array([0.2, bad, 0.9]), np.array([0.0, 1.0, bad])):
                 with pytest.raises(ValueError):
-                    receiver_channel(scheme, p)
+                    receiver_channel(schemes, p)
                 with pytest.raises(ValueError):
-                    avg_fidelity(scheme, p)
+                    avg_fidelity(schemes, p)
                 with pytest.raises(ValueError):
-                    avg_fidelity_entanglement(scheme, p)
+                    avg_fidelity_entanglement(schemes, p)
 
     @pytest.mark.parametrize("kind", ["ghz", "w"])
     def test_stack_holds_each_weights_choi_state(self, kind):
-        scheme = scheme_unitary(kind)
+        schemes = (scheme_unitary(kind),)
         ps = np.linspace(0.0, 1.0, 7)
-        stack = receiver_channel(scheme, ps)
-        assert stack.shape == (7, 4, 4)
-        for p, choi in zip(ps, stack):
-            assert np.array_equal(choi, receiver_channel(scheme, p).matrix)
+        stack = receiver_channel(schemes, ps)
+        assert stack.shape == (1, 7, 4, 4)
+        for p, choi in zip(ps, stack[0]):
+            assert np.array_equal(choi, receiver_channel(schemes, p)[0])
+            # Each one is a density matrix.
+            DensityMatrix(2, choi)
 
 
 SWEEP_LENGTHS = sorted({1, teleport._SWEEP_CHUNK - 1, teleport._SWEEP_CHUNK, teleport._SWEEP_CHUNK + 1,
@@ -351,16 +354,29 @@ def test_sweep_entries_are_the_single_weight_values(ps):
         assert both.shape == (2, len(ps))
         for scheme, row in zip(schemes, both):
             hexes = [x.hex() for x in row.tolist()]
-            assert [x.hex() for x in average(scheme, ps).tolist()] == hexes
-            assert [average(scheme, p).hex() for p in ps] == hexes
+            assert [x.hex() for x in average((scheme,), ps)[0].tolist()] == hexes
+            assert [average((scheme,), [p])[0, 0].hex() for p in ps] == hexes
         # A float weight gives one value per scheme.
-        assert [x.hex() for x in average(schemes, float(ps[0])).tolist()] == [row[0].hex() for row in both.tolist()]
+        single = average(schemes, float(ps[0]))
+        assert single.shape == (2,)
+        assert [x.hex() for x in single.tolist()] == [row[0].hex() for row in both.tolist()]
     stacks = receiver_channel(schemes, ps)
     assert stacks.shape == (2, len(ps), 4, 4)
     assert receiver_channel(schemes, float(ps[0])).tobytes() == stacks[:, 0].tobytes()
     for scheme, stack in zip(schemes, stacks):
-        assert receiver_channel(scheme, ps).tobytes() == stack.tobytes()
-        assert all(receiver_channel(scheme, p).matrix.tobytes() == choi.tobytes() for p, choi in zip(ps, stack))
+        assert receiver_channel((scheme,), ps)[0].tobytes() == stack.tobytes()
+        assert all(receiver_channel((scheme,), [p])[0, 0].tobytes() == choi.tobytes() for p, choi in zip(ps, stack))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3)])
+def test_sweep_shape_is_schemes_then_weights(shape):
+    schemes = (scheme_unitary("ghz"), scheme_unitary("w"), scheme_unitary("ghz"))
+    ps = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape)
+    fbar = avg_fidelity(schemes, ps)
+    assert fbar.shape == (3,) + shape
+    assert avg_fidelity_entanglement(schemes, ps).shape == (3,) + shape
+    assert receiver_channel(schemes, ps).shape == (3,) + shape + (4, 4)
+    assert fbar[0].tobytes() == fbar[2].tobytes()
 
 
 class TestCriticalValues:
