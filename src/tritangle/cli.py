@@ -318,8 +318,8 @@ def _finite_float(text: str) -> float:
     return x + 0.0
 
 
-def _capped_int(cap: int):
-    """argparse type for integer flags with an upper cap."""
+def _int_flag(cap: float = math.inf, floor: float = -math.inf):
+    """argparse type for integer flags within [floor, cap]."""
 
     def parse(text: str) -> int:
         try:
@@ -328,6 +328,8 @@ def _capped_int(cap: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if n > cap:
             raise argparse.ArgumentTypeError(f"{n} is above the cap of {cap}")
+        if n < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {n}")
         return n
 
     return parse
@@ -359,7 +361,7 @@ _SEED_UNUSED = "accepted as by every subcommand; the report draws no random numb
 
 
 def _add_common(parser: argparse.ArgumentParser, seed_use: str = _SEED_UNUSED, formats=("csv", "json")) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"{seed_use} (default {DEFAULT_SEED})")
+    parser.add_argument("--seed", type=_int_flag(floor=0), default=DEFAULT_SEED, help=f"{seed_use} (default {DEFAULT_SEED})")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=formats, default=None, help="output format")
 
@@ -369,7 +371,7 @@ def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps
     parser.add_argument("--stop", type=_finite_float, default=stop, help=f"sweep stop (default {stop})")
     parser.add_argument(
         "--steps",
-        type=_capped_int(_MAX_STEPS),
+        type=_int_flag(_MAX_STEPS),
         default=steps,
         help=f"grid points (default {steps}; at most {_MAX_STEPS}, each point is a full evaluation)",
     )
@@ -396,21 +398,21 @@ def _fill_measures(p: argparse.ArgumentParser) -> None:
     scope = f"; the search {search_runs}"
     p.add_argument(
         "--roof-restarts",
-        type=_capped_int(_MAX_ROOF_RESTARTS),
+        type=_int_flag(_MAX_ROOF_RESTARTS),
         default=2,
         help=f"decomposition-search restarts (default 2; at most {_MAX_ROOF_RESTARTS}, "
         f"since every restart's seed is drawn before the search starts){scope}",
     )
     p.add_argument(
         "--roof-max-iters",
-        type=_capped_int(_MAX_ROOF_ITERS),
+        type=_int_flag(_MAX_ROOF_ITERS),
         default=200,
         help=f"decomposition-search sweep cap (default 200; at most {_MAX_ROOF_ITERS}, "
         f"far above the tens of sweeps a search takes to converge){scope}",
     )
     p.add_argument(
         "--roof-ensemble-size",
-        type=_capped_int(_MAX_ROOF_ENSEMBLE),
+        type=_int_flag(_MAX_ROOF_ENSEMBLE),
         default=None,
         help=f"decomposition size (default: rank + 2; at most {_MAX_ROOF_ENSEMBLE}: a rank-r roof needs "
         f"at most r^2 members, and a sweep visits every pair of members){scope}",

@@ -318,6 +318,8 @@ class RoofForm:
     _inverse_dft: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.degree not in (2, 4):
+            raise ValueError(f"roof form degree must be 2 or 4, the degrees the pair scan builds, got {self.degree!r}")
         k = np.arange(self.degree + 1)
         angle = 2.0 * np.pi / (self.degree + 1)
         object.__setattr__(self, "_roots", np.exp(1j * angle * k))

@@ -562,6 +562,24 @@ class TestUsageErrors:
         )
         assert (args["roof_restarts"], args["roof_max_iters"], args["roof_ensemble_size"]) == (1000, 10000, 64)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--steps", "3"],
+            ["fig4", "--steps", "3"],
+            ["measures", "state.json"],
+            ["teleport", "ghz", "--p", "0.3"],
+            ["noisy", "--kappa-t", "0.4"],
+            ["validate", "monogamy"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed(self, argv, capsys):
+        # Parsing alone: a negative seed never reaches a command.
+        code, out, err = run_expecting_exit(argv + ["--seed", "-1"], capsys)
+        assert_one_line_usage_error(code, out, err)
+        assert "argument --seed: must be at least 0, got -1" in err
+
     def test_size_flag_not_an_integer(self, capsys):
         code, out, err = run_expecting_exit(["fig1", "--steps", "1.5"], capsys)
         assert_one_line_usage_error(code, out, err)

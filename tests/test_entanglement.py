@@ -285,6 +285,12 @@ class TestRoofForm:
         dim = measure.roof_contrib_dim
         return rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
 
+    @pytest.mark.parametrize("degree", [1, 3, 6])
+    def test_unsupported_degree_is_rejected_when_built(self, degree):
+        # The pair scan holds only quadratic and quartic terms.
+        with pytest.raises(ValueError, match=f"degree must be 2 or 4, the degrees the pair scan builds, got {degree}"):
+            entanglement.RoofForm(_tangle_form, degree=degree, scale=1.0, per_weight=True)
+
     def test_attributes(self):
         assert (three_tangle_pure.roof_form.degree, three_tangle_pure.roof_form.scale) == (4, 4.0)
         assert three_tangle_pure.roof_form.per_weight
