@@ -287,7 +287,6 @@ class TestRoofForm:
 
     @pytest.mark.parametrize("degree", [1, 3, 6])
     def test_unsupported_degree_is_rejected_when_built(self, degree):
-        # The pair scan holds only quadratic and quartic terms.
         with pytest.raises(ValueError, match=f"degree must be 2 or 4, the degrees the pair scan builds, got {degree}"):
             entanglement.RoofForm(_tangle_form, degree=degree, scale=1.0, per_weight=True)
 
