@@ -36,7 +36,13 @@ convex envelope of the measure there (Lohmayer et al., PRL 97, 260502
 program with 4 equality rows over points of the sphere, solved by a dense
 revised simplex on a grid seeded with the measure's zeros, with cutting
 planes at the local minima of the measure less the dual plane.  Its basic
-solution is a decomposition of at most 4 members.
+solution is a decomposition of at most 4 members.  Cutting rounds alone
+close in on a contact point of the dual plane only linearly, so after each
+solve Newton steps on the optimality conditions move the members to the
+contact points themselves (the local reduction step of semi-infinite
+programming; Hettich and Kortanek, SIAM Rev. 35, 380 (1993)).  The
+polished points are only added as columns: the simplex and the cut search
+still decide the bound and the stopping flag.
 
 Both return a :class:`RoofBound`: an upper bound on the true convex roof,
 the average of the measure over an explicit decomposition, which is exact
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,8 +150,10 @@ class RoofBound:
     restarts (0 when no search ran).  stats holds the solver's counters:
     restart_objectives and restart_converged (each restart's final
     objective and flag, in restart order; best_ensemble comes from the
-    first restart of least objective) for :func:`minimize_roof`, rounds
-    and pivots for :func:`roof_rank2`.
+    first restart of least objective) for :func:`minimize_roof`; for
+    :func:`roof_rank2`, the cutting rounds, the simplex pivots, the
+    polished points added as columns (polished) and the Newton steps the
+    polish took (newton_steps).
     """
 
     upper_bound: float
@@ -418,8 +427,9 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofBound:
 # the columns that every LP starts from.  Temporaries stay near 1 MB.
 _LP_GRID = (61, 120)
 # Cutting-plane rounds, and grid minima of tau - l refined in each round.
-# The deepest cut shrinks only about 4x per round, and about 1% of random
-# rank-2 states need 11-13 rounds.
+# Unpolished, the deepest cut shrinks only about 4x per round and about 1%
+# of random rank-2 states need 11-13 rounds; polished, 785 of the 1100
+# three-qubit states of seeds 0-1099 need 1 round, and the slowest 10-12.
 _LP_ROUNDS = 16
 _LP_CUTS = 8
 # Simplex pivots per solve, and the reduced cost (and violation of the dual
@@ -456,6 +466,19 @@ def _bloch_columns(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
     # LP columns (1, n) for the Bloch vectors n at angles (th, ph): (4, N).
     st = np.sin(th)
     return np.stack((np.ones(th.shape), st * np.cos(ph), st * np.sin(ph), np.cos(th)))
+
+
+@cache
+def _sphere_grid() -> tuple:
+    # The _LP_GRID axes, the angles of every grid point (theta-major) and
+    # their LP columns, read-only: built on first use, not at import.
+    gt, gp = _LP_GRID
+    axes = (np.linspace(0.0, math.pi, gt), np.linspace(0.0, 2.0 * math.pi, gp, endpoint=False))
+    points = (np.repeat(axes[0], gp), np.tile(axes[1], gt))
+    grid = (*axes, *points, _bloch_columns(*points))
+    for table in grid:
+        table.flags.writeable = False
+    return grid
 
 
 def _simplex(a, c, b, basis):
@@ -554,6 +577,128 @@ def _refine(f, th: np.ndarray, ph: np.ndarray, cell: float):
     return th, ph, best
 
 
+# Newton polish of the LP's contact points (the local reduction step of
+# semi-infinite programming): the stencil step (rad) of the central
+# differences, the Newton steps per solve, and the residual that counts as
+# solved.  A member is free to move when tau there is above the floor (tau =
+# |form| is not smooth at its zeros) and it is more than a grid cell from a
+# pole (where phi is no coordinate); members within _POLISH_MERGE cells of
+# each other approximate one contact point.
+_POLISH_EPS = 1e-4
+_POLISH_STEPS = 8
+_POLISH_TOL = 1e-10
+_POLISH_FLOOR = 1e-6
+_POLISH_MERGE = 3.0
+# Central differences on the 3 x 3 stencil (theta-major) around a point:
+# d/dth, d/dph, d2/dth2, d2/dph2 and d2/dth dph, as rows of 9 weights.
+_D1 = np.array([-0.5, 0.0, 0.5]) / _POLISH_EPS
+_D2 = np.array([1.0, -2.0, 1.0]) / _POLISH_EPS**2
+_MID = np.array([0.0, 1.0, 0.0])
+_STENCIL = np.stack([np.outer(p, q).ravel() for p, q in ((_D1, _MID), (_MID, _D1), (_D2, _MID), (_MID, _D2), (_D1, _D1))])
+
+
+def _kkt_newton(form, h, b, y, fixed, fixed_tau, wx, u):
+    # Newton steps on the optimality conditions of the LP, from the dual
+    # plane y: sum_i x_i (1, n_i) = b, f(n_i) = 0 at every member and
+    # grad f(n_i) = 0 at every free one, with f = tau - y.(1, n).  The
+    # unknowns are y, the weights wx (fixed members first) and the angles u
+    # (K, 2) of the K free members; fixed holds the other members' columns
+    # and fixed_tau their tau.  f and its derivatives come from one 3 x 3
+    # stencil per free member and step.  Returns the solved (y, u), or None
+    # if a step is singular or does not shrink the residual, the steps run
+    # out, or a free member ends at no local minimum of f; and the steps.
+    nf = u.shape[0]
+    m = fixed.shape[1] + nf
+    cols = np.concatenate((fixed, _bloch_columns(u[:, 0], u[:, 1])), axis=1)
+    # The unknowns' index of each free member's two angles, (K, 2).
+    ang = 4 + m + 2 * np.arange(nf)[:, np.newaxis] + np.arange(2)
+    jac = np.zeros((4 + m + 2 * nf, 4 + m + 2 * nf))
+    dn = np.zeros((4, nf, 2))
+    offsets = _POLISH_EPS * np.arange(-1.0, 2.0)
+    last = np.inf
+    for step in range(1, _POLISH_STEPS + 1):
+        f = _plane_gap_table(form, h, y, u[:, :1] + offsets, u[:, 1:] + offsets)
+        d = f.reshape(nf, 9) @ _STENCIL.T
+        res = np.concatenate((cols @ wx - b, fixed_tau - y @ fixed, f[:, 1, 1], d[:, :2].ravel()))
+        worst = np.abs(res).max()
+        if worst <= _POLISH_TOL:
+            minimum = (d[:, 2] > 0.0) & (d[:, 2] * d[:, 3] > d[:, 4] ** 2)
+            return ((y, u) if minimum.all() else None), step
+        if not worst < last:
+            return None, step
+        last = worst
+        # dn: the derivatives of each free column (1, n) in its two angles.
+        st, ct, sp, cp = np.sin(u[:, 0]), np.cos(u[:, 0]), np.sin(u[:, 1]), np.cos(u[:, 1])
+        dn[1:, :, 0] = ct * cp, ct * sp, -st
+        dn[1:3, :, 1] = -st * sp, st * cp
+        jac[:4, 4 : 4 + m] = cols
+        jac[:4, ang] = wx[m - nf :, np.newaxis] * dn
+        jac[4 : 4 + m, :4] = -cols.T
+        jac[4 + m - nf + np.arange(nf)[:, np.newaxis], ang] = d[:, :2]
+        jac[ang, :4] = -dn.transpose(1, 2, 0)
+        jac[ang[:, :, np.newaxis], ang[:, np.newaxis, :]] = d[:, [2, 4, 4, 3]].reshape(nf, 2, 2)
+        try:
+            dz = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None, step
+        y = y + dz[:4]
+        wx = wx + dz[4 : 4 + m]
+        u = u + dz[4 + m :].reshape(nf, 2)
+        cols[1:, m - nf :] = _bloch_columns(u[:, 0], u[:, 1])[1:]
+    return None, _POLISH_STEPS
+
+
+def _polish(form, h, b, y, a, c, th, ph, basis, x, cell):
+    # The LP's contact points, polished from its basic solution x and dual
+    # plane y.  The members are the basic columns of positive weight, and
+    # those of zero weight that are held fixed (at a pole or a zero of tau,
+    # where a column is already exact).  Free members within _POLISH_MERGE
+    # cells of a heavier one merge into one, at the direction of their
+    # weighted-mean Bloch vector with the summed weight.  Where the solved
+    # plane cuts an LP column by more than _LP_DEPTH, Newton runs once more
+    # with that column as a member of weight 0.  Returns the angles of the
+    # polished free members that are no member already (within 1e-8) and
+    # the solved plane, or None when the polish cannot run; and the steps.
+    smooth = (c > _POLISH_FLOOR) & (np.minimum(th, math.pi - th) > cell)
+    keep = (x > _LP_TOL) | ~smooth[basis]
+    members, x = basis[keep], x[keep]
+    free = smooth[members]
+    if not free.any():
+        return None, 0
+    n = a[1:, members]
+    groups = []
+    for i in np.flatnonzero(free)[np.argsort(-x[free], kind="stable")]:
+        for g in groups:
+            if np.linalg.norm(n[:, i] - n[:, g[0]]) < _POLISH_MERGE * cell:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    mean = np.array([n[:, g] @ x[g] for g in groups]).T
+    u = np.stack((np.arctan2(np.hypot(mean[0], mean[1]), mean[2]), np.arctan2(mean[1], mean[0])), axis=1)
+    fixed = members[~free]
+    wx = np.concatenate((x[~free], [x[g].sum() for g in groups]))
+    solved, steps = _kkt_newton(form, h, b, y, a[:, fixed], c[fixed], wx, u)
+    if solved is None:
+        return None, steps
+    gap = c - solved[0] @ a
+    j = int(np.argmin(gap))
+    if gap[j] < -_LP_DEPTH:
+        if smooth[j]:
+            u = np.vstack((u, [th[j], ph[j]]))
+            wx = np.append(wx, 0.0)
+        else:
+            wx = np.insert(wx, fixed.size, 0.0)
+            fixed = np.append(fixed, j)
+        again, more = _kkt_newton(form, h, b, y, a[:, fixed], c[fixed], wx, u)
+        steps += more
+        solved = again or solved
+    y, u = solved
+    near = np.linalg.norm(_bloch_columns(u[:, 0], u[:, 1])[1:, :, np.newaxis] - n[:, np.newaxis], axis=0).min(axis=1)
+    moved = near > 1e-8
+    return (u[moved, 0], u[moved, 1], y), steps
+
+
 def roof_rank2(rho, measure) -> RoofBound:
     """Convex roof of a pure-state measure at a state of rank <= 2, by LP.
 
@@ -570,7 +715,14 @@ def roof_rank2(rho, measure) -> RoofBound:
     refines the lowest local minima of tau - l on the grid, and the members
     (where tau - l is zero), and adds those more than 1e-10 below l as
     columns, until none is (converged) or 16 rounds, or a solve's pivots,
-    have run out.  converged is the cut search's flag, not a certificate:
+    have run out.  Before the cuts, the members are polished: Newton steps
+    on the optimality conditions (sum_i x_i (1, n_i) = b, tau - l = 0 at
+    each member, and its gradient 0 where tau is smooth) in l, the weights
+    and the members' angles, with derivatives from 3 x 3 stencils of
+    tau - l.  The solved points are added as columns and the LP solved
+    again; where the basis is degenerate, the cut search also tries the
+    solved plane.  This stops once a polish adds no column the LP uses.
+    converged is the cut search's flag, not a certificate:
     the search looks only near grid minima and members, down to steps of
     about 5e-8 rad, so a dip of tau - l narrower than that can escape it
     and leave the bound more than 1e-10 above the roof.
@@ -586,7 +738,8 @@ def roof_rank2(rho, measure) -> RoofBound:
         raise ValueError(f"roof_rank2 needs a state of rank <= 2, got rank {r}")
     if r == 1:
         ensemble = _ensemble_from_rows(rho, factor)
-        return RoofBound(ensemble.average(measure), ensemble, True, True, 0, {"rounds": 0, "pivots": 0})
+        stats = {"rounds": 0, "pivots": 0, "polished": 0, "newton_steps": 0}
+        return RoofBound(ensemble.average(measure), ensemble, True, True, 0, stats)
 
     lam = np.sum(np.abs(factor) ** 2, axis=1)
     e1, e2 = factor / np.sqrt(lam)[:, np.newaxis]
@@ -599,8 +752,7 @@ def roof_rank2(rho, measure) -> RoofBound:
         return _plane_gap_table(form, h, zero, th, ph).ravel()
 
     gt, gp = _LP_GRID
-    grid_th = np.linspace(0.0, math.pi, gt)
-    grid_ph = np.linspace(0.0, 2.0 * math.pi, gp, endpoint=False)
+    grid_th, grid_ph, point_th, point_ph, grid_cols = _sphere_grid()
     # Zeros of tau: the roots z = y/x of sum_n h_n z^n at the angles
     # (2 atan|z|, arg z); a missing root (h_d = 0) is the south pole, a grid
     # point.  Coefficients below eps of the largest count as zero, which
@@ -615,9 +767,9 @@ def roof_rank2(rho, measure) -> RoofBound:
         dp = np.polyval(slope, z)
         z = z - np.divide(np.polyval(full, z), dp, out=np.zeros(z.shape, complex), where=dp != 0)
     root_th, root_ph = 2.0 * np.arctan(np.abs(z)), np.angle(z)
-    th = np.concatenate((np.repeat(grid_th, gp), root_th))
-    ph = np.concatenate((np.tile(grid_ph, gt), root_ph))
-    a = _bloch_columns(th, ph)
+    th = np.concatenate((point_th, root_th))
+    ph = np.concatenate((point_ph, root_ph))
+    a = np.concatenate((grid_cols, _bloch_columns(root_th, root_ph)), axis=1)
     # The grid is one 61 x 120 table, each root a 1 x 1 one.
     c = np.concatenate(
         (tau(grid_th[np.newaxis], grid_ph[np.newaxis]), tau(root_th[:, np.newaxis], root_ph[:, np.newaxis]))
@@ -654,37 +806,62 @@ def roof_rank2(rho, measure) -> RoofBound:
         offsets = width[keep, np.newaxis] * _LP_REFINE[0]
         return cut_th[keep, np.newaxis] + offsets, cut_ph[keep, np.newaxis] + offsets
 
-    pivots = 0
+    def extend(new_th, new_ph, new_c):
+        # Appends columns at the angles given, whose tau is new_c.
+        nonlocal th, ph, a, c
+        th = np.concatenate((th, new_th))
+        ph = np.concatenate((ph, new_ph))
+        a = np.concatenate((a, _bloch_columns(new_th, new_ph)), axis=1)
+        c = np.concatenate((c, new_c))
+
+    pivots = polished = newton = 0
+    # The polish runs after each solve until one whose points the re-solved
+    # LP leaves unused; a polish that cannot run is tried again next round.
+    polish = True
     converged = False
     for rounds in range(1, _LP_ROUNDS + 1):
         x, y, steps, optimal = _simplex(a, c, b, basis)
         pivots += steps
+        tangent = None
+        if optimal and polish:
+            found, steps = _polish(form, h, b, y, a, c, th, ph, basis, x, cell)
+            newton += steps
+            if found is not None:
+                pol_th, pol_ph, tangent = found
+                polish = False
+                if pol_th.size:
+                    first = th.size
+                    polished += pol_th.size
+                    extend(pol_th, pol_ph, tau(pol_th[:, np.newaxis], pol_ph[:, np.newaxis]))
+                    x, y, steps, optimal = _simplex(a, c, b, basis)
+                    pivots += steps
+                    polish = bool((basis[x > _LP_TOL] >= first).any())
         if not optimal:
             break
         support = basis[x > _LP_TOL]
         new = cuts(y, support)
         if new[0].size and support.size < basis.size:
             # A degenerate basis leaves the dual free along its zero-weight
-            # columns, and the simplex's plane is tilted to touch tau there;
-            # the least-norm plane through the members alone may be below
-            # tau everywhere (a separable range, say).
-            # Least norm: y = A g^-1 c over the member columns A, with
-            # g = A^T A lifted by eps of its trace so that it is never singular.
+            # columns, and the simplex's plane is tilted to touch tau there.
+            # Other planes through the members are tried: the one nearest
+            # the polish's solved plane, then the least-norm one (nearest
+            # zero), which may be below tau everywhere (a separable range,
+            # say).  Nearest t: y = t + A g^-1 (c - A^T t) over the member
+            # columns A, with g = A^T A lifted by eps of its trace so that it
+            # is never singular.
             at = a[:, support]
             g = at.T @ at
             g[np.diag_indices_from(g)] += np.finfo(float).eps * np.trace(g)
-            flat = cuts(at @ np.linalg.solve(g, c[support]), support)
-            if flat is not None and not flat[0].size:
-                new = flat
+            for t in (zero,) if tangent is None else (tangent, zero):
+                flat = cuts(t + at @ np.linalg.solve(g, c[support] - t @ at), support)
+                if flat is not None and not flat[0].size:
+                    new = flat
+                    break
         if not new[0].size:
             converged = True
             break
-        new_th = np.repeat(new[0], _LP_REFINE.shape[1], axis=1).ravel()
-        new_ph = np.tile(new[1], _LP_REFINE.shape[1]).ravel()
-        th = np.concatenate((th, new_th))
-        ph = np.concatenate((ph, new_ph))
-        a = np.concatenate((a, _bloch_columns(new_th, new_ph)), axis=1)
-        c = np.concatenate((c, tau(*new)))
+        size = _LP_REFINE.shape[1]
+        extend(np.repeat(new[0], size, axis=1).ravel(), np.tile(new[1], size).ravel(), tau(*new))
     else:
         x, _, steps, _ = _simplex(a, c, b, basis)
         pivots += steps
@@ -693,7 +870,8 @@ def roof_rank2(rho, measure) -> RoofBound:
     members = np.cos(half)[:, np.newaxis] * e1 + (np.exp(1j * ph[basis]) * np.sin(half))[:, np.newaxis] * e2
     rows = np.sqrt(_basic_weights(a[:, basis], b, x))[:, np.newaxis] * members
     ensemble = _ensemble_from_rows(rho, rows)
-    return RoofBound(ensemble.average(measure), ensemble, converged, False, 0, {"rounds": rounds, "pivots": pivots})
+    stats = {"rounds": rounds, "pivots": pivots, "polished": polished, "newton_steps": newton}
+    return RoofBound(ensemble.average(measure), ensemble, converged, False, 0, stats)
 
 
 def optimal_ghzw_ensemble(p: float) -> Ensemble:

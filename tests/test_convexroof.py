@@ -5,6 +5,9 @@ one-sided unless a closed form pins the exact value.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -550,6 +553,9 @@ class TestRoofRank2:
         assert res.restarts_used == 0
 
     def test_mixture_matches_closed_form_on_every_branch(self):
+        # The polish puts the members on the contact points, so the bound is
+        # the closed form to roundoff on every branch, and a mixture on the
+        # linear branch takes one round, the curved branch at most four.
         ps = np.linspace(0.02, 0.95, 50)
         assert (ps < P0).sum() >= 10 and ((ps > P0) & (ps < P1)).sum() >= 5 and (ps > P1).sum() >= 10
         for p in ps:
@@ -557,17 +563,39 @@ class TestRoofRank2:
             res = roof_rank2(rho, three_tangle_pure)
             self.assert_valid(rho, res, three_tangle_pure)
             gap = res.upper_bound - three_tangle_ghzw(p)
-            assert -1e-10 <= gap <= 1e-8, (p, gap)
-            if p < P0:
-                assert gap <= 1e-12, (p, gap)
+            assert abs(gap) <= 1e-12, (p, gap)
             assert res.converged, p
+            if p > P1:
+                assert res.stats["rounds"] == 1, (p, res.stats)
+            elif p > P0:
+                assert res.stats["rounds"] <= 4, (p, res.stats)
+
+    def test_polish_only_saves_rounds(self, monkeypatch):
+        # With the polish adding nothing, the LP is the plain cutting-plane
+        # loop: its bounds agree within the cut depth, and it takes as many
+        # rounds or more (on mixtures of every branch, state by state; on
+        # random states in total, since a few take a round more polished).
+        mixtures = [channel_mixture_state(p) for p in np.linspace(0.05, 0.95, 10)]
+        randoms = [random_density_matrix(3, 2, np.random.default_rng(seed)) for seed in range(40)]
+        polished = [roof_rank2(rho, three_tangle_pure) for rho in mixtures + randoms]
+        monkeypatch.setattr(convexroof, "_polish", lambda *args: (None, 0))
+        plain = [roof_rank2(rho, three_tangle_pure) for rho in mixtures + randoms]
+        for on, off in zip(polished, plain):
+            assert on.converged and off.converged
+            assert abs(on.upper_bound - off.upper_bound) <= _LP_DEPTH
+            assert off.stats["polished"] == off.stats["newton_steps"] == 0
+        for on, off in zip(polished[: len(mixtures)], plain):
+            assert off.stats["rounds"] >= on.stats["rounds"]
+        rounds = [sum(res.stats["rounds"] for res in results[len(mixtures) :]) for results in (polished, plain)]
+        assert rounds[0] < rounds[1], rounds
 
     def test_rank_one_is_the_state_itself(self):
         psi = PureState(3, (ghz_state().amplitudes + np.eye(8)[1]) / math.sqrt(2.0))
         rho = psi.density()
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
-        assert res.best_ensemble.size == 1 and res.converged and res.stats == {"rounds": 0, "pivots": 0}
+        assert res.best_ensemble.size == 1 and res.converged
+        assert res.stats == {"rounds": 0, "pivots": 0, "polished": 0, "newton_steps": 0}
         assert res.upper_bound == pytest.approx(three_tangle_pure(psi), abs=1e-14)
 
     def test_equal_eigenvalues(self):
@@ -621,20 +649,24 @@ class TestRoofRank2:
             solve(werner(0.8), lambda psi: concurrence_pure2(psi))
 
     def test_round_cap_is_not_convergence(self, monkeypatch):
+        # A random state that takes 8 rounds (a mixture takes at most 4).
+        rho = random_density_matrix(3, 2, np.random.default_rng(561))
+        full = roof_rank2(rho, three_tangle_pure)
+        assert full.converged and full.stats["rounds"] > 1
         monkeypatch.setattr(convexroof, "_LP_ROUNDS", 1)
-        rho = channel_mixture_state(0.7)
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
         assert not res.converged and res.stats["rounds"] == 1
-        assert res.upper_bound >= three_tangle_ghzw(0.7) - 1e-10
+        assert res.upper_bound >= full.upper_bound - _LP_DEPTH
 
     @pytest.mark.parametrize("seed", [40, 108])
-    def test_states_past_ten_rounds_converge(self, seed):
-        # Cutting rounds converge only linearly; these random states need 11.
+    def test_states_slow_without_the_polish_converge_in_two_rounds(self, seed):
+        # Unpolished cutting rounds converge only linearly, and these random
+        # states took 11 of them each; polished, they take 2.
         rho = random_density_matrix(3, 2, np.random.default_rng(seed))
         res = roof_rank2(rho, three_tangle_pure)
         self.assert_valid(rho, res, three_tangle_pure)
-        assert res.converged and res.stats["rounds"] > 10
+        assert res.converged and res.stats["rounds"] <= 2
 
     def test_pivot_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(convexroof, "_LP_PIVOTS", 1)
@@ -721,6 +753,30 @@ class TestLocalImages:
             values = [b.upper_bound for b in bounds if b.converged]
             assert len(values) >= 2, seed
             assert max(values) - min(values) <= 2 * _LP_DEPTH, (seed, values)
+
+
+class TestSphereGrid:
+    """The LP's sphere grid is built once, on first use, and shared read-only."""
+
+    def test_grid_is_the_linspace_grid_read_only(self):
+        gt, gp = convexroof._LP_GRID
+        grid_th = np.linspace(0.0, math.pi, gt)
+        grid_ph = np.linspace(0.0, 2.0 * math.pi, gp, endpoint=False)
+        th, ph = np.repeat(grid_th, gp), np.tile(grid_ph, gt)
+        tables = convexroof._sphere_grid()
+        assert convexroof._sphere_grid() is tables
+        for table, expected in zip(tables, (grid_th, grid_ph, th, ph, _bloch_columns(th, ph))):
+            assert np.array_equal(table, expected) and not table.flags.writeable
+
+    def test_import_does_not_build_the_grid(self):
+        src = os.path.dirname(os.path.dirname(convexroof.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        probe = "import tritangle.cli, tritangle.convexroof as c; print(c._sphere_grid.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        assert result.stdout.strip() == "0"
 
 
 class TestExact:
