@@ -30,7 +30,6 @@ from .teleport import (
     SchemeKind,
     avg_fidelity,
     avg_fidelity_closed,
-    avg_fidelity_entanglement,
     fidelity_ghz_closed,
     fidelity_w_closed,
     scheme_unitary,
@@ -42,7 +41,6 @@ from .teleport import (
 # a gap (bound - closed form) inside its (low, high) pair.
 UNITARITY_BAND = 1e-12
 FIDELITY_GRID_BAND = 1e-10
-QUADRATURE_BAND = 1e-9
 ENTANGLEMENT_FIDELITY_BAND = 1e-12
 MONOGAMY_BAND = 1e-9
 RESIDUAL_BAND = 1e-8
@@ -74,15 +72,14 @@ def fidelity_grid_gap(kind) -> float:
     return worst
 
 
-def average_fidelity_gap(average) -> float:
-    """Worst |average(scheme, p) - closed-form average fidelity| over both schemes at 11 p in [0, 1].
+def average_fidelity_gap() -> float:
+    """Worst |avg_fidelity - closed-form average fidelity| over both schemes at 11 p in [0, 1].
 
-    average is avg_fidelity (the quadrature) or avg_fidelity_entanglement,
-    called once on both schemes and all 11 weights.
+    avg_fidelity is called once on both schemes and all 11 weights.
     """
     ps = np.linspace(0.0, 1.0, 11)
     closed = [[avg_fidelity_closed(kind, p) for p in ps] for kind in SchemeKind]
-    values = average(tuple(scheme_unitary(kind) for kind in SchemeKind), ps)
+    values = avg_fidelity(tuple(scheme_unitary(kind) for kind in SchemeKind), ps)
     return float(np.abs(values - closed).max())
 
 
@@ -145,8 +142,7 @@ def _fidelity(seed: int) -> list[dict]:
         worst = fidelity_grid_gap(kind)
         detail = f"max |numeric - closed| {worst:.3e}"
         checks.append(_check(f"fidelity_{kind.value}_grid", worst <= FIDELITY_GRID_BAND, detail))
-    quadrature, exact = average_fidelity_gap(avg_fidelity), average_fidelity_gap(avg_fidelity_entanglement)
-    checks.append(_check("avg_fidelity_quadrature", quadrature <= QUADRATURE_BAND, f"max deviation {quadrature:.3e}"))
+    exact = average_fidelity_gap()
     detail = f"max |(2 F_e + 1)/3 - closed| {exact:.3e}"
     checks.append(_check("avg_fidelity_entanglement", exact <= ENTANGLEMENT_FIDELITY_BAND, detail))
     return checks

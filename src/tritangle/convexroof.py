@@ -759,7 +759,12 @@ def roof_rank2(rho, measure) -> RoofBound:
     # moves tau by at most d eps of its scale and keeps the roots finite.
     # Each root is then polished by Newton steps on the unzeroed polynomial
     # (where its derivative is nonzero): np.roots alone can leave tau at
-    # 1e-6 at a root (local-unitary images of the GHZ/W mixture).
+    # 1e-6 at a root (local-unitary images of the GHZ/W mixture).  The
+    # polish does not make the cutoff redundant: on the mixture below P0,
+    # h_d is roundoff (6e-33 of the largest at p = 0.55), and np.roots of
+    # the unzeroed polynomial then puts one root near 1e32 and the other
+    # three some 60 times too far out, beyond three Newton steps; the
+    # bound rises up to 1.9e-8 above the closed form for p in [0.50, 0.61].
     full = h[::-1] / max(float(np.abs(h).max()), np.finfo(float).tiny)
     slope = np.polyder(full)
     z = np.roots(np.where(np.abs(full) < np.finfo(float).eps, 0.0, full))
@@ -840,23 +845,19 @@ def roof_rank2(rho, measure) -> RoofBound:
             break
         support = basis[x > _LP_TOL]
         new = cuts(y, support)
-        if new[0].size and support.size < basis.size:
+        if new[0].size and support.size < basis.size and tangent is not None:
             # A degenerate basis leaves the dual free along its zero-weight
             # columns, and the simplex's plane is tilted to touch tau there.
-            # Other planes through the members are tried: the one nearest
-            # the polish's solved plane, then the least-norm one (nearest
-            # zero), which may be below tau everywhere (a separable range,
-            # say).  Nearest t: y = t + A g^-1 (c - A^T t) over the member
-            # columns A, with g = A^T A lifted by eps of its trace so that it
-            # is never singular.
+            # The plane through the members nearest the polish's solved
+            # plane t is tried instead: y = t + A g^-1 (c - A^T t) over the
+            # member columns A, with g = A^T A lifted by eps of its trace so
+            # that it is never singular.
             at = a[:, support]
             g = at.T @ at
             g[np.diag_indices_from(g)] += np.finfo(float).eps * np.trace(g)
-            for t in (zero,) if tangent is None else (tangent, zero):
-                flat = cuts(t + at @ np.linalg.solve(g, c[support] - t @ at), support)
-                if flat is not None and not flat[0].size:
-                    new = flat
-                    break
+            flat = cuts(tangent + at @ np.linalg.solve(g, c[support] - tangent @ at), support)
+            if flat is not None and not flat[0].size:
+                new = flat
         if not new[0].size:
             converged = True
             break

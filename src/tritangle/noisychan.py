@@ -33,7 +33,7 @@ import numpy as np
 
 from .convexroof import Ensemble, RoofBound
 from .entanglement import _W, _W_PROJ, pairwise_concurrences, three_tangle_pure
-from .qcore import DensityMatrix, DensityReport, PureState, density_report
+from .qcore import DensityMatrix, PureState
 from .tolerances import TOLERANCES
 
 
@@ -157,6 +157,7 @@ def _checked_zero_ensemble(kt: float, rho: DensityMatrix) -> Ensemble:
 class ChannelReport:
     """Entanglement summary of the decohered state at one kappa*t.
 
+    The state is a :class:`DensityMatrix`, so it is valid by construction.
     The pairwise concurrences are exact, and so is the tangle: it is zero
     at every kappa*t, the average over :func:`zero_tangle_ensemble`, which
     is its best_ensemble; no search runs.
@@ -164,7 +165,6 @@ class ChannelReport:
 
     kappa_t: float
     params: NoiseParams
-    density: DensityReport
     matches_pure_w: bool
     concurrence_ab: float
     concurrence_ac: float
@@ -173,10 +173,13 @@ class ChannelReport:
 
 
 def channel_report(kappa_t: float) -> ChannelReport:
-    """Full per-kappa*t report: validation, exact pair concurrences, exact tangle."""
+    """Full per-kappa*t report: coefficients, exact pair concurrences, exact tangle."""
     rho = epsilon_x_w(kappa_t)
-    params = noise_params(kappa_t)
-    report = density_report(rho.matrix)
+    # The coefficients epsilon_x_w evaluated, read back off the diagonal:
+    # each diagonal entry is 2 x symbol / 16, exact both ways.
+    diag = rho.matrix.diagonal().real
+    coeffs = {symbol: diag[row - 1] * 16.0 / factor for row, col, symbol, factor in _ENTRIES if row == col}
+    params = NoiseParams(kappa_t=float(kappa_t), **coeffs)
     # Roundoff-level, as the admission tolerances are; reconstruction_atol (1e-9) would let states near W match.
     matches = bool(np.abs(rho.matrix - _W_PROJ).max() <= 1e-12)
     c_ab, c_ac, c_bc = pairwise_concurrences(rho)
@@ -184,7 +187,6 @@ def channel_report(kappa_t: float) -> ChannelReport:
     return ChannelReport(
         kappa_t=float(kappa_t),
         params=params,
-        density=report,
         matches_pure_w=matches,
         concurrence_ab=c_ab,
         concurrence_ac=c_ac,

@@ -10,18 +10,15 @@ U (rho_in x rho_channel) U^dag.
 That reduction is linear in rho_in, so at a fixed channel weight p the
 whole protocol is one single-qubit channel Lambda_p.  :func:`receiver_channel`
 builds it as its Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|),
-from the same circuit unitary; :func:`avg_fidelity` reads every quadrature
-node's fidelity off J, on a rule fixed at 32 x 16 nodes (cos theta x phi),
-and :func:`avg_fidelity_entanglement` gives the exact average
-(2 F_e + 1)/3 from the entanglement fidelity F_e of J.
-All three take a tuple of S schemes and weights p of any shape and return
-an (S, *p.shape) array.  The weights are swept in chunks: per chunk one
-stack of channel states, shared by every scheme; one batched pass of its
-operators |i><j| x rho_channel(p) through the stacked circuit unitaries;
-one stacked partial trace and one stacked check of all the Choi states;
-and, for the quadrature, one product of the flattened Choi states with a
-fixed table of the nodes' 16 terms.  Every weight is still simulated and
-checked on its own terms, and its value is bitwise the one it gets alone.
+from the same circuit unitary, and :func:`avg_fidelity` gives the exact
+average over all inputs, (2 F_e + 1)/3, from the entanglement fidelity
+F_e of J.  Both take a tuple of S schemes and weights p of any shape and
+return an (S, *p.shape) array.  The weights are swept in chunks: per
+chunk one stack of channel states, shared by every scheme; one batched
+pass of its operators |i><j| x rho_channel(p) through the stacked circuit
+unitaries; and one stacked partial trace and one stacked check of all the
+Choi states.  Every weight is still simulated and checked on its own
+terms, and its value is bitwise the one it gets alone.
 :func:`teleport_output` keeps the explicit circuit for single inputs and
 serves as the oracle for the channel form.
 """
@@ -196,35 +193,6 @@ def fidelity_w_closed(p: float) -> float:
     return 1.0 - _check_unit_interval(p) / 2.0
 
 
-# Nodes of the Bloch-sphere rule.  The fidelity is quadratic in the input
-# state, so any rule exact to that degree gives the same average.
-_COS_THETA_NODES = 32
-_PHI_NODES = 16
-
-
-@cache
-def _quadrature() -> tuple[np.ndarray, np.ndarray]:
-    """(weights, node_table), read-only: the Gauss-Legendre weights in
-    cos(theta), and the (16, _COS_THETA_NODES * _PHI_NODES) table whose
-    column for the input state psi at a node is conj(v) v^T, flattened,
-    with v = conj(psi) x psi.  A Choi state J, flattened, times the table
-    gives <v|J|v> at every node, phi running fastest.
-
-    Built on first use, so that importing the package does not import
-    numpy.polynomial.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_COS_THETA_NODES)
-    phis = 2.0 * math.pi * np.arange(_PHI_NODES) / _PHI_NODES
-    # input_state(theta, phi) on the grid, cos(theta) = node
-    half = 0.5 * np.arccos(nodes)[:, None]
-    psi = np.stack([np.cos(half) * np.exp(0.5j * phis), np.sin(half) * np.exp(-0.5j * phis)], axis=-1)
-    vec = np.einsum("...i,...a->...ia", psi.conj(), psi).reshape(-1, 4)
-    table = np.ascontiguousarray(np.einsum("nr,ns->rsn", vec.conj(), vec).reshape(16, -1))
-    weights.flags.writeable = False
-    table.flags.writeable = False
-    return weights, table
-
-
 # Weights per batch of a sweep.  Each weight holds four 16 x 16 circuit
 # operators per scheme, so a chunk bounds the memory of a sweep of any length.
 _SWEEP_CHUNK = 64
@@ -282,45 +250,21 @@ def receiver_channel(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
 
 
 def avg_fidelity(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
-    """(1/4pi) integral of the fidelity over all input directions.
-
-    The rule is fixed at 32 Gauss-Legendre nodes in cos(theta) times 16
-    uniform nodes in phi.  The fidelity of input psi is
-    F(psi) = 2 <conj(psi) x psi| J |conj(psi) x psi>
-    with J the Choi state of :func:`receiver_channel`; every node's
-    fidelity, for all weights and schemes of a chunk, comes from one
-    product of the flattened Choi states with the node table of
-    :func:`_quadrature`, and must lie in [0, 1].  Returns the array
-    (S, *p.shape) of the S schemes' averages; every entry is bitwise the
-    value for that scheme and weight alone.
-    """
-    weights, table = _quadrature()
-
-    def average(choi):
-        # One (1, 16) @ (16, nodes) product per Choi state, and one dot
-        # product per average: a 2-D product may round a row differently
-        # by its place in the batch.
-        fids = 2.0 * np.real(choi.reshape(-1, 1, 16) @ table)
-        _check_fidelities(fids)
-        per_cos = fids.reshape(-1, _COS_THETA_NODES, _PHI_NODES).sum(axis=2)
-        return (per_cos[:, None, :] @ weights)[:, 0] / (2.0 * _PHI_NODES)
-
-    return _sweep(schemes, p, average)
-
-
-def avg_fidelity_entanglement(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
-    """Exact average fidelity (2 F_e + 1)/3, F_e = <Phi+| J |Phi+>.
+    """Exact average fidelity over all inputs, (2 F_e + 1)/3, F_e = <Phi+| J |Phi+>.
 
     F_e is the entanglement fidelity of the receiver's channel, read off
-    its Choi state J (Horodecki et al., PRA 60, 1888 (1999); Nielsen,
-    PLA 303, 249 (2002)).  Takes and returns what :func:`avg_fidelity`
-    does.
+    its Choi state J of :func:`receiver_channel` (Horodecki et al., PRA 60,
+    1888 (1999); Nielsen, PLA 303, 249 (2002)); every average must lie in
+    [0, 1].  Returns the array (S, *p.shape) of the S schemes' averages;
+    every entry is bitwise the value for that scheme and weight alone.
     """
     phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / _RT2
 
     def exact(choi):
         f_e = np.real((phi_plus @ choi)[:, None, :] @ phi_plus)[:, 0]
-        return (2.0 * f_e + 1.0) / 3.0
+        fbar = (2.0 * f_e + 1.0) / 3.0
+        _check_fidelities(fbar)
+        return fbar
 
     return _sweep(schemes, p, exact)
 

@@ -717,7 +717,6 @@ class TestValidate:
         assert names == [
             "fidelity_ghz_grid",
             "fidelity_w_grid",
-            "avg_fidelity_quadrature",
             "avg_fidelity_entanglement",
         ]
         assert all(c["passed"] for c in payload["checks"])
@@ -761,10 +760,11 @@ class TestImport:
         src = os.path.dirname(os.path.dirname(tritangle.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        # numpy.polynomial is loaded only when a quadrature average first
-        # needs its rule, not by the import.
+        # Nor does a fig4 request load numpy.polynomial: its averages are
+        # read off the Choi states, with no quadrature rule to build.
         probe = (
-            "import sys, tritangle.cli; "
+            "import os, sys, tritangle.cli; "
+            "tritangle.cli.main(['fig4', '--steps', '3', '--out', os.devnull]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
         )
         result = subprocess.run(

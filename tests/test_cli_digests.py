@@ -22,9 +22,9 @@ USAGE_ERRORS = (
 # On a numpy other than the recorded one, floats (and the numbers inside
 # strings) are compared within this tolerance instead of bit for bit.
 # Another numpy may bring another LAPACK and summation order: the closed
-# forms and the LP move by a few ulps, the 512-node quadrature and the
-# maxima over 1000 random states by a few more, and a 12-decimal CSV cell
-# can flip its last printed digit (1e-12).
+# forms, the average fidelities and the LP move by a few ulps, the maxima
+# over 1000 random states by a few more, and a 12-decimal CSV cell can
+# flip its last printed digit (1e-12).
 OTHER_NUMPY_TOL = {"rel_tol": 1e-9, "abs_tol": 1e-11}
 
 # The seeded decomposition search is not smooth in its inputs: a last-bit

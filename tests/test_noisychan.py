@@ -1,5 +1,6 @@
 """Decohered W-state channel: coefficient identities, state validity, decay, zero tangle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,8 +164,13 @@ class TestChannelReport:
         monkeypatch.setattr(noisychan, "epsilon_x_w", counted)
         for kt in (0.0, 0.7, 2.5):
             calls.clear()
-            assert channel_report(kt).tangle.exact
+            rep = channel_report(kt)
+            assert rep.tangle.exact
             assert calls == [kt]
+            # The coefficients read back off the state are noise_params', bit for bit.
+            assert [x.hex() for x in dataclasses.astuple(rep.params)] == [
+                x.hex() for x in dataclasses.astuple(noise_params(kt))
+            ]
         # The public ensemble still checks against the state it builds.
         calls.clear()
         zero_tangle_ensemble(0.7)

@@ -19,7 +19,6 @@ from tritangle.teleport import (
     TeleportScheme,
     avg_fidelity,
     avg_fidelity_closed,
-    avg_fidelity_entanglement,
     critical_values,
     fidelity_ghz_closed,
     fidelity_w_closed,
@@ -185,33 +184,25 @@ class TestTeleportOutput:
 
 
 class TestAverageFidelity:
-    def test_quadrature_tables_built_once(self):
-        weights, table = teleport._quadrature()
-        assert teleport._quadrature() is teleport._quadrature()
-        nodes, expected = np.polynomial.legendre.leggauss(32)
-        assert np.array_equal(weights, expected)
-        assert table.shape == (16, 512)
-        assert not weights.flags.writeable and not table.flags.writeable
-        # input_state is the oracle for every node's vector v, and the
-        # table's column at a node is the outer product conj(v) v^T.
-        for i in range(32):
-            for k in range(16):
-                amps = input_state(math.acos(nodes[i]), 2.0 * math.pi * k / 16).amplitudes
-                vec = np.kron(amps.conj(), amps)
-                assert np.abs(table[:, 16 * i + k] - np.outer(vec.conj(), vec).ravel()).max() <= 1e-15
-
     @pytest.mark.parametrize("kind", ["ghz", "w"])
     def test_default_quadrature_is_the_32_by_16_rule(self, kind):
-        # The same rule summed node by node over the explicit circuit.
+        # The average over a 32 x 16 (Gauss-Legendre in cos theta x uniform
+        # in phi) rule, exact for the quadratic fidelity, summed node by
+        # node over the explicit circuit.  The last weight is the scheme's
+        # threshold in the paper: GHZ at p0, W at 1/3.
         scheme = scheme_unitary(kind)
         nodes, weights = np.polynomial.legendre.leggauss(32)
-        for p in (0.0, 0.4, 1.0):
+        cv = critical_values()
+        threshold = (P0, cv.f_ghz) if kind == "ghz" else (1.0 / 3.0, cv.f_w)
+        for p in (0.0, 0.4, 1.0, threshold[0]):
             total = sum(
                 w * teleport_output(scheme, math.acos(u), 2.0 * math.pi * k / 16, p).fidelity
                 for u, w in zip(nodes, weights)
                 for k in range(16)
             )
             assert abs(avg_fidelity((scheme,), p)[0] - total / 32) <= 1e-12
+        assert abs(total / 32 - threshold[1]) <= 1e-12
+        assert abs(avg_fidelity((scheme,), threshold[0])[0] - threshold[1]) <= 1e-12
 
     def test_ghz_average_numeric(self):
         schemes = (scheme_unitary("ghz"),)
@@ -247,12 +238,12 @@ class TestReceiverChannel:
         scheme = scheme_unitary(kind)
         choi = receiver_channel((scheme,), p)[0]
         assert choi.shape == (4, 4)
-        nodes, _ = np.polynomial.legendre.leggauss(teleport._COS_THETA_NODES)
+        nodes, _ = np.polynomial.legendre.leggauss(32)
         worst = 0.0
         for u in nodes:
             theta = math.acos(float(u))
-            for k in range(teleport._PHI_NODES):
-                phi = 2.0 * math.pi * k / teleport._PHI_NODES
+            for k in range(16):
+                phi = 2.0 * math.pi * k / 16
                 circuit = teleport_output(scheme, theta, phi, p).fidelity
                 worst = max(worst, abs(self._choi_fidelity(choi, theta, phi) - circuit))
         assert worst <= 1e-12
@@ -264,9 +255,8 @@ class TestReceiverChannel:
         for p in np.linspace(0.0, 1.0, 11):
             f_e = float(np.real(phi_plus @ receiver_channel((scheme,), p)[0] @ phi_plus))
             exact = (2.0 * f_e + 1.0) / 3.0
-            assert exact == avg_fidelity_entanglement((scheme,), p)[0]
+            assert exact == avg_fidelity((scheme,), p)[0]
             assert abs(exact - avg_fidelity_closed(kind, p)) <= 1e-12
-            assert abs(exact - avg_fidelity((scheme,), p)[0]) <= 1e-9
 
     def test_rejects_map_that_loses_trace(self):
         # Weighting the input basis 3:1 keeps J Hermitian, PSD and of unit
@@ -300,7 +290,7 @@ class TestReceiverChannel:
         monkeypatch.setattr(teleport, "channel_mixture_stack", skewed)
         for schemes in ((ghz, w), (w, ghz)):
             match = f"^{schemes[0].kind.value} scheme, weight {teleport._SWEEP_CHUNK + 6}: trace differs"
-            for sweep in (receiver_channel, avg_fidelity, avg_fidelity_entanglement):
+            for sweep in (receiver_channel, avg_fidelity):
                 with pytest.raises(DensityValidationError, match=match):
                     sweep(schemes, ps)
 
@@ -319,8 +309,6 @@ class TestReceiverChannel:
                     receiver_channel(schemes, p)
                 with pytest.raises(ValueError):
                     avg_fidelity(schemes, p)
-                with pytest.raises(ValueError):
-                    avg_fidelity_entanglement(schemes, p)
 
     @pytest.mark.parametrize("kind", ["ghz", "w"])
     def test_stack_holds_each_weights_choi_state(self, kind):
@@ -349,17 +337,16 @@ def test_sweep_entries_are_the_single_weight_values(ps):
     # in a two-scheme pass.
     schemes = (scheme_unitary("ghz"), scheme_unitary("w"))
     ps = np.array(ps)
-    for average in (avg_fidelity, avg_fidelity_entanglement):
-        both = average(schemes, ps)
-        assert both.shape == (2, len(ps))
-        for scheme, row in zip(schemes, both):
-            hexes = [x.hex() for x in row.tolist()]
-            assert [x.hex() for x in average((scheme,), ps)[0].tolist()] == hexes
-            assert [average((scheme,), [p])[0, 0].hex() for p in ps] == hexes
-        # A float weight gives one value per scheme.
-        single = average(schemes, float(ps[0]))
-        assert single.shape == (2,)
-        assert [x.hex() for x in single.tolist()] == [row[0].hex() for row in both.tolist()]
+    both = avg_fidelity(schemes, ps)
+    assert both.shape == (2, len(ps))
+    for scheme, row in zip(schemes, both):
+        hexes = [x.hex() for x in row.tolist()]
+        assert [x.hex() for x in avg_fidelity((scheme,), ps)[0].tolist()] == hexes
+        assert [avg_fidelity((scheme,), [p])[0, 0].hex() for p in ps] == hexes
+    # A float weight gives one value per scheme.
+    single = avg_fidelity(schemes, float(ps[0]))
+    assert single.shape == (2,)
+    assert [x.hex() for x in single.tolist()] == [row[0].hex() for row in both.tolist()]
     stacks = receiver_channel(schemes, ps)
     assert stacks.shape == (2, len(ps), 4, 4)
     assert receiver_channel(schemes, float(ps[0])).tobytes() == stacks[:, 0].tobytes()
@@ -374,7 +361,6 @@ def test_sweep_shape_is_schemes_then_weights(shape):
     ps = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape)
     fbar = avg_fidelity(schemes, ps)
     assert fbar.shape == (3,) + shape
-    assert avg_fidelity_entanglement(schemes, ps).shape == (3,) + shape
     assert receiver_channel(schemes, ps).shape == (3,) + shape + (4, 4)
     assert fbar[0].tobytes() == fbar[2].tobytes()
 
