@@ -466,21 +466,27 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand or only ``command``.
+    """The parser of the whole CLI, or the own parser of subcommand ``command``.
 
-    With ``command`` (a key of the subcommand table) only that subcommand
-    is registered, under the same top-level parser, so its prog, help,
-    usage errors and Namespace are those of the full parser; building it
-    costs about a quarter of building all six.  Each call builds a new
-    parser, which the caller owns.
+    Without ``command``, all six subcommands sit under a top-level parser
+    that parses a full argv.  With ``command`` (a key of the subcommand
+    table), the parser, prog ``tritangle <command>``, parses the arguments
+    after the subcommand's name.  It gives the full parser's help, usage
+    errors and Namespace, except that an unrecognized argument is reported
+    under the subcommand's prog.  Each call builds a new parser, which the
+    caller owns.
     """
+    if command is not None:
+        parser = _Parser(prog=f"tritangle {command}")
+        _COMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
     parser = _Parser(
         prog="tritangle",
         description="Entanglement measures and teleportation fidelities for GHZ/W-mixture channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, fill = _COMMANDS[name]
+    for name, (help_text, fill) in _COMMANDS.items():
         fill(sub.add_parser(name, help=help_text))
     return parser
 
@@ -488,16 +494,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one CLI request: ``argv``, or ``sys.argv[1:]`` when it is None.
 
-    When ``argv[0]`` names a subcommand only that subcommand's parser is
-    built; anything else (help, no arguments, an unknown command) goes
-    through the full parser, so its messages list every subcommand.  The
-    parser is built anew on every call and nothing is kept between calls,
-    so main holds no process-wide state: requests run in one process do
-    not depend on each other, and memory does not grow with their number.
+    When ``argv[0]`` names a subcommand, the rest of argv is parsed by that
+    subcommand's own parser alone; anything else (help, no arguments, an
+    unknown command) goes through the full parser, so its messages list
+    every subcommand.  The parser is built anew on every call and nothing
+    is kept between calls, so main holds no process-wide state: requests
+    run in one process do not depend on each other, and memory does not
+    grow with their number.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = args.default_format
     try:

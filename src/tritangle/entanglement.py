@@ -22,8 +22,8 @@ from .qcore import (
     DensityMatrix,
     PureState,
     _check_density,
+    _trace_out,
     ghz_state,
-    hermitian_eigensystem,
     kron,
     partial_trace,
     validate_density,
@@ -72,10 +72,18 @@ def concurrence_wootters(rho) -> float:
     rho = validate_density(rho)
     if rho.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit density matrix, got {rho.num_qubits} qubits")
-    vals, vecs = hermitian_eigensystem(rho)
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    lam = np.linalg.svd(factor.T @ _SPIN_FLIP_4 @ factor, compute_uv=False)
-    return _unit_value(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), "concurrence")
+    return _wootters(rho.matrix[np.newaxis])[0]
+
+
+def _wootters(m: np.ndarray) -> tuple[float, ...]:
+    # The Wootters concurrence of each matrix of a checked stack (k, 4, 4)
+    # of two-qubit density matrices, by the route of concurrence_wootters.
+    # numpy runs eigh, the products and svd matrix by matrix over the stack,
+    # so each value is bit for bit that of the matrix alone.
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    factors = vecs[..., ::-1] * np.sqrt(np.clip(vals[..., ::-1], 0.0, None))[..., np.newaxis, :]
+    lam = np.linalg.svd(factors.swapaxes(-1, -2) @ _SPIN_FLIP_4 @ factors, compute_uv=False)
+    return tuple(_unit_value(max(0.0, sv[0] - sv[1] - sv[2] - sv[3]), "concurrence") for sv in lam)
 
 
 def _binary_entropy(x: float) -> float:
@@ -143,8 +151,16 @@ def cut_concurrences(psi: PureState) -> tuple[float, float, float]:
 
 
 def pairwise_concurrences(rho) -> tuple[float, float, float]:
-    """Wootters concurrences of a three-qubit state's two-qubit reductions, in (AB, AC, BC) order."""
-    return tuple(concurrence_wootters(partial_trace(rho, [q])) for q in (3, 2, 1))
+    """Wootters concurrences of a three-qubit state's two-qubit reductions, in (AB, AC, BC) order.
+
+    The three reductions are checked as density matrices in one pass.
+    """
+    rho = validate_density(rho)
+    if rho.num_qubits != 3:
+        raise ValueError(f"expected a 3-qubit density matrix, got {rho.num_qubits} qubits")
+    pairs = np.stack([_trace_out(rho.matrix, 3, [q]) for q in (3, 2, 1)])
+    _check_density(pairs, 2, TOLERANCES, stacked=True, label=lambda i: f"reduction {('AB', 'AC', 'BC')[i]}")
+    return _wootters(pairs)
 
 
 def monogamy_residual(psi: PureState) -> float:

@@ -1,17 +1,19 @@
 """Decohered W state after a bit-flip-type reservoir coupling.
 
 The state depends on the dimensionless product kappa*t of coupling rate
-and exposure time only through the three decaying exponentials
-e^{-2kt}, e^{-4kt}, e^{-6kt}, collected into
+and exposure time only through x = e^{-2kt}, collected into
 
-    alpha_1 = 1 + e^{-2kt} + e^{-4kt} + e^{-6kt}
-    alpha_2 = 1 + e^{-2kt} - e^{-4kt} - e^{-6kt}
-    alpha_3 = 1 - e^{-2kt} - e^{-4kt} + e^{-6kt}
-    alpha_4 = 1 - e^{-2kt} + e^{-4kt} - e^{-6kt}
-    beta_pm = 1 +- e^{-6kt}
+    alpha_1 = 1 + x + x^2 + x^3 = (1 + x)(1 + x^2)
+    alpha_2 = 1 + x - x^2 - x^3 = (1 + x)(1 - x^2)
+    alpha_3 = 1 - x - x^2 + x^3 = (1 - x)(1 - x^2)
+    alpha_4 = 1 - x + x^2 - x^3 = (1 - x)(1 + x^2)
+    beta_pm = 1 +- x^3
 
 which obey alpha_1+alpha_2+alpha_3+alpha_4 = 4 and beta_+ + beta_- = 2;
 those two identities make the assembled matrix trace exactly one.  The
+alphas are evaluated in the factored form, with 1 - x, 1 - x^2 and
+beta_- = 1 - x^3 taken from expm1, so that none of them cancels to a
+negative rounding error at small kt.  The
 matrix itself is real symmetric with every entry a single alpha/beta
 symbol times a factor from {1, sqrt2, 2}, all over 16, and it reduces to
 the pure W projector at kt = 0.
@@ -68,17 +70,20 @@ def noise_params(kappa_t: float) -> NoiseParams:
     kt = float(kappa_t)
     if not (kt >= 0.0):
         raise ValueError(f"kappa_t must be >= 0, got {kt!r}")
-    e2 = math.exp(-2.0 * kt)
-    e4 = math.exp(-4.0 * kt)
-    e6 = math.exp(-6.0 * kt)
+    # x = e^{-2kt}, with 1 - x and 1 - x^2 from expm1, so that nothing
+    # cancels at small kt.  A factor 1 + x^k is applied as a + x^k a, which
+    # lands closer to the exact value than the plain product.
+    x, x2 = math.exp(-2.0 * kt), math.exp(-4.0 * kt)
+    minus1, minus2 = -math.expm1(-2.0 * kt), -math.expm1(-4.0 * kt)
+    plus1 = 1.0 + x
     return NoiseParams(
         kappa_t=kt,
-        alpha1=1.0 + e2 + e4 + e6,
-        alpha2=1.0 + e2 - e4 - e6,
-        alpha3=1.0 - e2 - e4 + e6,
-        alpha4=1.0 - e2 + e4 - e6,
-        beta_plus=1.0 + e6,
-        beta_minus=1.0 - e6,
+        alpha1=plus1 + x2 * plus1,
+        alpha2=minus2 + x * minus2,
+        alpha3=minus1 * minus2,
+        alpha4=minus1 + x2 * minus1,
+        beta_plus=1.0 + math.exp(-6.0 * kt),
+        beta_minus=-math.expm1(-6.0 * kt),
     )
 
 

@@ -427,11 +427,16 @@ def parse_with(parser, argv, capsys):
 
 
 def assert_parsers_agree(argv, capsys):
-    # main builds only the invoked subcommand's parser; it must parse argv
-    # exactly as the parser with all six does.
-    full = parse_with(cli.build_parser(), argv, capsys)
-    assert parse_with(cli.build_parser(argv[0]), argv, capsys) == full
-    return full
+    # main parses argv[1:] with the subcommand's own parser; it must agree
+    # exactly with the full parser on argv, except that an unrecognized
+    # argument is reported under the subcommand's prog, not the top-level one.
+    code, out, err, ns = parse_with(cli.build_parser(), argv, capsys)
+    unrecognized = "error: tritangle: unrecognized arguments: "
+    if err.startswith(unrecognized):
+        err = f"error: tritangle {argv[0]}: unrecognized arguments: " + err[len(unrecognized) :]
+    own = parse_with(cli.build_parser(argv[0]), argv[1:], capsys)
+    assert own == (code, out, err, ns)
+    return own
 
 
 def run_expecting_exit(argv, capsys):
@@ -631,7 +636,7 @@ class TestUsageErrors:
 
 
 class TestPerCommandParser:
-    """main builds only the invoked subcommand's parser, anew on each call."""
+    """main parses a named subcommand's arguments with that subcommand's own parser, built anew on each call."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -682,6 +687,36 @@ class TestPerCommandParser:
         assert filled_by(["noisy", "--kappa-t", "nan"]) == ["noisy"]
         for argv in (["-h"], [], ["bogus"], ["--seed", "3", "teleport", "ghz", "--p", "1"]):
             assert filled_by(argv) == list(commands)
+
+    def test_unrecognized_argument_names_the_subcommand(self, capsys):
+        code, out, err = run_expecting_exit(["noisy", "--roof-restarts", "1"], capsys)
+        assert (code, out, err) == (2, "", "error: tritangle noisy: unrecognized arguments: --roof-restarts 1\n")
+
+    def test_main_keeps_no_state_between_requests(self, capsys, monkeypatch):
+        # Each request's output, run after the others in one process, is
+        # byte-identical to that of a fresh interpreter running it alone.
+        requests = [
+            ["noisy", "--roof-restarts", "1"],
+            ["teleport", "ghz", "--p", "0.3"],
+            ["measures", "--help"],
+            ["noisy", "--roof-restarts", "1"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(tritangle.__file__)), env.get("PYTHONPATH", "")])
+        fresh = {}
+        for argv in requests:
+            if tuple(argv) not in fresh:
+                result = subprocess.run(
+                    [sys.executable, "-m", "tritangle", *argv], capture_output=True, text=True, env=env, timeout=60
+                )
+                fresh[tuple(argv)] = (result.returncode, result.stdout, result.stderr)
+        for argv in requests:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert (code, *capsys.readouterr()) == fresh[tuple(argv)], argv
 
     @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"]], ids=["help", "empty", "unknown"])
     def test_top_level_goes_through_the_full_parser(self, argv, capsys, monkeypatch):

@@ -164,6 +164,20 @@ class TestPairwiseConcurrence:
         separate = tuple(concurrence_wootters(partial_trace(rho, [q])) for q in (3, 2, 1))
         assert pairwise_concurrences(rho) == separate
 
+    def test_pairwise_concurrences_check_the_reductions_in_one_pass(self, monkeypatch):
+        checked = []
+
+        def counted(m, *args, **kwargs):
+            checked.append(m.shape)
+            return check(m, *args, **kwargs)
+
+        rho, check = channel_mixture_state(0.2), entanglement._check_density
+        monkeypatch.setattr(entanglement, "_check_density", counted)
+        pairwise_concurrences(rho)
+        assert checked == [(3, 4, 4)]
+        with pytest.raises(ValueError, match="expected a 3-qubit density matrix, got 2 qubits"):
+            pairwise_concurrences(werner(0.8))
+
 
 class TestThreeTangle:
     def test_ghz_maximal(self):

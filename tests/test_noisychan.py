@@ -60,6 +60,17 @@ class TestNoiseParams:
             assert all(a >= 0.0 for a in alphas)
             assert params.beta_minus >= 0.0
 
+    def test_every_tiny_and_large_time_is_accepted(self):
+        # Expanded as 1 - e^{-2kt} - e^{-4kt} + e^{-6kt}, alpha3 rounded to
+        # -1.1e-16 at kt = 2.29e-11 and at five more of these times.
+        kts = np.concatenate([np.linspace(0.0, 40.0, 4001), np.geomspace(1e-300, 1e3, 3000)])
+        for kt in kts:
+            params = noise_params(float(kt))
+            alphas = (params.alpha1, params.alpha2, params.alpha3, params.alpha4)
+            assert min(*alphas, params.beta_plus, params.beta_minus) >= 0.0
+            assert abs(sum(alphas) - 4.0) <= 8.9e-16
+        assert noise_params(2.293260995490296e-11).alpha3 >= 0.0
+
 
 class TestChannelOutput:
     def test_zero_time_is_pure_w(self):
