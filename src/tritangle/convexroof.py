@@ -146,8 +146,10 @@ class RoofBound:
     exact is True only where it is the roof by construction: at rank 1
     (counted against rank_cutoff, as :func:`numerical_rank` counts it) and
     for the decohered W state's bit-flip ensemble.  converged is the
-    solver's own stopping flag, and restarts_used the number of search
-    restarts (0 when no search ran).  stats holds the solver's counters:
+    solver's own stopping flag (for :func:`minimize_roof`, that both
+    phases of the best restart stopped before max_iters), and
+    restarts_used the number of search restarts (0 when no search ran).
+    stats holds the solver's counters:
     restart_objectives and restart_converged (each restart's final
     objective and flag, in restart order; best_ensemble comes from the
     first restart of least objective) for :func:`minimize_roof`; for
@@ -412,8 +414,9 @@ def minimize_roof(rho, measure, cfg: RoofConfig | None = None) -> RoofBound:
     for t, rng in enumerate(rngs):
         rows[t] = _haar_isometry(m, r, rng) @ factor
     table = _round_robin(m)
-    _lockstep(rows, rngs, table, form, total, True, cfg.max_iters)
-    objs, converged = _lockstep(rows, rngs, table, form, total, False, cfg.max_iters)
+    _, squared_converged = _lockstep(rows, rngs, table, form, total, True, cfg.max_iters)
+    objs, plain_converged = _lockstep(rows, rngs, table, form, total, False, cfg.max_iters)
+    converged = squared_converged & plain_converged
 
     best = int(np.argmin(objs))
     ensemble = _ensemble_from_rows(rho, rows[best])

@@ -13,14 +13,19 @@ builds it as its Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|),
 from the same circuit unitary, and :func:`avg_fidelity` gives the exact
 average over all inputs, (2 F_e + 1)/3, from the entanglement fidelity
 F_e of J.  Both take a tuple of S schemes and weights p of any shape and
-return an (S, *p.shape) array.  The weights are swept in chunks: per
-chunk one stack of channel states, shared by every scheme; one batched
-pass of its operators |i><j| x rho_channel(p) through the stacked circuit
-unitaries; and one stacked partial trace and one stacked check of all the
-Choi states.  Every weight is still simulated and checked on its own
-terms, and its value is bitwise the one it gets alone.
-:func:`teleport_output` keeps the explicit circuit for single inputs and
-serves as the oracle for the channel form.
+return an (S, *p.shape) array.  Lambda_p is linear in the channel state
+too, so each scheme's J is one linear map T of it, J = T vec(rho_channel),
+with T[(i r j q), (a b)] = 1/2 sum_s U[(s r), (i a)] conj(U[(s q), (j b)])
+summed over the 8 states s of the input and the sender's channel qubits,
+i, j the input's and r, q the receiver's states, and a, b the channel's.
+T (16 x 64) comes from one product of the reshaped unitary with its
+conjugate.  The weights are swept in chunks: per chunk one stack of
+channel states, shared by every scheme; one batched matmul that gives
+every J as its own (16, 64) x (64, 1) product; and one stacked check of
+all the Choi states.  Every weight is still checked on its own terms, and
+its value is bitwise the one it gets alone.  :func:`teleport_output`
+keeps the explicit circuit U (rho_in x rho_channel) U^dag for single
+inputs and serves as the oracle for the channel form.
 """
 
 from __future__ import annotations
@@ -193,29 +198,31 @@ def fidelity_w_closed(p: float) -> float:
     return 1.0 - _check_unit_interval(p) / 2.0
 
 
-# Weights per batch of a sweep.  Each weight holds four 16 x 16 circuit
-# operators per scheme, so a chunk bounds the memory of a sweep of any length.
+# Weights per batch of a sweep, so that the stack of Choi states checked
+# at once, and with it the memory of a sweep of any length, stays bounded.
 _SWEEP_CHUNK = 64
 
 
 def _choi_states(schemes: tuple[TeleportScheme, ...], channel: np.ndarray, first: int) -> np.ndarray:
     """Choi states (S * P, 4, 4) of S schemes for a stack of channel states (P, 8, 8).
 
-    Scheme by scheme, weight running fastest.  The 4P operators
-    |i><j| x rho_channel go through all S circuit unitaries in one batch.
-    Every J is checked as a density matrix, which checks that its Lambda_p
-    is completely positive, and a failing one is named by its scheme and
-    its weight's index in the sweep (first is the index of channel[0]);
-    every input marginal must be I/2, which checks that Lambda_p preserves
-    the trace.
+    Scheme by scheme, weight running fastest.  Each scheme's Choi state is
+    a linear map of the channel state, J[(i r), (j q)] = sum_ab T[(i r j q),
+    (a b)] rho_channel[a, b], with T[(i r j q), (a b)] = 1/2 sum_s
+    U[(s r), (i a)] conj(U[(s q), (j b)]): s runs over the input and the
+    sender's channel qubits, r and q over the receiver.  One batched matmul
+    gives every J as its own (16, 64) x (64, 1) product, the same product
+    whatever the sweep.  Every J is checked as a density matrix, which
+    checks that its Lambda_p is completely positive, and a failing one is
+    named by its scheme and its weight's index in the sweep (first is the
+    index of channel[0]); every input marginal must be I/2, which checks
+    that Lambda_p preserves the trace.
     """
     n = channel.shape[0]
-    u = np.stack([scheme.unitary for scheme in schemes])[:, None, None, None]
-    basis = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # basis[i, j] = |i><j|
-    joint = np.einsum("ijab,pkl->pijakbl", basis, channel).reshape(n, 2, 2, 16, 16)
-    evolved = u @ joint @ u.conj().swapaxes(-1, -2)
-    # Trace out the input and the sender's two channel qubits.
-    choi = 0.5 * _trace_out(evolved, 4, (1, 2, 3)).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4, 4)
+    u = np.stack([scheme.unitary for scheme in schemes]).reshape(-1, 8, 32)  # [s, (r i a)]
+    t = u.swapaxes(-1, -2) @ (0.5 * u.conj())  # [(r i a), (q j b)]
+    t = t.reshape(-1, 2, 2, 8, 2, 2, 8).transpose(0, 2, 1, 5, 4, 3, 6).reshape(-1, 1, 16, 64)  # [(i r j q), (a b)]
+    choi = (t @ channel.reshape(1, n, 64, 1)).reshape(-1, 4, 4)
     _check_density(
         choi, 2, TOLERANCES, stacked=True, label=lambda i: f"{schemes[i // n].kind.value} scheme, weight {first + i % n}"
     )

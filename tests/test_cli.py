@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tritangle
-from tritangle import checks, cli
+from tritangle import checks, cli, convexroof
 from tritangle.entanglement import channel_mixture_state, three_tangle_ghzw
 from tritangle.qcore import DensityMatrix, PureState, ghz_state, random_density_matrix, random_pure_state, save_state_file
 from tritangle.teleport import SchemeKind
@@ -231,8 +231,8 @@ class TestMeasures:
 
     def test_rank_two_takes_the_lp_and_rank_three_the_search(self, mixture_file, tmp_path, capsys, monkeypatch):
         calls = []
-        search = cli.minimize_roof
-        monkeypatch.setattr(cli, "minimize_roof", lambda *args: calls.append(args) or search(*args))
+        search = convexroof.minimize_roof
+        monkeypatch.setattr(convexroof, "minimize_roof", lambda *args: calls.append(args) or search(*args))
         code, out, _ = run(["measures", mixture_file], capsys)
         assert code == 0 and calls == []
         keys = list(json.loads(out))
@@ -796,16 +796,22 @@ class TestImport:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
         # Nor does a fig4 request load numpy.polynomial: its averages are
-        # read off the Choi states, with no quadrature rule to build.
+        # read off the Choi states, with no quadrature rule to build.  fig1,
+        # fig4 and teleport load none of the roof solvers, the validate
+        # suites or the noisy channel, and the package still exports them.
         probe = (
             "import os, sys, tritangle.cli; "
+            "tritangle.cli.main(['fig1', '--steps', '3', '--out', os.devnull]); "
             "tritangle.cli.main(['fig4', '--steps', '3', '--out', os.devnull]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
+            "tritangle.cli.main(['teleport', 'ghz', '--p', '0.3', '--out', os.devnull]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))); "
+            "print(sorted(m for m in sys.modules if m in ('tritangle.convexroof', 'tritangle.checks', 'tritangle.noisychan'))); "
+            "print(tritangle.roof_rank2.__module__)"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True
         )
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.split("\n") == ["[]", "[]", "tritangle.convexroof", ""]
 
 
 class TestSeedPlumbing:

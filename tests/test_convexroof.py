@@ -173,6 +173,14 @@ class TestMinimizeRoof:
             assert wa == wb
             assert np.array_equal(pa.amplitudes, pb.amplitudes)
 
+    def test_converged_needs_both_phases(self):
+        # At 30 sweeps the squared phase of both restarts on this rank-3
+        # state (the golden rank3.json) stops at the cap, while the plain
+        # phase that follows stops by itself: the bound has not converged.
+        rho = random_density_matrix(3, 3, np.random.default_rng(2))
+        res = minimize_roof(rho, three_tangle_pure, RoofConfig(restarts=2, max_iters=30, seed=42))
+        assert not res.converged and res.stats["restart_converged"] == (False, False)
+
     def test_bound_matches_ensemble_average(self):
         res = minimize_roof(werner(0.7), concurrence_pure2, RoofConfig(restarts=1))
         avg = res.best_ensemble.average(concurrence_pure2)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tritangle import teleport
 from tritangle.entanglement import P0, P1, channel_mixture_state
-from tritangle.qcore import DensityMatrix, DensityValidationError, ghz_state, w_state
+from tritangle.qcore import DensityMatrix, DensityValidationError, _trace_out, ghz_state, w_state
 from tritangle.teleport import (
     CriticalValues,
     SchemeKind,
@@ -30,6 +30,16 @@ from tritangle.teleport import (
 from tritangle.tolerances import TOLERANCES, Tolerances
 
 RT2 = math.sqrt(2.0)
+
+
+def circuit_choi_state(u, channel):
+    # The Choi state 1/2 sum_ij |i><j| x Lambda(|i><j|) of the circuit U,
+    # built explicitly: each |i><j| x rho_channel through U X U^dag, then the
+    # input and the sender's two channel qubits traced out.
+    basis = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # basis[i, j] = |i><j|
+    joint = np.einsum("ijab,kl->ijakbl", basis, channel).reshape(2, 2, 16, 16)
+    evolved = u @ joint @ u.conj().T
+    return 0.5 * _trace_out(evolved, 4, (1, 2, 3)).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 class TestCircuitMatrices:
@@ -318,8 +328,10 @@ class TestReceiverChannel:
         assert stack.shape == (1, 7, 4, 4)
         for p, choi in zip(ps, stack[0]):
             assert np.array_equal(choi, receiver_channel(schemes, p)[0])
-            # Each one is a density matrix.
+            # Each one is a density matrix, and the one the circuit gives.
             DensityMatrix(2, choi)
+            reference = circuit_choi_state(schemes[0].unitary, channel_mixture_state(p).matrix)
+            assert np.abs(choi - reference).max() <= 4.5e-16
 
 
 SWEEP_LENGTHS = sorted({1, teleport._SWEEP_CHUNK - 1, teleport._SWEEP_CHUNK, teleport._SWEEP_CHUNK + 1,

@@ -22,7 +22,10 @@ def unused_imports(source: str) -> list[str]:
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
+            try:
+                exported = set(ast.literal_eval(node.value))
+            except ValueError:
+                pass  # a computed list is not read, and exempts no import
     return sorted(imported - used - exported)
 
 
@@ -30,6 +33,7 @@ def test_scan_finds_an_unused_name():
     source = "from typing import Callable, Sequence\nimport numpy as np\nf: Callable = np.abs\n"
     assert unused_imports(source) == ["Sequence"]
     assert unused_imports("from .a import b\n__all__ = ['b']\n") == []
+    assert unused_imports("from .a import b\n__all__ = sorted(['b'])\n") == ["b"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
