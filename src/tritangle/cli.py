@@ -38,7 +38,7 @@ from .teleport import (
 )
 
 if TYPE_CHECKING:
-    from .convexroof import RoofBound, RoofConfig
+    from .convexroof import RoofBound
 
 # The roof solvers, the noisy channel and the validate suites are imported
 # by the subcommands that use them, so that fig1, fig4 and teleport load
@@ -67,11 +67,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12f}"
     return str(x)
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -176,9 +171,7 @@ def _tangle_keys(tangle: RoofBound) -> dict:
     }
 
 
-def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
-    from .convexroof import minimize_roof, numerical_rank, roof_rank2
-
+def _measures_payload(state, args) -> dict | None:
     if isinstance(state, PureState) and state.num_qubits == 2:
         c = concurrence_pure2(state)
         return {
@@ -208,12 +201,18 @@ def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
             "monogamy_residual": monogamy_residual(state),
         }
     if isinstance(state, DensityMatrix) and state.num_qubits == 3:
-        # Rank <= 2 (the GHZ/W channel among them) is solved as an LP; the
-        # decomposition search, with its seed and budget, runs above that.
+        # The one branch that runs a roof solver.  Rank <= 2 (the GHZ/W
+        # channel among them) is solved as an LP; the decomposition search,
+        # with its seed and budget, runs above that.
+        from .convexroof import RoofConfig, minimize_roof, numerical_rank, roof_rank2
+
         if numerical_rank(state) <= 2:
             roof = roof_rank2(state, three_tangle_pure)
         else:
-            roof = minimize_roof(state, three_tangle_pure, roof_cfg)
+            cfg = RoofConfig(
+                restarts=args.roof_restarts, ensemble_size=args.roof_ensemble_size, max_iters=args.roof_max_iters, seed=args.seed
+            )
+            roof = minimize_roof(state, three_tangle_pure, cfg)
         c_ab, c_ac, c_bc = pairwise_concurrences(state)
         return {
             "num_qubits": 3,
@@ -228,31 +227,21 @@ def _measures_payload(state, roof_cfg: RoofConfig) -> dict | None:
 
 def cmd_measures(args) -> int:
     """Evaluate every applicable measure for a state file."""
-    from .convexroof import RoofConfig
-
     try:
         state = load_state_file(args.state_file)
     except (OSError, ValueError) as exc:
-        return _usage_error(f"cannot read state file: {exc}")
-    roof_cfg = RoofConfig(
-        restarts=args.roof_restarts, ensemble_size=args.roof_ensemble_size, max_iters=args.roof_max_iters, seed=args.seed
-    )
-    payload = _measures_payload(state, roof_cfg)
+        raise ValueError(f"cannot read state file: {exc}") from None
+    payload = _measures_payload(state, args)
     if payload is None:
-        return _usage_error(
-            f"no measures defined for a {state.num_qubits}-qubit state (need 2 or 3 qubits)"
-        )
+        raise ValueError(f"no measures defined for a {state.num_qubits}-qubit state (need 2 or 3 qubits)")
     _emit_record(args, payload)
     return EXIT_OK
 
 
 def cmd_teleport(args) -> int:
     """Run one teleportation and report exact and closed-form fidelities."""
-    try:
-        scheme = scheme_unitary(args.scheme)
-        report = teleport_output(scheme, args.theta, args.phi, args.p)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    scheme = scheme_unitary(args.scheme)
+    report = teleport_output(scheme, args.theta, args.phi, args.p)
     if scheme.kind is SchemeKind.GHZ:
         closed = fidelity_ghz_closed(args.theta, args.p)
     else:
@@ -290,7 +279,7 @@ def cmd_noisy(args) -> int:
         kts = [args.kappa_t]
     else:
         if not (0 <= args.start < args.stop) or args.steps < 2:
-            return _usage_error("need 0 <= start < stop and steps >= 2")
+            raise ValueError("need 0 <= start < stop and steps >= 2")
         kts = list(np.linspace(args.start, args.stop, args.steps))
     reports = [channel_report(float(kt)) for kt in kts]
     rows = [
@@ -421,21 +410,21 @@ def _fill_measures(p: argparse.ArgumentParser) -> None:
     scope = f"; the search {search_runs}"
     p.add_argument(
         "--roof-restarts",
-        type=_int_flag(_MAX_ROOF_RESTARTS),
+        type=_int_flag(_MAX_ROOF_RESTARTS, floor=1),
         default=2,
         help=f"decomposition-search restarts (default 2; at most {_MAX_ROOF_RESTARTS}, "
         f"since every restart's seed is drawn before the search starts){scope}",
     )
     p.add_argument(
         "--roof-max-iters",
-        type=_int_flag(_MAX_ROOF_ITERS),
+        type=_int_flag(_MAX_ROOF_ITERS, floor=1),
         default=200,
         help=f"decomposition-search sweep cap (default 200; at most {_MAX_ROOF_ITERS}, "
         f"far above the tens of sweeps a search takes to converge){scope}",
     )
     p.add_argument(
         "--roof-ensemble-size",
-        type=_int_flag(_MAX_ROOF_ENSEMBLE),
+        type=_int_flag(_MAX_ROOF_ENSEMBLE, floor=1),
         default=None,
         help=f"decomposition size (default: rank + 2; at most {_MAX_ROOF_ENSEMBLE}: a rank-r roof needs "
         f"at most r^2 members, and a sweep visits every pair of members){scope}",
@@ -535,7 +524,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -317,8 +317,8 @@ class RoofForm:
 
     form maps rows of unnormalized amplitudes to complex values and is
     homogeneous of the given degree.  A row w with weight |w|^2 contributes
-    scale * |form(w)| to the roof objective, divided by the weight when
-    per_weight is set; either way that is weight * measure(w / |w|).
+    scale * |form(w)| / |w|^(degree - 2) to the roof objective, which is
+    weight * measure(w / |w|): at degree 4 that divides by the weight.
 
     Along two rows the form is a binary form of the same degree,
     form(x wj + y wk) = sum_n h_n x^(d-n) y^n (:meth:`pair_coefficients`).
@@ -327,7 +327,6 @@ class RoofForm:
     form: Callable[[np.ndarray], np.ndarray]
     degree: int
     scale: float
-    per_weight: bool
     # Roots of unity w^k, k = 0..d, and the inverse of their Vandermonde
     # matrix V[k, n] = w^(k n), which is conj(V) / (d + 1).
     _roots: np.ndarray = field(init=False, repr=False, compare=False)
@@ -348,14 +347,14 @@ class RoofForm:
     def score(self, values: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
         """Contributions of rows with these form values and weights.
 
-        A row whose weight is at most ``weight_drop``, a row an ensemble
-        would drop, contributes zero when the contribution divides by the
-        weight.  ``weights=None`` means unit
-        weights: the contribution is then the scaled modulus.
+        At degree 4 the contribution divides by the weight, and a row whose
+        weight is at most ``weight_drop``, a row an ensemble would drop,
+        contributes zero.  ``weights=None`` means unit weights: the
+        contribution is then the scaled modulus.
         """
         raw = np.abs(values)
         raw *= self.scale
-        if weights is None or not self.per_weight:
+        if weights is None or self.degree != 4:
             return raw
         return np.divide(raw, weights, out=np.zeros(raw.shape), where=weights > TOLERANCES.weight_drop)
 
@@ -387,8 +386,8 @@ class RoofForm:
         return h
 
 
-_CONCURRENCE_FORM = RoofForm(_concurrence_form, degree=2, scale=2.0, per_weight=False)
-_TANGLE_FORM = RoofForm(_tangle_form, degree=4, scale=4.0, per_weight=True)
+_CONCURRENCE_FORM = RoofForm(_concurrence_form, degree=2, scale=2.0)
+_TANGLE_FORM = RoofForm(_tangle_form, degree=4, scale=4.0)
 
 concurrence_pure2.roof_form = _CONCURRENCE_FORM
 concurrence_pure2.roof_contrib = _CONCURRENCE_FORM.contrib

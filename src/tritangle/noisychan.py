@@ -138,8 +138,7 @@ def zero_tangle_ensemble(kappa_t: float) -> Ensemble:
     are dropped (kt = 0 gives W alone).  The ensemble is checked to
     reconstruct the state and every member's tangle to be zero.
     """
-    kt = noise_params(kappa_t).kappa_t
-    return _checked_zero_ensemble(kt, epsilon_x_w(kt))
+    return _checked_zero_ensemble(float(kappa_t), epsilon_x_w(kappa_t))
 
 
 def _checked_zero_ensemble(kt: float, rho: DensityMatrix) -> Ensemble:
@@ -179,18 +178,14 @@ class ChannelReport:
 
 def channel_report(kappa_t: float) -> ChannelReport:
     """Full per-kappa*t report: coefficients, exact pair concurrences, exact tangle."""
+    params = noise_params(kappa_t)
     rho = epsilon_x_w(kappa_t)
-    # The coefficients epsilon_x_w evaluated, read back off the diagonal:
-    # each diagonal entry is 2 x symbol / 16, exact both ways.
-    diag = rho.matrix.diagonal().real
-    coeffs = {symbol: diag[row - 1] * 16.0 / factor for row, col, symbol, factor in _ENTRIES if row == col}
-    params = NoiseParams(kappa_t=float(kappa_t), **coeffs)
     # Roundoff-level, as the admission tolerances are; reconstruction_atol (1e-9) would let states near W match.
     matches = bool(np.abs(rho.matrix - _W_PROJ).max() <= 1e-12)
     c_ab, c_ac, c_bc = pairwise_concurrences(rho)
     ens = _checked_zero_ensemble(params.kappa_t, rho)
     return ChannelReport(
-        kappa_t=float(kappa_t),
+        kappa_t=params.kappa_t,
         params=params,
         matches_pure_w=matches,
         concurrence_ab=c_ab,

@@ -62,9 +62,10 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != 2**self.num_qubits:
             raise ValueError(f"expected {2**self.num_qubits} amplitudes, got {amps.size}")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+        with np.errstate(over="ignore"):  # huge amplitudes give an infinite norm, which fails
+            norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
         tol = TOLERANCES.norm_atol
         if norm_err > tol:
             raise ValueError(f"state not normalized: |sum - 1| = {norm_err:.3e} > {tol:g}")
@@ -141,9 +142,13 @@ def density_report(matrix, tols: Tolerances = TOLERANCES) -> DensityReport:
             return _NOT_A_DENSITY
         m = np.where(finite[..., None, None], m, 0.0)  # keeps eigvalsh away from NaN
     mh = m.swapaxes(-1, -2).conj()
-    herm = np.abs(m - mh).max(axis=(-2, -1))
-    trace = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
-    min_eig = np.linalg.eigvalsh(0.5 * (m + mh))[..., 0]
+    # Entries near the float limit overflow the difference and the trace
+    # to inf, which fails their checks; the Hermitian part, halved before
+    # the sum, overflows nowhere, so eigvalsh always gets a finite matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(m - mh).max(axis=(-2, -1))
+        trace = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    min_eig = np.linalg.eigvalsh(0.5 * m + 0.5 * mh)[..., 0]
     if not stacked:
         finite, herm, trace, min_eig = True, float(herm), float(trace), float(min_eig)
     elif not all_finite:

@@ -10,11 +10,12 @@ U (rho_in x rho_channel) U^dag.
 That reduction is linear in rho_in, so at a fixed channel weight p the
 whole protocol is one single-qubit channel Lambda_p.  :func:`receiver_channel`
 builds it as its Choi state J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|),
-from the same circuit unitary, and :func:`avg_fidelity` gives the exact
-average over all inputs, (2 F_e + 1)/3, from the entanglement fidelity
-F_e of J.  Both take a tuple of S schemes and weights p of any shape and
-return an (S, *p.shape) array.  Lambda_p is linear in the channel state
-too, so each scheme's J is one linear map T of it, J = T vec(rho_channel),
+from the same circuit unitary, and :func:`avg_fidelity` reads the exact
+average over all inputs, (2 F_e + 1)/3 with F_e = <Phi+| J |Phi+>, off
+the Choi states that receiver_channel returns.  Both take a tuple of S
+schemes and weights p of any shape and return an (S, *p.shape) array,
+plus J's 4 x 4 for receiver_channel.  Lambda_p is linear in the channel
+state too, so each scheme's J is one linear map T of it, J = T vec(rho_channel),
 with T[(i r j q), (a b)] = 1/2 sum_s U[(s r), (i a)] conj(U[(s q), (j b)])
 summed over the 8 states s of the input and the sender's channel qubits,
 i, j the input's and r, q the receiver's states, and a, b the channel's.
@@ -22,10 +23,11 @@ T (16 x 64) comes from one product of the reshaped unitary with its
 conjugate.  The weights are swept in chunks: per chunk one stack of
 channel states, shared by every scheme; one batched matmul that gives
 every J as its own (16, 64) x (64, 1) product; and one stacked check of
-all the Choi states.  Every weight is still checked on its own terms, and
-its value is bitwise the one it gets alone.  :func:`teleport_output`
-keeps the explicit circuit U (rho_in x rho_channel) U^dag for single
-inputs and serves as the oracle for the channel form.
+all the Choi states, which are all kept, 256 bytes per scheme and weight.
+Every weight is still checked on its own terms, and its value is bitwise
+the one it gets alone.  :func:`teleport_output` keeps the explicit
+circuit U (rho_in x rho_channel) U^dag for single inputs and serves as
+the oracle for the channel form.
 """
 
 from __future__ import annotations
@@ -198,8 +200,8 @@ def fidelity_w_closed(p: float) -> float:
     return 1.0 - _check_unit_interval(p) / 2.0
 
 
-# Weights per batch of a sweep, so that the stack of Choi states checked
-# at once, and with it the memory of a sweep of any length, stays bounded.
+# Weights per batch of a sweep, so that the temporaries of the matmul and
+# of the stacked check stay bounded; the Choi states themselves are kept.
 _SWEEP_CHUNK = 64
 
 
@@ -232,28 +234,20 @@ def _choi_states(schemes: tuple[TeleportScheme, ...], channel: np.ndarray, first
     return choi
 
 
-def _sweep(schemes: tuple[TeleportScheme, ...], p, score) -> np.ndarray:
-    # score(J) for the Choi stack J (S * P, 4, 4) of the S schemes at the
-    # weights p, _SWEEP_CHUNK weights at a time, as one (S, *p.shape) array
-    # plus score's own axes.  Every weight is simulated through each circuit
-    # (channel_mixture_stack checks its range); an empty p is one empty chunk.
-    flat = np.ravel(p)
-    parts = []
-    for lo in range(0, max(flat.size, 1), _SWEEP_CHUNK):
-        choi = _choi_states(schemes, channel_mixture_stack(flat[lo : lo + _SWEEP_CHUNK]), lo)
-        value = score(choi)
-        parts.append(value.reshape(len(schemes), -1, *value.shape[1:]))
-    return np.concatenate(parts, axis=1).reshape((len(schemes),) + np.shape(p) + parts[0].shape[2:])
-
-
 def receiver_channel(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
     """Choi states J = 1/2 sum_ij |i><j| x Lambda_p(|i><j|) of the protocols.
 
     Lambda_p maps the input qubit to the receiver's output at channel
     weight p.  The stack (S, *p.shape, 4, 4) of the S schemes' Choi states
-    at every weight, each checked as :func:`_choi_states` checks it.
+    at every weight, _SWEEP_CHUNK weights at a time (an empty p is one
+    empty chunk), each checked as :func:`_choi_states` checks it.
     """
-    return _sweep(schemes, p, lambda choi: choi)
+    flat = np.ravel(p)
+    chunks = [
+        _choi_states(schemes, channel_mixture_stack(flat[lo : lo + _SWEEP_CHUNK]), lo).reshape(len(schemes), -1, 4, 4)
+        for lo in range(0, max(flat.size, 1), _SWEEP_CHUNK)
+    ]
+    return np.concatenate(chunks, axis=1).reshape((len(schemes),) + np.shape(p) + (4, 4))
 
 
 def avg_fidelity(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
@@ -265,15 +259,12 @@ def avg_fidelity(schemes: tuple[TeleportScheme, ...], p) -> np.ndarray:
     [0, 1].  Returns the array (S, *p.shape) of the S schemes' averages;
     every entry is bitwise the value for that scheme and weight alone.
     """
+    choi = receiver_channel(schemes, p)
     phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / _RT2
-
-    def exact(choi):
-        f_e = np.real((phi_plus @ choi)[:, None, :] @ phi_plus)[:, 0]
-        fbar = (2.0 * f_e + 1.0) / 3.0
-        _check_fidelities(fbar)
-        return fbar
-
-    return _sweep(schemes, p, exact)
+    f_e = np.real((phi_plus @ choi.reshape(-1, 4, 4))[:, None, :] @ phi_plus)[:, 0]
+    fbar = (2.0 * f_e + 1.0) / 3.0
+    _check_fidelities(fbar)
+    return fbar.reshape(choi.shape[:-2])
 
 
 def avg_fidelity_closed(kind, p: float) -> float:

@@ -54,6 +54,28 @@ def mixture_file(tmp_path):
     return str(path)
 
 
+# Finite entries near the float limit, each failing one invariant that the
+# one error line names; no numpy warning may be printed (tier-1 turns a
+# RuntimeWarning into an error).
+_OFF_DIAGONAL = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+_OFF_DIAGONAL[0][1] = _OFF_DIAGONAL[1][0] = [1e308, 0.0]
+HUGE_ENTRY_STATES = {
+    "three-qubit-every-entry": ({"num_qubits": 3, "matrix": [[[1e308, 0.0]] * 8] * 8}, "trace differs from 1 by inf"),
+    "one-qubit-diagonal": (
+        {"num_qubits": 1, "matrix": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]},
+        "trace differs from 1 by 1.000e+00",
+    ),
+    "two-qubit-off-diagonal": (
+        {"num_qubits": 2, "matrix": _OFF_DIAGONAL},
+        "smallest eigenvalue -1.000e+308 below -1e-10",
+    ),
+    "pure-amplitude": (
+        {"num_qubits": 1, "amplitudes": [[1e200, 0.0], [0.0, 0.0]]},
+        "state not normalized: |sum - 1| = inf > 1e-12",
+    ),
+}
+
+
 class TestFig1:
     def test_csv_shape_and_endpoints(self, capsys):
         code, out, err = run(["fig1", "--steps", "11"], capsys)
@@ -290,6 +312,13 @@ class TestMeasures:
         code, _, err = run(["measures", str(bad)], capsys)
         assert code == 2
         assert "cannot read state file" in err
+
+    @pytest.mark.parametrize("payload,message", HUGE_ENTRY_STATES.values(), ids=HUGE_ENTRY_STATES.keys())
+    def test_huge_finite_entries_name_the_failed_invariant(self, tmp_path, capsys, payload, message):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(payload))
+        code, out, err = run(["measures", str(huge)], capsys)
+        assert (code, out, err) == (2, "", f"error: cannot read state file: {message}\n")
 
     def test_rejects_deeply_nested_file(self, tmp_path, capsys):
         # Too deep for the JSON parser's recursion: a usage error, not a
@@ -559,6 +588,12 @@ class TestUsageErrors:
         assert_one_line_usage_error(code, out, err)
         assert "above the cap" in err
 
+    @pytest.mark.parametrize("flag", ["--roof-restarts", "--roof-max-iters", "--roof-ensemble-size"])
+    def test_search_flag_below_one_is_rejected_when_parsed(self, flag, capsys):
+        # Parsing alone, as for the caps: the state file is never read.
+        code, out, err, _ = assert_parsers_agree(["measures", "state.json", flag, "0"], capsys)
+        assert (code, out, err) == (2, "", f"error: tritangle measures: argument {flag}: must be at least 1, got 0\n")
+
     def test_size_flags_at_their_caps_parse(self, capsys):
         assert assert_parsers_agree(["noisy", "--steps", "100000"], capsys)[3]["steps"] == 100000
         _, _, _, args = assert_parsers_agree(
@@ -812,6 +847,29 @@ class TestImport:
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True
         )
         assert result.stdout.split("\n") == ["[]", "[]", "tritangle.convexroof", ""]
+
+
+    def test_measures_loads_the_roof_solvers_only_for_mixed_three_qubit_states(
+        self, bell_file, werner_file, ghz_file, mixture_file
+    ):
+        src = os.path.dirname(os.path.dirname(tritangle.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        probe = (
+            "import os, sys, tritangle.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert tritangle.cli.main(['measures', path, '--out', os.devnull]) == 0\n"
+            "    print('tritangle.convexroof' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, bell_file, werner_file, ghz_file, mixture_file],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.split() == ["False", "False", "False", "True"]
 
 
 class TestSeedPlumbing:

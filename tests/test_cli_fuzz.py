@@ -13,7 +13,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tritangle import cli
@@ -139,6 +139,19 @@ def requests(draw):
     return argv, state
 
 
+# Finite entries near the float limit, which fail the trace (twice), the
+# positivity and the norm check, with no numpy warning on the way.
+_QUARTER = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+_QUARTER[0][1] = _QUARTER[1][0] = [1e308, 0.0]
+HUGE_ENTRY_FILES = [
+    json.dumps({"num_qubits": 3, "matrix": [[[1e308, 0.0]] * 8] * 8}),
+    json.dumps({"num_qubits": 1, "matrix": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]}),
+    json.dumps({"num_qubits": 2, "matrix": _QUARTER}),
+    json.dumps({"num_qubits": 1, "amplitudes": [[1e200, 0.0], [0.0, 0.0]]}),
+]
+MEASURES_ARGV = ["measures", "STATE", "--roof-restarts", "1", "--roof-max-iters", "2"]
+
+
 def run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -150,6 +163,10 @@ def run_in_process(argv):
 
 
 @given(requests())
+@example((MEASURES_ARGV, HUGE_ENTRY_FILES[0]))
+@example((MEASURES_ARGV, HUGE_ENTRY_FILES[1]))
+@example((MEASURES_ARGV, HUGE_ENTRY_FILES[2]))
+@example((MEASURES_ARGV, HUGE_ENTRY_FILES[3]))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_request_ends_in_a_known_exit_code(request):
     argv, state = request

@@ -36,6 +36,7 @@ from tritangle.qcore import (
     random_pure_state,
     w_state,
 )
+from tritangle.tolerances import TOLERANCES
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -302,13 +303,20 @@ class TestRoofForm:
     @pytest.mark.parametrize("degree", [1, 3, 6])
     def test_unsupported_degree_is_rejected_when_built(self, degree):
         with pytest.raises(ValueError, match=f"degree must be 2 or 4, the degrees the pair scan builds, got {degree}"):
-            entanglement.RoofForm(_tangle_form, degree=degree, scale=1.0, per_weight=True)
+            entanglement.RoofForm(_tangle_form, degree=degree, scale=1.0)
 
     def test_attributes(self):
         assert (three_tangle_pure.roof_form.degree, three_tangle_pure.roof_form.scale) == (4, 4.0)
-        assert three_tangle_pure.roof_form.per_weight
         assert (concurrence_pure2.roof_form.degree, concurrence_pure2.roof_form.scale) == (2, 2.0)
-        assert not concurrence_pure2.roof_form.per_weight
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_degree_fixes_whether_a_contribution_divides_by_the_weight(self, degree):
+        # scale |form(w)| / |w|^(degree - 2): by the weight at degree 4, and
+        # there a row of dropped weight contributes zero.
+        form = entanglement.RoofForm(_tangle_form, degree=degree, scale=3.0)
+        drop = TOLERANCES.weight_drop
+        got = form.score(np.array([2.0, 2.0, 2.0]), np.array([4.0, drop, 0.0]))
+        assert got.tolist() == ([1.5, 0.0, 0.0] if degree == 4 else [6.0, 6.0, 6.0])
 
     @pytest.mark.parametrize("measure", MEASURES, ids=["tangle", "concurrence"])
     def test_roof_contrib_is_weight_times_measure(self, measure):

@@ -178,7 +178,7 @@ class TestChannelReport:
             rep = channel_report(kt)
             assert rep.tangle.exact
             assert calls == [kt]
-            # The coefficients read back off the state are noise_params', bit for bit.
+            # The report carries noise_params' coefficients, bit for bit.
             assert [x.hex() for x in dataclasses.astuple(rep.params)] == [
                 x.hex() for x in dataclasses.astuple(noise_params(kt))
             ]
