@@ -117,8 +117,8 @@ def _emit_record(args, record: dict, csv_record: dict | None = None) -> None:
 
 def _grid(args) -> np.ndarray:
     # The p grid of fig1 and fig4.
-    if args.steps < 2 or not (0.0 <= args.start < args.stop <= 1.0):
-        raise ValueError("need 0 <= start < stop <= 1 and steps >= 2")
+    if not (0.0 <= args.start < args.stop <= 1.0):
+        raise ValueError("need 0 <= start < stop <= 1")
     return np.linspace(args.start, args.stop, args.steps)
 
 
@@ -277,10 +277,10 @@ def cmd_noisy(args) -> int:
 
     if args.kappa_t is not None:
         kts = [args.kappa_t]
+    elif not (0 <= args.start < args.stop):
+        raise ValueError("need 0 <= start < stop")
     else:
-        if not (0 <= args.start < args.stop) or args.steps < 2:
-            raise ValueError("need 0 <= start < stop and steps >= 2")
-        kts = list(np.linspace(args.start, args.stop, args.steps))
+        kts = np.linspace(args.start, args.stop, args.steps)
     reports = [channel_report(float(kt)) for kt in kts]
     rows = [
         {
@@ -372,10 +372,10 @@ class _Parser(argparse.ArgumentParser):
 _SEED_UNUSED = "accepted as by every subcommand; the report draws no random numbers"
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_use: str = _SEED_UNUSED, formats=("csv", "json")) -> None:
+def _add_common(parser: argparse.ArgumentParser, default_fmt: str, seed_use: str = _SEED_UNUSED, formats=("csv", "json")) -> None:
     parser.add_argument("--seed", type=_int_flag(floor=0), default=DEFAULT_SEED, help=f"{seed_use} (default {DEFAULT_SEED})")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    parser.add_argument("--format", choices=formats, default=None, help="output format")
+    parser.add_argument("--format", choices=formats, default=default_fmt, help="output format")
 
 
 def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps: int) -> None:
@@ -383,20 +383,16 @@ def _add_sweep(parser: argparse.ArgumentParser, start: float, stop: float, steps
     parser.add_argument("--stop", type=_finite_float, default=stop, help=f"sweep stop (default {stop})")
     parser.add_argument(
         "--steps",
-        type=_int_flag(_MAX_STEPS),
+        type=_int_flag(_MAX_STEPS, floor=2),
         default=steps,
         help=f"grid points (default {steps}; at most {_MAX_STEPS}, each point is a full evaluation)",
     )
 
 
-def _fill_fig(func):
+def _fill_fig(p: argparse.ArgumentParser) -> None:
     # fig1 and fig4 take the same flags, a sweep over p in [0, 1].
-    def fill(p: argparse.ArgumentParser) -> None:
-        _add_sweep(p, 0.0, 1.0, 201)
-        _add_common(p)
-        p.set_defaults(func=func, default_format="csv")
-
-    return fill
+    _add_sweep(p, 0.0, 1.0, 201)
+    _add_common(p, "csv")
 
 
 def _fill_measures(p: argparse.ArgumentParser) -> None:
@@ -429,8 +425,7 @@ def _fill_measures(p: argparse.ArgumentParser) -> None:
         help=f"decomposition size (default: rank + 2; at most {_MAX_ROOF_ENSEMBLE}: a rank-r roof needs "
         f"at most r^2 members, and a sweep visits every pair of members){scope}",
     )
-    _add_common(p, f"seed of the decomposition search, which {search_runs}")
-    p.set_defaults(func=cmd_measures, default_format="json")
+    _add_common(p, "json", f"seed of the decomposition search, which {search_runs}")
 
 
 def _fill_teleport(p: argparse.ArgumentParser) -> None:
@@ -438,8 +433,7 @@ def _fill_teleport(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=_finite_float, required=True, help="GHZ weight of the channel mixture")
     p.add_argument("--theta", type=_finite_float, default=math.pi / 2, help="input polar angle (default pi/2)")
     p.add_argument("--phi", type=_finite_float, default=0.0, help="input azimuthal angle (default 0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_teleport, default_format="json")
+    _add_common(p, "json")
 
 
 def _fill_noisy(p: argparse.ArgumentParser) -> None:
@@ -449,8 +443,7 @@ def _fill_noisy(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--kappa-t", type=_finite_float, default=None, help="single kappa*t value (overrides the sweep)")
     _add_sweep(p, 0.0, 2.0, 11)
-    _add_common(p)
-    p.set_defaults(func=cmd_noisy, default_format="csv")
+    _add_common(p, "csv")
 
 
 def _fill_validate(p: argparse.ArgumentParser) -> None:
@@ -461,66 +454,63 @@ def _fill_validate(p: argparse.ArgumentParser) -> None:
         choices=("all", "monogamy", "roof", "unitarity", "fidelity"),
         help="which suite to run (default all)",
     )
-    _add_common(p, "seed of the monogamy suite's random states and of the roof suite's searches", ("json",))
-    p.set_defaults(func=cmd_validate, default_format="json")
+    _add_common(p, "json", "seed of the monogamy suite's random states and of the roof suite's searches", ("json",))
 
 
-# Each subcommand's one-line help (listed by the top-level --help) and the
-# function that fills its parser, in the order the help lists them.
+# Each subcommand's one-line help (listed by the top-level --help), the
+# function that fills its parser and the one that runs it, in help order.
 _COMMANDS = {
-    "fig1": ("sweep mixture entanglement measures over p", _fill_fig(cmd_fig1)),
-    "fig4": ("sweep average fidelities over p", _fill_fig(cmd_fig4)),
-    "measures": ("evaluate measures for a JSON state file", _fill_measures),
-    "teleport": ("teleport one input state", _fill_teleport),
-    "noisy": ("report the decohered W state", _fill_noisy),
-    "validate": ("run invariant suites", _fill_validate),
+    "fig1": ("sweep mixture entanglement measures over p", _fill_fig, cmd_fig1),
+    "fig4": ("sweep average fidelities over p", _fill_fig, cmd_fig4),
+    "measures": ("evaluate measures for a JSON state file", _fill_measures, cmd_measures),
+    "teleport": ("teleport one input state", _fill_teleport, cmd_teleport),
+    "noisy": ("report the decohered W state", _fill_noisy, cmd_noisy),
+    "validate": ("run invariant suites", _fill_validate, cmd_validate),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the whole CLI, or the own parser of subcommand ``command``.
+    """The top-level parser, or the own parser of subcommand ``command``.
 
-    Without ``command``, all six subcommands sit under a top-level parser
-    that parses a full argv.  With ``command`` (a key of the subcommand
-    table), the parser, prog ``tritangle <command>``, parses the arguments
-    after the subcommand's name.  It gives the full parser's help, usage
-    errors and Namespace, except that an unrecognized argument is reported
-    under the subcommand's prog.  Each call builds a new parser, which the
-    caller owns.
+    Without ``command``, the parser only names the six subcommands, so its
+    help lists them and it rejects a missing or unknown one; it parses no
+    subcommand's flags.  With ``command`` (a key of the subcommand table),
+    the parser, prog ``tritangle <command>``, parses the arguments after
+    the subcommand's name.  Each call builds a new parser, which the caller
+    owns.
     """
     if command is not None:
+        _, fill, func = _COMMANDS[command]
         parser = _Parser(prog=f"tritangle {command}")
-        _COMMANDS[command][1](parser)
-        parser.set_defaults(command=command)
+        fill(parser)
+        parser.set_defaults(command=command, func=func)
         return parser
     parser = _Parser(
         prog="tritangle",
         description="Entanglement measures and teleportation fidelities for GHZ/W-mixture channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fill) in _COMMANDS.items():
-        fill(sub.add_parser(name, help=help_text))
+    for name, (help_text, *_) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one CLI request: ``argv``, or ``sys.argv[1:]`` when it is None.
 
-    When ``argv[0]`` names a subcommand, the rest of argv is parsed by that
-    subcommand's own parser alone; anything else (help, no arguments, an
-    unknown command) goes through the full parser, so its messages list
-    every subcommand.  The parser is built anew on every call and nothing
-    is kept between calls, so main holds no process-wide state: requests
-    run in one process do not depend on each other, and memory does not
-    grow with their number.
+    Only the subcommand's own parser turns argv into a request: when
+    ``argv[0]`` names a subcommand, it parses the rest of argv.  Any other
+    argv goes to the top-level parser, which prints the help or exits on a
+    missing or unknown command (a command it accepts gets an empty rest).
+    Nothing is kept between calls, so requests run in one process do not
+    depend on each other, and memory does not grow with their number.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
-        args = build_parser(argv[0]).parse_args(argv[1:])
+        command, rest = argv[0], argv[1:]
     else:
-        args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
+        command, rest = build_parser().parse_args(argv).command, []
+    args = build_parser(command).parse_args(rest)
     try:
         return args.func(args)
     except ValueError as exc:

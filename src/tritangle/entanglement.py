@@ -22,6 +22,7 @@ from .qcore import (
     DensityMatrix,
     PureState,
     _check_density,
+    _hermitian_part,
     _trace_out,
     ghz_state,
     kron,
@@ -80,7 +81,7 @@ def _wootters(m: np.ndarray) -> tuple[float, ...]:
     # of two-qubit density matrices, by the route of concurrence_wootters.
     # numpy runs eigh, the products and svd matrix by matrix over the stack,
     # so each value is bit for bit that of the matrix alone.
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    vals, vecs = np.linalg.eigh(_hermitian_part(m))
     factors = vecs[..., ::-1] * np.sqrt(np.clip(vals[..., ::-1], 0.0, None))[..., np.newaxis, :]
     lam = np.linalg.svd(factors.swapaxes(-1, -2) @ _SPIN_FLIP_4 @ factors, compute_uv=False)
     return tuple(_unit_value(max(0.0, sv[0] - sv[1] - sv[2] - sv[3]), "concurrence") for sv in lam)

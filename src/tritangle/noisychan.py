@@ -119,7 +119,10 @@ _ENTRIES = [
 
 def epsilon_x_w(kappa_t: float) -> DensityMatrix:
     """The decohered W state at kappa*t, assembled from the symbol table."""
-    params = noise_params(kappa_t)
+    return _assemble(noise_params(kappa_t))
+
+
+def _assemble(params: NoiseParams) -> DensityMatrix:
     m = np.zeros((8, 8))
     for row, col, symbol, factor in _ENTRIES:
         value = factor * getattr(params, symbol) / 16.0
@@ -179,7 +182,7 @@ class ChannelReport:
 def channel_report(kappa_t: float) -> ChannelReport:
     """Full per-kappa*t report: coefficients, exact pair concurrences, exact tangle."""
     params = noise_params(kappa_t)
-    rho = epsilon_x_w(kappa_t)
+    rho = _assemble(params)
     # Roundoff-level, as the admission tolerances are; reconstruction_atol (1e-9) would let states near W match.
     matches = bool(np.abs(rho.matrix - _W_PROJ).max() <= 1e-12)
     c_ab, c_ac, c_bc = pairwise_concurrences(rho)

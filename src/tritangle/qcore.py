@@ -124,6 +124,11 @@ class DensityReport:
         return self.shape_ok & self.hermitian_ok & self.trace_ok & self.positive_ok
 
 
+def _hermitian_part(m: np.ndarray, mh: np.ndarray | None = None) -> np.ndarray:
+    # (m + m^dag)/2 of a matrix or a stack, m^dag given as mh or formed here; halved first, it never overflows.
+    return 0.5 * m + 0.5 * (m.swapaxes(-1, -2).conj() if mh is None else mh)
+
+
 def density_report(matrix, tols: Tolerances = TOLERANCES) -> DensityReport:
     """Check the density-matrix invariants without raising.
 
@@ -143,12 +148,12 @@ def density_report(matrix, tols: Tolerances = TOLERANCES) -> DensityReport:
         m = np.where(finite[..., None, None], m, 0.0)  # keeps eigvalsh away from NaN
     mh = m.swapaxes(-1, -2).conj()
     # Entries near the float limit overflow the difference and the trace
-    # to inf, which fails their checks; the Hermitian part, halved before
-    # the sum, overflows nowhere, so eigvalsh always gets a finite matrix.
+    # to inf, which fails their checks; the Hermitian part overflows
+    # nowhere, so eigvalsh always gets a finite matrix.
     with np.errstate(over="ignore", invalid="ignore"):
         herm = np.abs(m - mh).max(axis=(-2, -1))
         trace = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
-    min_eig = np.linalg.eigvalsh(0.5 * m + 0.5 * mh)[..., 0]
+    min_eig = np.linalg.eigvalsh(_hermitian_part(m, mh))[..., 0]
     if not stacked:
         finite, herm, trace, min_eig = True, float(herm), float(trace), float(min_eig)
     elif not all_finite:
@@ -293,7 +298,7 @@ def hermitian_eigensystem(rho):
     Hermitian part.
     """
     m = validate_density(rho).matrix
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    vals, vecs = np.linalg.eigh(_hermitian_part(m))
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 

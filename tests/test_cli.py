@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, seeds, and figure sweeps."""
 
+import argparse
 import contextlib
 import json
 import math
@@ -109,7 +110,7 @@ class TestFig1:
         assert rows[2]["tau3"] == 0.0
 
     def test_rejects_bad_sweep(self, capsys):
-        code, _, err = run(["fig1", "--steps", "1"], capsys)
+        code, _, err = run_expecting_exit(["fig1", "--steps", "1"], capsys)
         assert code == 2
         assert err.startswith("error:")
         code, _, err = run(["fig1", "--start", "0.9", "--stop", "0.1"], capsys)
@@ -455,22 +456,13 @@ def parse_with(parser, argv, capsys):
     return code, out, err, ns
 
 
-def assert_parsers_agree(argv, capsys):
-    # main parses argv[1:] with the subcommand's own parser; it must agree
-    # exactly with the full parser on argv, except that an unrecognized
-    # argument is reported under the subcommand's prog, not the top-level one.
-    code, out, err, ns = parse_with(cli.build_parser(), argv, capsys)
-    unrecognized = "error: tritangle: unrecognized arguments: "
-    if err.startswith(unrecognized):
-        err = f"error: tritangle {argv[0]}: unrecognized arguments: " + err[len(unrecognized) :]
-    own = parse_with(cli.build_parser(argv[0]), argv[1:], capsys)
-    assert own == (code, out, err, ns)
-    return own
+def parse(argv, capsys):
+    # argv parsed as main parses it: the rest by the subcommand's own parser.
+    return parse_with(cli.build_parser(argv[0]), argv[1:], capsys)
 
 
 def run_expecting_exit(argv, capsys):
     # Flag parsing reports through SystemExit, the commands through main's return.
-    assert_parsers_agree(argv, capsys)
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -584,19 +576,34 @@ class TestUsageErrors:
     )
     def test_size_flag_over_its_cap(self, argv, capsys):
         # Parsing alone: an over-cap value never reaches a command.
-        code, out, err, _ = assert_parsers_agree(argv, capsys)
+        code, out, err, _ = parse(argv, capsys)
         assert_one_line_usage_error(code, out, err)
         assert "above the cap" in err
 
     @pytest.mark.parametrize("flag", ["--roof-restarts", "--roof-max-iters", "--roof-ensemble-size"])
     def test_search_flag_below_one_is_rejected_when_parsed(self, flag, capsys):
         # Parsing alone, as for the caps: the state file is never read.
-        code, out, err, _ = assert_parsers_agree(["measures", "state.json", flag, "0"], capsys)
+        code, out, err, _ = parse(["measures", "state.json", flag, "0"], capsys)
         assert (code, out, err) == (2, "", f"error: tritangle measures: argument {flag}: must be at least 1, got 0\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--steps", "1"],
+            ["fig4", "--steps", "1"],
+            ["noisy", "--steps", "1"],
+            # A single kappa*t overrides the sweep, yet its flags are still parsed.
+            ["noisy", "--kappa-t", "0.4", "--steps", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_steps_below_two_is_rejected_when_parsed(self, argv, capsys):
+        code, out, err = run_expecting_exit(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: tritangle {argv[0]}: argument --steps: must be at least 2, got 1\n")
+
     def test_size_flags_at_their_caps_parse(self, capsys):
-        assert assert_parsers_agree(["noisy", "--steps", "100000"], capsys)[3]["steps"] == 100000
-        _, _, _, args = assert_parsers_agree(
+        assert parse(["noisy", "--steps", "100000"], capsys)[3]["steps"] == 100000
+        _, _, _, args = parse(
             ["measures", "state.json", "--roof-restarts", "1000", "--roof-max-iters", "10000", "--roof-ensemble-size", "64"],
             capsys,
         )
@@ -627,7 +634,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["fig1", "noisy", "measures"])
     def test_help_states_each_cap_and_its_reason(self, command, capsys):
-        code, out, _, _ = assert_parsers_agree([command, "--help"], capsys)
+        code, out, _, _ = parse([command, "--help"], capsys)
         assert code == 0
         text = " ".join(out.split())
         if command != "measures":
@@ -644,7 +651,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["fig1", "fig4", "measures", "teleport", "noisy", "validate"])
     def test_seed_help_says_what_uses_the_seed(self, command, capsys):
-        code, out, _, _ = assert_parsers_agree([command, "--help"], capsys)
+        code, out, _, _ = parse([command, "--help"], capsys)
         assert code == 0
         text = " ".join(out.split())
         unused = "--seed SEED accepted as by every subcommand; the report draws no random numbers"
@@ -657,7 +664,6 @@ class TestUsageErrors:
     def test_missing_out_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
         argv = ["fig1", "--steps", "3", "--out", str(target)]
-        assert_parsers_agree(argv, capsys)
         code, out, err = run(argv, capsys)
         assert_one_line_usage_error(code, out, err)
         assert "cannot write output file" in err
@@ -665,7 +671,6 @@ class TestUsageErrors:
 
     def test_out_path_is_a_directory(self, tmp_path, capsys):
         argv = ["teleport", "ghz", "--p", "0.5", "--out", str(tmp_path)]
-        assert_parsers_agree(argv, capsys)
         code, out, err = run(argv, capsys)
         assert_one_line_usage_error(code, out, err)
 
@@ -688,8 +693,8 @@ class TestPerCommandParser:
         + [[command, "--help"] for command in ["fig1", "fig4", "measures", "teleport", "noisy", "validate"]],
         ids=lambda argv: " ".join(argv),
     )
-    def test_subcommand_parser_matches_the_full_one(self, argv, capsys):
-        code, out, err, ns = assert_parsers_agree(argv, capsys)
+    def test_subcommand_parser_matches_the_full_one(self, argv, capsys, monkeypatch):
+        code, out, err, ns = parse(argv, capsys)
         if argv[-1] == "--help":
             assert (code, err, ns) == (0, "", None) and out.startswith(f"usage: tritangle {argv[0]} ")
         elif argv[-1] in ("everything", "csv"):
@@ -697,6 +702,45 @@ class TestPerCommandParser:
         else:
             assert (code, out, err) == (None, "", "")
             assert ns["command"] == argv[0] and ns["func"] is getattr(cli, f"cmd_{argv[0]}")
+        # main on the full argv parses the same request and prints the same
+        # messages; a parsed request is stopped before its command runs.
+        parsed = []
+        parse_args = cli._Parser.parse_args
+
+        def recorded(parser, args=None, namespace=None):
+            parsed.append(vars(parse_args(parser, args, namespace)))
+            raise SystemExit(None)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+        assert parsed == ([] if ns is None else [ns])
+
+    @pytest.mark.parametrize(
+        "argv,default",
+        [
+            (["fig1"], "csv"),
+            (["fig4"], "csv"),
+            (["measures", "state.json"], "json"),
+            (["teleport", "ghz", "--p", "0.3"], "json"),
+            (["noisy"], "csv"),
+            (["validate"], "json"),
+        ],
+        ids=["fig1", "fig4", "measures", "teleport", "noisy", "validate"],
+    )
+    def test_format_defaults_to_the_subcommands_own(self, argv, default, capsys):
+        # The Namespace holds the parsed flags, the command and its function, nothing else.
+        ns = parse(argv, capsys)[3]
+        assert ns["format"] == default
+        flags = {action.dest for action in cli.build_parser(argv[0])._actions} - {"help"}
+        assert set(ns) == flags | {"command", "func"}
+
+    def test_top_level_parser_only_names_the_subcommands(self):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS)
+        for parser in sub.choices.values():
+            assert [a.dest for a in parser._actions] == ["help"]
 
     def test_main_fills_only_the_invoked_subcommand(self, capsys, monkeypatch):
         filled = []
@@ -708,7 +752,7 @@ class TestPerCommandParser:
 
             return wrapper
 
-        commands = {name: (text, counted(name, fill)) for name, (text, fill) in cli._COMMANDS.items()}
+        commands = {name: (text, counted(name, fill), func) for name, (text, fill, func) in cli._COMMANDS.items()}
         monkeypatch.setattr(cli, "_COMMANDS", commands)
 
         def filled_by(argv):
@@ -721,7 +765,7 @@ class TestPerCommandParser:
         assert filled_by(["teleport", "ghz", "--p", "1"]) == ["teleport"]
         assert filled_by(["noisy", "--kappa-t", "nan"]) == ["noisy"]
         for argv in (["-h"], [], ["bogus"], ["--seed", "3", "teleport", "ghz", "--p", "1"]):
-            assert filled_by(argv) == list(commands)
+            assert filled_by(argv) == []
 
     def test_unrecognized_argument_names_the_subcommand(self, capsys):
         code, out, err = run_expecting_exit(["noisy", "--roof-restarts", "1"], capsys)
@@ -755,6 +799,8 @@ class TestPerCommandParser:
 
     @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"]], ids=["help", "empty", "unknown"])
     def test_top_level_goes_through_the_full_parser(self, argv, capsys, monkeypatch):
+        # An argv that names no subcommand ends at the top-level parser,
+        # whose messages list every subcommand.
         code, out, err, _ = parse_with(cli.build_parser(), argv, capsys)
         assert code == (0 if argv == ["-h"] else 2)
         if argv:

@@ -165,19 +165,27 @@ class TestZeroTangleEnsemble:
 
 class TestChannelReport:
     def test_builds_the_state_once(self, monkeypatch):
-        calls = []
-        build = noisychan.epsilon_x_w
+        # One noise_params evaluation and one assembly of the state per report.
+        calls, evaluated = [], []
+        build, evaluate = noisychan._assemble, noisychan.noise_params
 
-        def counted(kappa_t):
-            calls.append(kappa_t)
-            return build(kappa_t)
+        def counted(params):
+            calls.append(params.kappa_t)
+            return build(params)
 
-        monkeypatch.setattr(noisychan, "epsilon_x_w", counted)
+        def counted_params(kappa_t):
+            evaluated.append(kappa_t)
+            return evaluate(kappa_t)
+
+        monkeypatch.setattr(noisychan, "_assemble", counted)
+        monkeypatch.setattr(noisychan, "noise_params", counted_params)
         for kt in (0.0, 0.7, 2.5):
             calls.clear()
+            evaluated.clear()
             rep = channel_report(kt)
             assert rep.tangle.exact
             assert calls == [kt]
+            assert evaluated == [kt]
             # The report carries noise_params' coefficients, bit for bit.
             assert [x.hex() for x in dataclasses.astuple(rep.params)] == [
                 x.hex() for x in dataclasses.astuple(noise_params(kt))
